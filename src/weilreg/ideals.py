@@ -2,18 +2,26 @@
 
 The engine is plain Buchberger with the product and chain criteria and
 normal-strategy pair selection, producing the reduced (hence canonical)
-Groebner basis.  A configurable cap on processed S-pairs turns intractable
-instances into a BudgetExceeded error instead of a hang.
+Groebner basis.  Pending pairs sit in a heap keyed by the order key of their
+lcm, then by their indices: each pair is keyed once, when it is created, and
+pops in exactly the order a scan for the minimum would pick.  A cap on
+processed S-pairs, read from the `STEP_BUDGET` context variable, turns
+intractable instances into a BudgetExceeded error instead of a hang; a caller
+sets it for its own context without touching any process-wide value.
 """
 
 import threading
+from contextvars import ContextVar
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 
 from .errors import ArityMismatch, BudgetExceeded
 from .orders import GREVLEX, MonomialOrder, block_order
 from .poly import Polynomial
 
 DEFAULT_MAX_STEPS = 200_000
+
+STEP_BUDGET = ContextVar("STEP_BUDGET", default=DEFAULT_MAX_STEPS)
 
 _tls = threading.local()
 
@@ -31,11 +39,6 @@ def reset_step_tally():
     _tls.count = 0
 
 
-def set_default_max_steps(n: int):
-    global DEFAULT_MAX_STEPS
-    DEFAULT_MAX_STEPS = int(n)
-
-
 # -- polynomial reduction ----------------------------------------------------
 
 
@@ -43,46 +46,12 @@ def reduce_full(f: Polynomial, basis, order: MonomialOrder = GREVLEX) -> Polynom
     """Normal form of f modulo the list of divisors: every term reduced."""
     if not basis:
         return f
-    leads = [(g.leading_term(order), g) for g in basis if not g.is_zero()]
-    remainder = Polynomial.zero(f.arity)
-    p = f
-    while not p.is_zero():
-        exps, coeff = p.leading_term(order)
-        for (lexps, lcoeff), g in leads:
-            diff = tuple(a - b for a, b in zip(exps, lexps))
-            if all(d >= 0 for d in diff):
-                p = p - g.mul_term(diff, coeff / lcoeff)
-                break
-        else:
-            head = Polynomial(f.arity, {exps: coeff})
-            remainder = remainder + head
-            p = p - head
-    return remainder
+    return f.divide(basis, order)[1]
 
 
 def divide_with_quotients(f: Polynomial, divisors, order: MonomialOrder = GREVLEX):
     """Division with quotient tracking: f = sum(q_i * divisors_i) + remainder."""
-    quotients = [Polynomial.zero(f.arity) for _ in divisors]
-    leads = [(g.leading_term(order) if not g.is_zero() else None) for g in divisors]
-    remainder = Polynomial.zero(f.arity)
-    p = f
-    while not p.is_zero():
-        exps, coeff = p.leading_term(order)
-        for i, lead in enumerate(leads):
-            if lead is None:
-                continue
-            lexps, lcoeff = lead
-            diff = tuple(a - b for a, b in zip(exps, lexps))
-            if all(d >= 0 for d in diff):
-                c = coeff / lcoeff
-                quotients[i] = quotients[i] + Polynomial(f.arity, {diff: c})
-                p = p - divisors[i].mul_term(diff, c)
-                break
-        else:
-            head = Polynomial(f.arity, {exps: coeff})
-            remainder = remainder + head
-            p = p - head
-    return quotients, remainder
+    return f.divide(divisors, order)
 
 
 # -- Buchberger ---------------------------------------------------------------
@@ -127,8 +96,11 @@ def _reduced_basis(basis, order):
 
 
 def buchberger(generators, order: MonomialOrder = GREVLEX, max_steps=None):
-    """Reduced Groebner basis of the ideal the generators span."""
-    limit = DEFAULT_MAX_STEPS if max_steps is None else max_steps
+    """Reduced Groebner basis of the ideal the generators span.
+
+    `max_steps` caps the S-pairs processed; by default the cap is the
+    current context's `STEP_BUDGET`."""
+    limit = STEP_BUDGET.get() if max_steps is None else max_steps
     gens = [g.primitive(order) for g in generators if not g.is_zero()]
     seen = set()
     basis = []
@@ -139,22 +111,25 @@ def buchberger(generators, order: MonomialOrder = GREVLEX, max_steps=None):
     if not basis:
         return ()
     leads = [g.leading_term(order)[0] for g in basis]
-    pairs = {(i, j) for j in range(len(basis)) for i in range(j)}
+    key = order.key
+
+    def pair(i, j):
+        lcm = tuple(map(max, leads[i], leads[j]))
+        return key(lcm), i, j, lcm
+
+    # (key(lcm), i, j) is unique per pair, so lcm never takes part in a comparison
+    pairs = [pair(i, j) for j in range(len(basis)) for i in range(j)]
+    heapify(pairs)
     done = set()
     steps = 0
 
-    def lcm_of(i, j):
-        return tuple(max(a, b) for a, b in zip(leads[i], leads[j]))
-
     while pairs:
-        i, j = min(pairs, key=lambda p: (order.key(lcm_of(*p)), p))
-        pairs.remove((i, j))
+        _, i, j, lcm = heappop(pairs)
         done.add((i, j))
         steps += 1
         _bump_steps()
         if steps > limit:
             raise BudgetExceeded(steps, limit)
-        lcm = lcm_of(i, j)
         # product criterion: disjoint leading monomials
         if all(a + b == l for a, b, l in zip(leads[i], leads[j], lcm)):
             continue
@@ -180,7 +155,7 @@ def buchberger(generators, order: MonomialOrder = GREVLEX, max_steps=None):
         leads.append(r.leading_term(order)[0])
         t = len(basis) - 1
         for k in range(t):
-            pairs.add((k, t))
+            heappush(pairs, pair(k, t))
     return _reduced_basis(basis, order)
 
 
@@ -281,12 +256,6 @@ def saturate(ideal: Ideal, f: Polynomial) -> Ideal:
     return Ideal(n, [g.restrict(range(n)) for g in out.gens])
 
 
-def saturate_many(ideal: Ideal, polys) -> Ideal:
-    for f in polys:
-        ideal = saturate(ideal, f)
-    return ideal
-
-
 def intersect(a: Ideal, b: Ideal) -> Ideal:
     """Ideal intersection via the auxiliary-variable trick."""
     if a.arity != b.arity:
@@ -310,7 +279,3 @@ def radical_membership(f: Polynomial, ideal: Ideal) -> bool:
     t = Polynomial.variable(n + 1, n)
     gens.append(Polynomial.one(n + 1) - t * f.embed(n + 1, emb))
     return is_empty_variety(Ideal(n + 1, gens))
-
-
-def ideals_equal(a: Ideal, b: Ideal) -> bool:
-    return a == b

@@ -3,26 +3,6 @@
 from fractions import Fraction
 
 
-def mat_det(rows) -> Fraction:
-    n = len(rows)
-    a = [[Fraction(x) for x in row] for row in rows]
-    det = Fraction(1)
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            a[col], a[pivot] = a[pivot], a[col]
-            det = -det
-        det *= a[col][col]
-        inv = Fraction(1) / a[col][col]
-        for r in range(col + 1, n):
-            factor = a[r][col] * inv
-            if factor:
-                a[r] = [x - factor * y for x, y in zip(a[r], a[col])]
-    return det
-
-
 def mat_inverse(rows):
     """Inverse matrix, or None when singular."""
     n = len(rows)

@@ -2,15 +2,23 @@
 elimination orders built from the two.
 
 An order exposes a sort key on exponent tuples; bigger key means bigger
-monomial.  Block orders compare the elimination block first, which makes them
-elimination orders for that block.
+monomial.  Keys are flat tuples of ints, so comparing two keys is one C-level
+tuple comparison:
+
+* lex: the exponents themselves;
+* grevlex: ``(sum(e), -e[n-1], ..., -e[0])``;
+* block: the grevlex key of the eliminated block, then the total degree of
+  the remaining variables and the negated reversed exponents of all
+  variables.  Once the block parts are equal the eliminated exponents are
+  equal too, so they do not affect the tail comparison.
+
+Block orders compare the elimination block first, which makes them
+elimination orders for that block.  The block's index list is fixed when the
+order is built, never per call.
 """
 
 from dataclasses import dataclass, field
-
-
-def _grevlex_key(exps):
-    return (sum(exps), tuple(-e for e in reversed(exps)))
+from operator import neg
 
 
 @dataclass(frozen=True)
@@ -19,22 +27,20 @@ class MonomialOrder:
 
     kind: str  # "lex" | "grevlex" | "block"
     elim: tuple = field(default=())  # variable indices eliminated first (block only)
+    _head: tuple = field(init=False, repr=False, compare=False)  # elim, reversed
+
+    def __post_init__(self):
+        object.__setattr__(self, "_head", tuple(reversed(self.elim)))
 
     def key(self, exps):
-        if self.kind == "lex":
+        kind = self.kind
+        if kind == "grevlex":
+            return (sum(exps), *map(neg, exps[::-1]))
+        if kind == "lex":
             return tuple(exps)
-        if self.kind == "grevlex":
-            return _grevlex_key(exps)
-        elim = self.elim
-        rest = [e for i, e in enumerate(exps) if i not in self._elim_set()]
-        head = [exps[i] for i in elim]
-        return (_grevlex_key(head), _grevlex_key(rest))
-
-    def _elim_set(self):
-        return frozenset(self.elim)
-
-    def eliminates(self, var: int) -> bool:
-        return self.kind == "block" and var in self.elim
+        head = [exps[i] for i in self._head]
+        degree = sum(head)
+        return (degree, *map(neg, head), sum(exps) - degree, *map(neg, exps[::-1]))
 
     def __repr__(self):
         if self.kind == "block":

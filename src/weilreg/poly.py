@@ -3,10 +3,19 @@
 A polynomial is immutable: an arity plus a mapping from exponent tuples to
 nonzero Fraction coefficients.  Term order is a view concern; sorted term
 lists are produced on demand for a given MonomialOrder.
+
+`Polynomial.divide` is the one multivariate division kernel: normal forms,
+division with quotients and exact division all run through it.  It works on
+a private term dict that it mutates in place, and finds the largest
+remaining term with a min-heap of negated order keys.  Entries whose term
+was cancelled are skipped when they surface (lazy deletion), so each step
+costs one key per new term instead of a scan of the whole remainder.
 """
 
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from math import gcd
+from operator import add, ge, neg, sub
 
 from .errors import ArityMismatch
 from .orders import GREVLEX, MonomialOrder
@@ -38,6 +47,13 @@ class Polynomial:
         self._hash = None
 
     # -- constructors ------------------------------------------------------
+
+    @classmethod
+    def _of(cls, arity: int, terms: dict) -> "Polynomial":
+        """Wrap a clean term dict (right-length tuple keys, nonzero Fractions) without copying."""
+        out = cls.__new__(cls)
+        out.arity, out.terms, out._hash = arity, terms, None
+        return out
 
     @classmethod
     def zero(cls, arity: int) -> "Polynomial":
@@ -114,23 +130,19 @@ class Polynomial:
         self._check(other)
         res = dict(self.terms)
         for exps, coeff in other.terms.items():
-            acc = res.get(exps, Fraction(0)) + coeff
-            if acc == 0:
-                res.pop(exps, None)
-            else:
+            acc = res.get(exps)
+            if acc is None:
+                res[exps] = coeff
+            elif acc := acc + coeff:
                 res[exps] = acc
-        out = Polynomial.__new__(Polynomial)
-        out.arity, out.terms, out._hash = self.arity, res, None
-        return out
+            else:
+                del res[exps]
+        return Polynomial._of(self.arity, res)
 
     __radd__ = __add__
 
     def __neg__(self):
-        out = Polynomial.__new__(Polynomial)
-        out.arity = self.arity
-        out.terms = {e: -c for e, c in self.terms.items()}
-        out._hash = None
-        return out
+        return Polynomial._of(self.arity, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -147,33 +159,26 @@ class Polynomial:
         res = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                exps = tuple(a + b for a, b in zip(e1, e2))
-                acc = res.get(exps, Fraction(0)) + c1 * c2
-                if acc == 0:
-                    res.pop(exps, None)
-                else:
+                exps = tuple(map(add, e1, e2))
+                acc = res.get(exps)
+                if acc is None:
+                    res[exps] = c1 * c2
+                elif acc := acc + c1 * c2:
                     res[exps] = acc
-        out = Polynomial.__new__(Polynomial)
-        out.arity, out.terms, out._hash = self.arity, res, None
-        return out
+                else:
+                    del res[exps]
+        return Polynomial._of(self.arity, res)
 
     __rmul__ = __mul__
 
     def scale(self, factor: Fraction) -> "Polynomial":
         if factor == 0:
             return Polynomial.zero(self.arity)
-        out = Polynomial.__new__(Polynomial)
-        out.arity = self.arity
-        out.terms = {e: c * factor for e, c in self.terms.items()}
-        out._hash = None
-        return out
+        return Polynomial._of(self.arity, {e: c * factor for e, c in self.terms.items()})
 
     def mul_term(self, exps, coeff: Fraction) -> "Polynomial":
-        out = Polynomial.__new__(Polynomial)
-        out.arity = self.arity
-        out.terms = {tuple(a + b for a, b in zip(e, exps)): c * coeff for e, c in self.terms.items()}
-        out._hash = None
-        return out
+        shifted = {tuple(map(add, e, exps)): c * coeff for e, c in self.terms.items()}
+        return Polynomial._of(self.arity, shifted)
 
     def __pow__(self, n: int):
         if n < 0:
@@ -186,6 +191,60 @@ class Polynomial:
             base = base * base if n > 1 else base
             n >>= 1
         return result
+
+    # -- division ----------------------------------------------------------
+
+    def divide(self, divisors, order: MonomialOrder = GREVLEX, exact: bool = False):
+        """Multivariate division: ``(quotients, remainder)`` with
+        ``self == sum(q_i * divisors[i]) + remainder``.
+
+        Each step divides the largest remaining term by the first divisor
+        whose leading monomial divides it, or moves it to the remainder, so
+        no remainder term is divisible by any lead.  Zero divisors are skipped
+        and get a zero quotient.  With ``exact=True`` the division returns
+        None at the first remainder term instead.
+        """
+        key = order.key
+        active = []
+        for i, g in enumerate(divisors):
+            if g.terms:
+                lead, lc = g.leading_term(order)
+                active.append((i, lead, lc, [(e, c) for e, c in g.terms.items() if e != lead]))
+        p = dict(self.terms)
+        heap = [(tuple(map(neg, key(e))), e) for e in p]
+        heapify(heap)
+        quotients = [{} for _ in divisors]
+        remainder = {}
+        while heap:
+            exps = heappop(heap)[1]
+            coeff = p.pop(exps, None)
+            if coeff is None:  # cancelled after it was queued
+                continue
+            for i, lead, lc, tail in active:
+                if all(map(ge, exps, lead)):
+                    break
+            else:
+                if exact:
+                    return None
+                remainder[exps] = coeff
+                continue
+            shift = tuple(map(sub, exps, lead))
+            q = coeff / lc
+            quotients[i][shift] = q
+            # every new term lies below exps, so no term popped so far comes back
+            for e, c in tail:
+                e = tuple(map(add, e, shift))
+                old = p.get(e)
+                if old is None:
+                    p[e] = -c * q
+                    heappush(heap, (tuple(map(neg, key(e))), e))
+                else:
+                    old -= c * q
+                    if old:
+                        p[e] = old
+                    else:
+                        del p[e]
+        return [Polynomial._of(self.arity, q) for q in quotients], Polynomial._of(self.arity, remainder)
 
     # -- normalisation -----------------------------------------------------
 

@@ -17,20 +17,8 @@ def divide_exact(f: Polynomial, g: Polynomial):
     """Quotient f/g when g divides f exactly, else None."""
     if g.is_zero():
         raise ZeroDivisionError("division by the zero polynomial")
-    if f.is_zero():
-        return Polynomial.zero(f.arity)
-    quotient = Polynomial.zero(f.arity)
-    lead_g, lc_g = g.leading_term(GREVLEX)
-    p = f
-    while not p.is_zero():
-        lead_p, lc_p = p.leading_term(GREVLEX)
-        diff = tuple(a - b for a, b in zip(lead_p, lead_g))
-        if any(d < 0 for d in diff):
-            return None
-        coeff = lc_p / lc_g
-        quotient = quotient + Polynomial(f.arity, {diff: coeff})
-        p = p - g.mul_term(diff, coeff)
-    return quotient
+    out = f.divide((g,), GREVLEX, exact=True)
+    return None if out is None else out[0][0]
 
 
 def derivative(f: Polynomial, var: int) -> Polynomial:

@@ -6,6 +6,7 @@ statement yields a report record and domain failures are recorded, not
 re-raised.  Parsing is total: bad input produces a positioned diagnostic.
 """
 
+import contextvars
 import json
 import time
 from dataclasses import dataclass, field
@@ -950,9 +951,7 @@ class _Runner:
 def run_session(ast: SessionAST, session_name: str = "", max_steps=None, parallel: bool = False):
     """Execute every statement, producing one record each; failures are
     recorded and never abort the session."""
-    if max_steps is not None:
-        previous = ideals.DEFAULT_MAX_STEPS
-        ideals.set_default_max_steps(max_steps)
+    budget = None if max_steps is None else ideals.STEP_BUDGET.set(int(max_steps))
     env = _Environment()
     runner = _Runner(env)
     records = []
@@ -1006,13 +1005,16 @@ def run_session(ast: SessionAST, session_name: str = "", max_steps=None, paralle
                     commands.append(i)
                 else:
                     slots[i] = execute(stmt)
+            # worker threads start from an empty context: hand each task a copy of this one
             with ThreadPoolExecutor(max_workers=4) as pool:
-                for i, record in zip(commands, pool.map(execute, [ast.statements[i] for i in commands])):
-                    slots[i] = record
+                futures = [pool.submit(contextvars.copy_context().run, execute, ast.statements[i])
+                           for i in commands]
+                for i, future in zip(commands, futures):
+                    slots[i] = future.result()
             records = slots
     finally:
-        if max_steps is not None:
-            ideals.set_default_max_steps(previous)
+        if budget is not None:
+            ideals.STEP_BUDGET.reset(budget)
     return records
 
 

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -6,7 +7,10 @@ from weilreg import GREVLEX, LEX, Polynomial, parse_polynomial, parse_fraction
 from weilreg.errors import ArityMismatch
 from weilreg.orders import block_order
 from weilreg.poly import coefficient_list, format_polynomial
+from weilreg.ideals import divide_with_quotients, reduce_full
 from weilreg.polygcd import divide_exact, poly_gcd, simplify_fraction, squarefree_part_degree
+
+from oracles import random_polynomial
 
 
 def P(text, names=("x", "y", "z")):
@@ -103,6 +107,81 @@ def test_divide_exact():
     g = P("x - y")
     assert divide_exact(f, g) == P("x + y")
     assert divide_exact(P("x^2 + 1"), P("x + 1")) is None
+
+
+def reference_division(f, divisors, order):
+    """The division loop the kernel replaced, verbatim: rescans the whole
+    remainder for its leading term at every step."""
+    quotients = [Polynomial.zero(f.arity) for _ in divisors]
+    leads = [(g.leading_term(order) if not g.is_zero() else None) for g in divisors]
+    remainder = Polynomial.zero(f.arity)
+    p = f
+    while not p.is_zero():
+        exps, coeff = p.leading_term(order)
+        for i, lead in enumerate(leads):
+            if lead is None:
+                continue
+            lexps, lcoeff = lead
+            diff = tuple(a - b for a, b in zip(exps, lexps))
+            if all(d >= 0 for d in diff):
+                c = coeff / lcoeff
+                quotients[i] = quotients[i] + Polynomial(f.arity, {diff: c})
+                p = p - divisors[i].mul_term(diff, c)
+                break
+        else:
+            head = Polynomial(f.arity, {exps: coeff})
+            remainder = remainder + head
+            p = p - head
+    return quotients, remainder
+
+
+def _division_instances(count, seed=20251017):
+    rng = random.Random(seed)
+    for _ in range(count):
+        arity = rng.randrange(1, 4)
+        order = rng.choice([LEX, GREVLEX, block_order({0}), block_order(range(arity - 1))])
+        f = random_polynomial(rng, arity, 6, max_terms=8)
+        divisors = [random_polynomial(rng, arity, 3) for _ in range(rng.randrange(1, 4))]
+        if rng.random() < 0.3:
+            divisors.insert(rng.randrange(len(divisors) + 1), Polynomial.zero(arity))
+        yield f, divisors, order
+
+
+def test_division_kernel_matches_the_reference_loop_and_its_contract():
+    for f, divisors, order in _division_instances(300):
+        quotients, remainder = f.divide(divisors, order)
+        assert (quotients, remainder) == reference_division(f, divisors, order)
+        total = remainder
+        for q, g in zip(quotients, divisors):
+            total = total + q * g
+        assert total == f
+        leads = [g.leading_term(order)[0] for g in divisors if not g.is_zero()]
+        for exps in remainder.terms:
+            assert not any(all(a >= b for a, b in zip(exps, lead)) for lead in leads)
+        for q, g in zip(quotients, divisors):
+            if g.is_zero():
+                assert q.is_zero()
+        assert divide_with_quotients(f, divisors, order) == (quotients, remainder)
+        assert reduce_full(f, divisors, order) == remainder
+
+
+def test_divide_exact_on_products_and_non_multiples():
+    rng = random.Random(20251018)
+    for _ in range(200):
+        arity = rng.randrange(1, 4)
+        f = random_polynomial(rng, arity, 3)
+        g = random_polynomial(rng, arity, 3)
+        if g.is_zero():
+            with pytest.raises(ZeroDivisionError):
+                divide_exact(f, g)
+            continue
+        assert divide_exact(f * g, g) == f
+        if not g.is_constant():
+            # g divides f*g but not 1, so not f*g + 1
+            assert divide_exact(f * g + 1, g) is None
+    with pytest.raises(ZeroDivisionError):
+        divide_exact(P("x"), Polynomial.zero(3))
+    assert divide_exact(Polynomial.zero(3), P("x - y")) == Polynomial.zero(3)
 
 
 def test_poly_gcd_basic():

@@ -4,6 +4,7 @@ import string
 
 import pytest
 
+from weilreg import ideals
 from weilreg.errors import SessionSyntaxError, UseBeforeDeclare
 from weilreg.sessions import (
     Command,
@@ -145,6 +146,20 @@ def test_parallel_execution_preserves_record_order():
     parallel = run_session(parse_session(CREMONA), parallel=True)
     assert [r["command"] for r in sequential] == [r["command"] for r in parallel]
     assert [r["payload"] for r in sequential] == [r["payload"] for r in parallel]
+
+
+def test_step_budget_is_scoped_to_the_session_and_reaches_worker_threads():
+    def untimed(records):
+        return [{k: v for k, v in r.items() if k != "millis"} for r in records]
+
+    sequential = run_session(parse_session(CREMONA), max_steps=1)
+    assert ideals.STEP_BUDGET.get() == ideals.DEFAULT_MAX_STEPS == 200_000
+    parallel = run_session(parse_session(CREMONA), max_steps=1, parallel=True)
+    assert ideals.STEP_BUDGET.get() == ideals.DEFAULT_MAX_STEPS
+    assert untimed(parallel) == untimed(sequential)
+    exceeded = [r["command"] for r in sequential if r["payload"].get("reason") == "BudgetExceeded"]
+    assert exceeded == ["cmd breg s", "cmd regularize inv2"]
+    assert all(r["status"] == "ok" for r in run_session(parse_session(CREMONA)))
 
 
 # -- reports --------------------------------------------------------------------------
