@@ -13,6 +13,7 @@ from .groups import AlgebraicGroup
 from .ideals import Ideal
 from .maps import (
     RationalMap,
+    _bind_inverse,
     biregular_locus,
     compose,
     identity_map,
@@ -92,10 +93,7 @@ def specialize(action: RationalAction, g) -> RationalMap:
         candidate = _specialize_raw(action, g_inv)
         if not (_roundtrip_is_identity(result, candidate) and _roundtrip_is_identity(candidate, result)):
             raise RoundTripFailure(f"specialisations at {g} and {g_inv} are not mutually inverse")
-        result._inverse = candidate
-        candidate._inverse = result
-        result._dominant = candidate._dominant = True
-        result._birational = candidate._birational = True
+        _bind_inverse(result, candidate)
         action._specialized[g_inv] = candidate
     action._specialized[g] = result
     return result
@@ -202,9 +200,7 @@ def _validate_finite_action(action: RationalAction):
         if not (_roundtrip_is_identity(maps[g], maps[g_inv])
                 and _roundtrip_is_identity(maps[g_inv], maps[g])):
             raise NotAnAction("homomorphism", f"maps of {g} and {g_inv} are not mutually inverse")
-        maps[g]._inverse = maps[g_inv]
-        maps[g]._dominant = True
-        maps[g]._birational = True
+        _bind_inverse(maps[g], maps[g_inv])
     for g in G.elements:
         for h in G.elements:
             gh = G.table[(g, h)]
@@ -251,10 +247,7 @@ def lift_action(action: RationalAction, element=None):
     backward = make_rational_map(P, P, [g_coords + tuple(back_coords)])
     if not (_roundtrip_is_identity(forward, backward) and _roundtrip_is_identity(backward, forward)):
         raise RoundTripFailure("lifted action map and its conjugated inverse do not round-trip")
-    forward._inverse = backward
-    backward._inverse = forward
-    forward._dominant = backward._dominant = True
-    forward._birational = backward._birational = True
+    _bind_inverse(forward, backward)
     action._tilde = (forward, backward)
     return action._tilde
 

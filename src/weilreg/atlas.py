@@ -7,6 +7,11 @@ conditions that make the quotient of the chart union a separated variety
 carrying a regular action: transition symmetry, the cocycle identity,
 closedness of the transition graphs, and the finite covering of the group
 by shifted biregularity loci.
+
+Transition (i, j) is the element map of g_j^-1 * g_i, so k charts give k^2
+transitions over at most 2k - 1 group elements, and equal elements share one
+map object.  Each check is therefore evaluated once per group element (the
+cocycle check once per element pair) and reported per chart pair.
 """
 
 from dataclasses import dataclass, field
@@ -40,6 +45,7 @@ class Atlas:
     action: RationalAction
     points: tuple  # group points; first is the identity
     transitions: dict  # (i, j) -> RationalMap from chart i to chart j
+    elements: dict  # (i, j) -> group point g_j^-1 * g_i, whose element map is transition (i, j)
     report: AtlasReport = field(default=None)
 
 
@@ -57,12 +63,13 @@ def build_atlas(action: RationalAction, points=None) -> Atlas:
         if e in points:
             points.remove(e)
         points.insert(0, e)
-    transitions = {}
+    transitions, elements = {}, {}
     for i, gi in enumerate(points):
         for j, gj in enumerate(points):
             g = group.multiply_points(group.invert_point(gj), gi)
+            elements[(i, j)] = g
             transitions[(i, j)] = specialize(action, g)
-    return Atlas(action, tuple(points), transitions)
+    return Atlas(action, tuple(points), transitions, elements)
 
 
 def _fresh_copy(m: RationalMap) -> RationalMap:
@@ -71,43 +78,62 @@ def _fresh_copy(m: RationalMap) -> RationalMap:
 
 
 def _check_symmetry(atlas: Atlas) -> dict:
+    """Re-invert each transition honestly and compare with the reverse one;
+    the verdict depends only on the two transitions' elements."""
     failures = []
+    verdicts = {}
     m = len(atlas.points)
     for i in range(m):
         for j in range(m):
             if i == j:
                 continue
-            recomputed = inverse(_fresh_copy(atlas.transitions[(i, j)]))
-            if not maps_equal(recomputed, atlas.transitions[(j, i)]):
+            key = (atlas.elements[(i, j)], atlas.elements[(j, i)])
+            if key not in verdicts:
+                recomputed = inverse(_fresh_copy(atlas.transitions[(i, j)]))
+                verdicts[key] = maps_equal(recomputed, atlas.transitions[(j, i)])
+            if not verdicts[key]:
                 failures.append([i, j])
     return {"passed": not failures, "failures": failures}
 
 
 def _check_cocycle(atlas: Atlas) -> dict:
+    """tau_jk o tau_ij = tau_ik, decided once per element triple (which the
+    element pair (g_ij, g_jk) determines); None records a ZeroDenominator skip."""
     failures = []
     skipped = []
+    verdicts = {}
+    elements = atlas.elements
     m = len(atlas.points)
     for i in range(m):
         for j in range(m):
             for k in range(m):
-                try:
-                    composite = compose(atlas.transitions[(i, j)], atlas.transitions[(j, k)])
-                except ZeroDenominator:
+                key = (elements[(i, j)], elements[(j, k)], elements[(i, k)])
+                if key not in verdicts:
+                    try:
+                        composite = compose(atlas.transitions[(i, j)], atlas.transitions[(j, k)])
+                        verdicts[key] = maps_equal(composite, atlas.transitions[(i, k)])
+                    except ZeroDenominator:
+                        verdicts[key] = None
+                if verdicts[key] is None:
                     skipped.append([i, j, k])
-                    continue
-                if not maps_equal(composite, atlas.transitions[(i, k)]):
+                elif not verdicts[key]:
                     failures.append([i, j, k])
     return {"passed": not failures, "failures": failures, "skipped": skipped}
 
 
 def _check_separated(atlas: Atlas) -> dict:
+    """One closed-graph test per transition element."""
     failures = {}
+    verdicts = {}
     m = len(atlas.points)
     for i in range(m):
         for j in range(m):
             if i == j:
                 continue
-            closed, witness = is_graph_closed(atlas.transitions[(i, j)], atlas.action.domain)
+            g = atlas.elements[(i, j)]
+            if g not in verdicts:
+                verdicts[g] = is_graph_closed(atlas.transitions[(i, j)], atlas.action.domain)
+            closed, witness = verdicts[g]
             if not closed:
                 failures[(i, j)] = witness
     return {"passed": not failures, "witnesses": failures}

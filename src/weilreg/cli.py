@@ -44,7 +44,12 @@ def main(argv=None) -> int:
     if max_steps is None:
         env_budget = os.environ.get("WEILREG_MAX_STEPS")
         if env_budget:
-            max_steps = int(env_budget)
+            try:
+                max_steps = int(env_budget)
+            except ValueError:
+                print(f"weilreg: WEILREG_MAX_STEPS must be an integer, got {env_budget!r}",
+                      file=sys.stderr)
+                return 2
     try:
         ast = parse_session(text)
     except (SessionSyntaxError, UseBeforeDeclare) as err:

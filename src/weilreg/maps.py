@@ -134,12 +134,17 @@ def rational_map(source: AffineVariety, target: AffineVariety, *rep_texts) -> Ra
     return make_rational_map(source, target, reps)
 
 
+def _bind_inverse(a: RationalMap, b: RationalMap) -> None:
+    """Record that a and b are certified mutually inverse birational maps."""
+    a._inverse, b._inverse = b, a
+    a._dominant = b._dominant = True
+    a._birational = b._birational = True
+
+
 def identity_map(X: AffineVariety) -> RationalMap:
     rep = tuple(RationalFunction.coordinate(X, i) for i in range(X.arity))
     m = RationalMap(X, X, [rep])
-    m._dominant = True
-    m._birational = True
-    m._inverse = m
+    _bind_inverse(m, m)
     return m
 
 
@@ -299,12 +304,7 @@ def inverse(phi: RationalMap) -> RationalMap:
         raise NotBirational(f"extracted candidate is not a map into the source: {err}")
     if not _roundtrip_is_identity(phi, psi) or not _roundtrip_is_identity(psi, phi):
         raise NotBirational("round-trip identity failed for the extracted candidate")
-    psi._dominant = True
-    psi._birational = True
-    psi._inverse = phi
-    phi._inverse = psi
-    phi._birational = True
-    phi._dominant = True
+    _bind_inverse(phi, psi)
     return psi
 
 

@@ -400,9 +400,3 @@ def format_polynomial(p: Polynomial, names, order: MonomialOrder = GREVLEX) -> s
         else:
             parts.append(("+" if coeff > 0 else "-") + body)
     return "".join(parts)
-
-
-def coefficient_list(p: Polynomial, vars_subset, order: MonomialOrder = GREVLEX):
-    """The nonzero coefficients of p collected by monomials in vars_subset,
-    descending; the companion of coefficients_wrt that drops the monomials."""
-    return [c for _, c in p.coefficients_wrt(vars_subset, order)]

@@ -10,7 +10,7 @@ from fractions import Fraction
 from .errors import NotAnAction, NotInSpan, RoundTripFailure
 from .ideals import Ideal, eliminate, saturate
 from .linalg import solve_linear
-from .maps import RationalMap, make_rational_map, _roundtrip_is_identity
+from .maps import RationalMap, _bind_inverse, make_rational_map, _roundtrip_is_identity
 from .orders import GREVLEX
 from .poly import Polynomial
 from .polygcd import divide_exact
@@ -101,10 +101,7 @@ def present_subalgebra(space: AffineVariety, gens):
     psi_inv = make_rational_map(space, model, [tuple(gens)])
     if not (_roundtrip_is_identity(psi_inv, psi) and _roundtrip_is_identity(psi, psi_inv)):
         raise RoundTripFailure("presentation morphism and its inverse do not round-trip")
-    psi._inverse = psi_inv
-    psi_inv._inverse = psi
-    psi._dominant = psi_inv._dominant = True
-    psi._birational = psi_inv._birational = True
+    _bind_inverse(psi, psi_inv)
     return model, psi, psi_inv
 
 

@@ -860,8 +860,7 @@ class _Runner:
         if stmt.on_xreg:
             action = restrict_to_regular_locus(action)
             host_label = "xreg"
-        points = [p if isinstance(p, str) else p for p in stmt.points]
-        atlas = build_atlas(action, points)
+        atlas = build_atlas(action, stmt.points)
         report = check_atlas(atlas)
         payload = {
             "host": host_label,

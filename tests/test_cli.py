@@ -116,3 +116,12 @@ def test_step_budget_env_var_is_the_default():
         env={"WEILREG_MAX_STEPS": "1"},
     )
     assert result.returncode == 0
+
+
+def test_bad_step_budget_env_var_is_a_typed_input_error():
+    result = run_cli("run", str(SESSIONS / "cremona.wr"), env={"WEILREG_MAX_STEPS": "abc"})
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert result.stderr.startswith("weilreg: ")
+    assert "WEILREG_MAX_STEPS" in result.stderr and "'abc'" in result.stderr
+    assert "Traceback" not in result.stderr

@@ -10,9 +10,19 @@ from weilreg.actions import (
     restrict_to_regular_locus,
     specialize,
 )
-from weilreg.atlas import Atlas, build_atlas, check_atlas
-from weilreg.groups import additive_group, cyclic_group_2
-from weilreg.maps import identity_map, maps_equal, point_status, rational_map
+import weilreg.atlas
+from weilreg.atlas import Atlas, _fresh_copy, build_atlas, check_atlas
+from weilreg.errors import ZeroDenominator
+from weilreg.groups import additive_group, cyclic_group_2, multiplicative_group, product_group
+from weilreg.maps import (
+    compose,
+    identity_map,
+    inverse,
+    is_graph_closed,
+    maps_equal,
+    point_status,
+    rational_map,
+)
 from weilreg.ratfunc import RationalFunction
 from weilreg.regularize import (
     induced_regular_action,
@@ -260,11 +270,132 @@ def test_transitivity_of_chart_identifications(blowup_action):
 
 
 def test_chart_zero_transition_agrees_with_element_map(blowup_action):
-    from weilreg.maps import compose
-
     restricted = restrict_to_regular_locus(blowup_action)
     atlas = build_atlas(restricted, [(0,), (1,)])
     # tau_{0i} is the inverse identification: composing with the element map
     # of g_i returns to chart zero
     g1_map = specialize(restricted, (1,))
     assert maps_equal(compose(atlas.transitions[(0, 1)], g1_map), identity_map(blowup_action.space))
+
+
+# -- gluing checks keyed by group element ---------------------------------------------------------
+# The reference checks below are the per-chart-pair versions that ran before
+# the checks were keyed by group element, kept verbatim.
+
+
+def _reference_check_symmetry(atlas: Atlas) -> dict:
+    failures = []
+    m = len(atlas.points)
+    for i in range(m):
+        for j in range(m):
+            if i == j:
+                continue
+            recomputed = inverse(_fresh_copy(atlas.transitions[(i, j)]))
+            if not maps_equal(recomputed, atlas.transitions[(j, i)]):
+                failures.append([i, j])
+    return {"passed": not failures, "failures": failures}
+
+
+def _reference_check_cocycle(atlas: Atlas) -> dict:
+    failures = []
+    skipped = []
+    m = len(atlas.points)
+    for i in range(m):
+        for j in range(m):
+            for k in range(m):
+                try:
+                    composite = compose(atlas.transitions[(i, j)], atlas.transitions[(j, k)])
+                except ZeroDenominator:
+                    skipped.append([i, j, k])
+                    continue
+                if not maps_equal(composite, atlas.transitions[(i, k)]):
+                    failures.append([i, j, k])
+    return {"passed": not failures, "failures": failures, "skipped": skipped}
+
+
+def _reference_check_separated(atlas: Atlas) -> dict:
+    failures = {}
+    m = len(atlas.points)
+    for i in range(m):
+        for j in range(m):
+            if i == j:
+                continue
+            closed, witness = is_graph_closed(atlas.transitions[(i, j)], atlas.action.domain)
+            if not closed:
+                failures[(i, j)] = witness
+    return {"passed": not failures, "witnesses": failures}
+
+
+def _same_ideal(a: Ideal, b: Ideal) -> bool:
+    return all(a.contains(g) for g in b.gens) and all(b.contains(g) for g in a.gens)
+
+
+def _two_ga_action():
+    G = product_group(additive_group("s"), additive_group("r"))
+    X = affine_space(["u", "t"])
+    P = ProductAmbient(G.variety, X)
+    return make_rational_action(G, X, rational_map(P.variety, X, ("u+s", "(u*t+r)/(u+s)")))
+
+
+def _gm_action():
+    G = multiplicative_group(("z", "w"))
+    X = affine_space(["x", "y"])
+    P = ProductAmbient(G.variety, X)
+    return make_rational_action(G, X, rational_map(P.variety, X, ("z*x", "w*y*(x+1)/(z*x+1)")))
+
+
+def _spy(monkeypatch, name):
+    calls = []
+    real = getattr(weilreg.atlas, name)
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(weilreg.atlas, name, spy)
+    return calls
+
+
+@pytest.mark.parametrize("case", ["blowup_full", "blowup_xreg", "ga_ga", "gm", "cremona"])
+def test_element_keyed_checks_match_per_pair_checks(case, blowup_action, cremona_action, monkeypatch):
+    if case == "blowup_full":
+        atlas = build_atlas(blowup_action, [(0,), (1,), (2,)])
+    elif case == "blowup_xreg":
+        atlas = build_atlas(restrict_to_regular_locus(blowup_action), [(0,), (1,), (2,)])
+    elif case == "ga_ga":
+        atlas = build_atlas(restrict_to_regular_locus(_two_ga_action()), [(0, 0), (1, 0), (0, 1)])
+    elif case == "gm":
+        points = [(1, 1), (2, Fraction(1, 2)), (-1, -1)]
+        atlas = build_atlas(restrict_to_regular_locus(_gm_action()), points)
+    else:
+        atlas = build_atlas(restrict_to_regular_locus(cremona_action))
+    m = len(atlas.points)
+    pairs = [(i, j) for i in range(m) for j in range(m) if i != j]
+    elements = {atlas.elements[p] for p in pairs}
+    element_pairs = {(atlas.elements[(i, j)], atlas.elements[(j, k)])
+                     for i in range(m) for j in range(m) for k in range(m)}
+    for p in atlas.transitions:
+        assert atlas.transitions[p] is specialize(atlas.action, atlas.elements[p])
+    assert len(element_pairs) < m ** 3
+
+    expected_symmetry = _reference_check_symmetry(atlas)
+    expected_cocycle = _reference_check_cocycle(atlas)
+    expected_separated = _reference_check_separated(atlas)
+    inversions = _spy(monkeypatch, "inverse")
+    compositions = _spy(monkeypatch, "compose")
+    closed_graph_tests = _spy(monkeypatch, "is_graph_closed")
+    symmetry = weilreg.atlas._check_symmetry(atlas)
+    cocycle = weilreg.atlas._check_cocycle(atlas)
+    separated = weilreg.atlas._check_separated(atlas)
+
+    assert symmetry == expected_symmetry
+    assert cocycle == expected_cocycle
+    assert separated["passed"] == expected_separated["passed"]
+    witnesses, expected_witnesses = separated["witnesses"], expected_separated["witnesses"]
+    assert list(witnesses) == list(expected_witnesses)
+    assert all(_same_ideal(witnesses[p], expected_witnesses[p]) for p in witnesses)
+    if case == "blowup_full":
+        assert len(witnesses) > 2
+    assert len(inversions) == len(elements)
+    assert len(closed_graph_tests) == len(elements)
+    assert len(compositions) == len(element_pairs)

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from weilreg import GREVLEX, LEX, Ideal, Polynomial, eliminate
+from weilreg import GREVLEX, LEX, Ideal, Polynomial, block_order, eliminate, saturate
 from weilreg.ideals import buchberger
 
 from oracles import random_polynomial
@@ -64,5 +64,43 @@ def test_eliminate_agrees_with_sympy_lex_elimination():
         if theirs:
             theirs_basis = sympy.groebner(theirs, *xs, order="grevlex", domain="QQ")
             assert all(theirs_basis.contains(to_sympy(g, xs)) for g in ours.gens)
+        else:
+            assert ours.gens == ()
+
+
+def test_block_order_reduced_bases_equal_sympy():
+    # block_order(B) is grevlex on the variables in B, ties broken by grevlex
+    # on the rest: sympy's product order once the block's variables lead.
+    rng = random.Random(20251022)
+    for arity, gens in _random_ideals(200, seed=20251023):
+        block = sorted(rng.sample(range(arity), rng.randrange(1, arity)))
+        order = block_order(block)
+        xs = _symbols(arity)
+        ordered = [xs[i] for i in block] + [xs[i] for i in range(arity) if i not in block]
+        b = len(block)
+        grevlex = sympy.polys.orderings.grevlex
+        product = sympy.polys.orderings.ProductOrder((grevlex, lambda m: m[:b]), (grevlex, lambda m: m[b:]))
+        theirs = sympy.groebner([to_sympy(g, xs) for g in gens], *ordered, order=product, domain="QQ")
+        ours = {g.monic(order) for g in buchberger(gens, order)}
+        assert ours == {from_sympy(g, xs).monic(order) for g in theirs.exprs}, (gens, block)
+
+
+def test_saturate_agrees_with_sympy():
+    # I : f^infinity is the t-free part of I + (t*f - 1) under lex with t first
+    rng = random.Random(20251024)
+    t = sympy.Symbol("t")
+    for arity, gens in _random_ideals(60, seed=20251025):
+        f = random_polynomial(rng, arity, 2)
+        if f.is_zero():
+            continue
+        xs = _symbols(arity)
+        lifted = [to_sympy(g, xs) for g in gens] + [t * to_sympy(f, xs) - 1]
+        basis = sympy.groebner(lifted, t, *xs, order="lex", domain="QQ")
+        theirs = [g for g in basis.exprs if t not in g.free_symbols]
+        ours = saturate(Ideal(arity, gens), f)
+        assert all(ours.contains(from_sympy(g, xs)) for g in theirs), (gens, f)
+        if theirs:
+            theirs_basis = sympy.groebner(theirs, *xs, order="grevlex", domain="QQ")
+            assert all(theirs_basis.contains(to_sympy(g, xs)) for g in ours.gens), (gens, f)
         else:
             assert ours.gens == ()
