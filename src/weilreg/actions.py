@@ -23,7 +23,6 @@ from .maps import (
     _roundtrip_is_identity,
 )
 from .poly import Polynomial
-from .polygcd import simplify_fraction
 from .ratfunc import RationalFunction, compose_fraction
 from .varieties import AffineVariety, OpenSubset, ProductAmbient
 
@@ -104,18 +103,10 @@ def _specialize_raw(action: RationalAction, point) -> RationalMap:
     images = _group_images_const(action, point)
     last_error = None
     for rep in action.rho.reps:
-        coords = []
         try:
-            for f in rep:
-                num, den = compose_fraction(f.num, f.den, images)
-                if X.ideal.contains(den):
-                    raise ZeroDenominator(
-                        f"denominators vanish identically at the group point {point}"
-                    )
-                num, den = simplify_fraction(X.ideal.normal_form(num), X.ideal.normal_form(den))
-                coords.append(RationalFunction(X, num, den))
-        except ZeroDenominator as err:
-            last_error = err
+            coords = [f.substitute(images, X) for f in rep]
+        except ZeroDenominator:
+            last_error = ZeroDenominator(f"denominators vanish identically at the group point {point}")
             continue
         return make_rational_map(X, X, [tuple(coords)])
     raise last_error
@@ -237,13 +228,7 @@ def lift_action(action: RationalAction, element=None):
     inv_embedded = [p.embed(arity, list(range(r))) for p in G.inv]
     images = [(p, Polynomial.one(arity)) for p in inv_embedded]
     images += [(Polynomial.variable(arity, r + j), Polynomial.one(arity)) for j in range(n)]
-    back_coords = []
-    for f in action.rho.reps[0]:
-        num, den = compose_fraction(f.num, f.den, images)
-        if P.ideal.contains(den):
-            raise ZeroDenominator("inverse lift has identically zero denominator")
-        num, den = simplify_fraction(P.ideal.normal_form(num), P.ideal.normal_form(den))
-        back_coords.append(RationalFunction(P, num, den))
+    back_coords = [f.substitute(images, P) for f in action.rho.reps[0]]
     backward = make_rational_map(P, P, [g_coords + tuple(back_coords)])
     if not (_roundtrip_is_identity(forward, backward) and _roundtrip_is_identity(backward, forward)):
         raise RoundTripFailure("lifted action map and its conjugated inverse do not round-trip")
@@ -252,7 +237,7 @@ def lift_action(action: RationalAction, element=None):
     return action._tilde
 
 
-def _pullback_witness(space: AffineVariety, witness: Polynomial, images):
+def _pullback_witness(witness: Polynomial, images):
     """Numerator of the witness composed with coordinate fraction images."""
     num, _ = compose_fraction(witness, Polynomial.one(witness.arity), images)
     return num
@@ -271,7 +256,7 @@ def tilde_biregular_locus(action: RationalAction) -> OpenSubset:
     for w in base.witnesses:
         for v in action.domain.witnesses:
             v_emb = amb.embed_right(v)
-            v_pull = _pullback_witness(action.space, v, images)
+            v_pull = _pullback_witness(v, images)
             witnesses.append(w * v_emb * v_pull)
     return OpenSubset.principal_union(amb.variety, witnesses)
 
@@ -286,7 +271,7 @@ def element_biregular_locus(action: RationalAction, g) -> OpenSubset:
     witnesses = []
     for w in base.witnesses:
         for v in action.domain.witnesses:
-            witnesses.append(w * v * _pullback_witness(action.space, v, images))
+            witnesses.append(w * v * _pullback_witness(v, images))
     return OpenSubset.principal_union(action.space, witnesses)
 
 

@@ -4,7 +4,9 @@ weilreg run <session-file> [--format json|text] [--out <path>]
             [--max-groebner-steps N] [--parallel] [--verbose]
 
 Exit code is 0 iff no record has status "error"; the WEILREG_MAX_STEPS
-environment variable supplies the default step budget.
+environment variable supplies the default step budget, which must not be
+negative.  Commands always run one after another; --parallel is accepted for
+compatibility and gives the same report as a run without it.
 """
 
 import argparse
@@ -26,7 +28,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--max-groebner-steps", type=int, default=None,
                      help="cap on processed S-pairs per basis computation")
     run.add_argument("--parallel", action="store_true",
-                     help="run independent commands concurrently")
+                     help="accepted for compatibility; commands always run sequentially")
     run.add_argument("--verbose", action="store_true",
                      help="echo each record's status to stderr as it completes")
     return parser
@@ -50,13 +52,15 @@ def main(argv=None) -> int:
                 print(f"weilreg: WEILREG_MAX_STEPS must be an integer, got {env_budget!r}",
                       file=sys.stderr)
                 return 2
+    if max_steps is not None and max_steps < 0:
+        print(f"weilreg: the step budget must not be negative, got {max_steps}", file=sys.stderr)
+        return 2
     try:
         ast = parse_session(text)
     except (SessionSyntaxError, UseBeforeDeclare) as err:
         print(f"weilreg: {err}", file=sys.stderr)
         return 2
-    records = run_session(ast, session_name=path.stem, max_steps=max_steps,
-                          parallel=args.parallel)
+    records = run_session(ast, session_name=path.stem, max_steps=max_steps)
     if args.verbose:
         for record in records:
             print(f"[{record['status']}] {record['command']}", file=sys.stderr)

@@ -190,7 +190,7 @@ class Ideal:
     def normal_form(self, f: Polynomial, order: MonomialOrder = GREVLEX) -> Polynomial:
         if f.arity != self.arity:
             raise ArityMismatch(f"polynomial arity {f.arity} vs ideal arity {self.arity}")
-        return reduce_full(f, list(self.groebner_basis(order)), order)
+        return reduce_full(f, self.groebner_basis(order), order)
 
     def contains(self, f: Polynomial, order: MonomialOrder = GREVLEX) -> bool:
         return self.normal_form(f, order).is_zero()

@@ -22,8 +22,8 @@ from .errors import (
 from .ideals import Ideal, eliminate, saturate
 from .orders import GREVLEX, block_order
 from .poly import Polynomial
-from .polygcd import simplify_fraction, squarefree_part_degree
-from .ratfunc import RationalFunction, compose_fraction
+from .polygcd import squarefree_part_degree
+from .ratfunc import RationalFunction, compose_fraction, reduced_fraction
 from .varieties import AffineVariety, OpenSubset, product_names, varieties_equal
 
 
@@ -41,12 +41,6 @@ class GraphClosure:
     def arity(self) -> int:
         return self.n_source + self.n_target
 
-    def source_indices(self):
-        return range(self.n_source)
-
-    def target_indices(self):
-        return range(self.n_source, self.n_source + self.n_target)
-
 
 @dataclass(frozen=True)
 class PointStatus:
@@ -62,7 +56,7 @@ class PointStatus:
 class RationalMap:
     """Rational map given by one or more tuples of coordinate fractions."""
 
-    __slots__ = ("source", "target", "reps", "_graph", "_image", "_dominant", "_inverse", "_birational")
+    __slots__ = ("source", "target", "reps", "_graph", "_image", "_dominant", "_inverse")
 
     def __init__(self, source, target, reps):
         self.source = source
@@ -72,18 +66,6 @@ class RationalMap:
         self._image = None
         self._dominant = None
         self._inverse = None
-        self._birational = None
-
-    # -- representative access ----------------------------------------------
-
-    def rep_fractions(self, rep_index: int = 0):
-        return [f.fraction_pair() for f in self.reps[rep_index]]
-
-    def coordinates(self, rep_index: int = 0):
-        return self.reps[rep_index]
-
-    def simplified_rep(self):
-        return tuple(f.simplified() for f in self.reps[0])
 
     def __repr__(self):
         body = ", ".join(repr(f) for f in self.reps[0])
@@ -138,7 +120,6 @@ def _bind_inverse(a: RationalMap, b: RationalMap) -> None:
     """Record that a and b are certified mutually inverse birational maps."""
     a._inverse, b._inverse = b, a
     a._dominant = b._dominant = True
-    a._birational = b._birational = True
 
 
 def identity_map(X: AffineVariety) -> RationalMap:
@@ -215,18 +196,8 @@ def compose(phi: RationalMap, psi: RationalMap) -> RationalMap:
     for rep_phi in phi.reps:
         images = [f.fraction_pair() for f in rep_phi]
         for rep_psi in psi.reps:
-            coords = []
             try:
-                for f in rep_psi:
-                    num, den = compose_fraction(f.num, f.den, images)
-                    if src.ideal.contains(den):
-                        raise ZeroDenominator(
-                            "denominator vanishes identically after substitution"
-                        )
-                    num = src.ideal.normal_form(num)
-                    den = src.ideal.normal_form(den)
-                    num, den = simplify_fraction(num, den)
-                    coords.append(RationalFunction(src, num, den))
+                coords = [f.substitute(images, src) for f in rep_psi]
             except ZeroDenominator as err:
                 last_error = err
                 continue
@@ -290,10 +261,10 @@ def inverse(phi: RationalMap) -> RationalMap:
                 c = dict(buckets).get(zero_head, Polynomial.zero(graph.arity))
                 a_t = a.restrict(range(n, n + m))
                 c_t = c.restrict(range(n, n + m))
-                if tgt.ideal.contains(a_t):
+                try:
+                    candidate = reduced_fraction(tgt, -c_t, a_t)
+                except ZeroDenominator:
                     continue
-                num, den = simplify_fraction(tgt.ideal.normal_form(-c_t), tgt.ideal.normal_form(a_t))
-                candidate = RationalFunction(tgt, num, den)
                 break
         if candidate is None:
             raise NotBirational(f"no element linear in source coordinate {phi.source.names[k]}")
@@ -308,28 +279,22 @@ def inverse(phi: RationalMap) -> RationalMap:
     return psi
 
 
-def is_birational(phi: RationalMap) -> bool:
-    if phi._birational is None:
-        try:
-            inverse(phi)
-        except (NotBirational, NotDominant):
-            phi._birational = False
-    return bool(phi._birational)
-
-
 # -- loci --------------------------------------------------------------------------
+
+
+def _denominator_product(rep, arity: int) -> Polynomial:
+    """Product of the non-constant denominators of one representative."""
+    q = Polynomial.one(arity)
+    for f in rep:
+        if not f.den.is_constant():
+            q = q * f.den
+    return q
 
 
 def definable_locus(phi: RationalMap) -> OpenSubset:
     """Union over representatives of the opens where all denominators are
     nonzero (the computed domain of definition)."""
-    witnesses = []
-    for rep in phi.reps:
-        q = Polynomial.one(phi.source.arity)
-        for f in rep:
-            if not f.den.is_constant():
-                q = q * f.den
-        witnesses.append(q)
+    witnesses = [_denominator_product(rep, phi.source.arity) for rep in phi.reps]
     return OpenSubset.principal_union(phi.source, witnesses)
 
 
@@ -340,15 +305,9 @@ def biregular_locus(phi: RationalMap) -> OpenSubset:
     witnesses = []
     for rep in phi.reps:
         images = [f.fraction_pair() for f in rep]
-        q = Polynomial.one(phi.source.arity)
-        for f in rep:
-            if not f.den.is_constant():
-                q = q * f.den
+        q = _denominator_product(rep, phi.source.arity)
         for rep_inv in psi.reps:
-            q_inv = Polynomial.one(psi.source.arity)
-            for f in rep_inv:
-                if not f.den.is_constant():
-                    q_inv = q_inv * f.den
+            q_inv = _denominator_product(rep_inv, psi.source.arity)
             pulled_num, _ = compose_fraction(q_inv, Polynomial.one(q_inv.arity), images)
             witnesses.append(q * pulled_num)
     return OpenSubset.principal_union(phi.source, witnesses)

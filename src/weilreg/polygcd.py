@@ -45,18 +45,6 @@ def _univariate_parts(f: Polynomial, var: int):
     return [Polynomial(f.arity, p) for p in parts]
 
 
-def _from_parts(parts, var: int, arity: int) -> Polynomial:
-    total = Polynomial.zero(arity)
-    xv = Polynomial.variable(arity, var)
-    power = Polynomial.one(arity)
-    for k, part in enumerate(parts):
-        if k:
-            power = power * xv
-        if not part.is_zero():
-            total = total + part * power
-    return total
-
-
 def _content_wrt(f: Polynomial, var: int) -> Polynomial:
     acc = Polynomial.zero(f.arity)
     for part in _univariate_parts(f, var):

@@ -50,6 +50,16 @@ def compose_fraction(num: Polynomial, den: Polynomial, images):
     return n_num * d_den, d_num * n_den
 
 
+def reduced_fraction(host: AffineVariety, num: Polynomial, den: Polynomial) -> "RationalFunction":
+    """num/den on host, with both sides reduced modulo the host ideal and the
+    common factor cancelled; ZeroDenominator if den vanishes on the host."""
+    den = host.ideal.normal_form(den)
+    if den.is_zero():
+        raise ZeroDenominator("denominator vanishes identically after substitution")
+    num, den = simplify_fraction(host.ideal.normal_form(num), den)
+    return RationalFunction(host, num, den)
+
+
 class RationalFunction:
     """Element of the function field of an irreducible affine variety."""
 
@@ -84,10 +94,7 @@ class RationalFunction:
         return self.den.is_constant()
 
     def simplified(self) -> "RationalFunction":
-        num = self.host.ideal.normal_form(self.num)
-        den = self.host.ideal.normal_form(self.den)
-        num, den = simplify_fraction(num, den)
-        return RationalFunction(self.host, num, den)
+        return reduced_fraction(self.host, self.num, self.den)
 
     def equals(self, other: "RationalFunction") -> bool:
         cross = self.num * other.den - other.num * self.den
@@ -100,17 +107,10 @@ class RationalFunction:
             raise ZeroDenominator(f"denominator vanishes at {point}")
         return self.num.evaluate(point) / d
 
-    def defined_at(self, point) -> bool:
-        return self.den.evaluate(self.host.require_point(point)) != 0
-
     def substitute(self, images, new_host: AffineVariety) -> "RationalFunction":
         """Compose with fraction images of this host's coordinates, producing
         a function on new_host."""
-        num, den = compose_fraction(self.num, self.den, images)
-        if new_host.ideal.contains(den):
-            raise ZeroDenominator("denominator vanishes identically after substitution")
-        num, den = simplify_fraction(new_host.ideal.normal_form(num), new_host.ideal.normal_form(den))
-        return RationalFunction(new_host, num, den)
+        return reduced_fraction(new_host, *compose_fraction(self.num, self.den, images))
 
     # arithmetic stays raw; equality is ideal-aware
     def __add__(self, other):

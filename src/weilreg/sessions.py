@@ -6,7 +6,6 @@ statement yields a report record and domain failures are recorded, not
 re-raised.  Parsing is total: bad input produces a positioned diagnostic.
 """
 
-import contextvars
 import json
 import time
 from dataclasses import dataclass, field
@@ -947,13 +946,12 @@ class _Runner:
         }
 
 
-def run_session(ast: SessionAST, session_name: str = "", max_steps=None, parallel: bool = False):
+def run_session(ast: SessionAST, session_name: str = "", max_steps=None):
     """Execute every statement, producing one record each; failures are
     recorded and never abort the session."""
     budget = None if max_steps is None else ideals.STEP_BUDGET.set(int(max_steps))
     env = _Environment()
     runner = _Runner(env)
-    records = []
 
     def execute(stmt):
         ideals.reset_step_tally()
@@ -989,32 +987,10 @@ def run_session(ast: SessionAST, session_name: str = "", max_steps=None, paralle
         }
 
     try:
-        if not parallel:
-            for stmt in ast.statements:
-                records.append(execute(stmt))
-        else:
-            from concurrent.futures import ThreadPoolExecutor
-
-            # declarations bind names: run them in order first, then the pure
-            # commands concurrently, report order preserved by statement order
-            slots = [None] * len(ast.statements)
-            commands = []
-            for i, stmt in enumerate(ast.statements):
-                if isinstance(stmt, Command):
-                    commands.append(i)
-                else:
-                    slots[i] = execute(stmt)
-            # worker threads start from an empty context: hand each task a copy of this one
-            with ThreadPoolExecutor(max_workers=4) as pool:
-                futures = [pool.submit(contextvars.copy_context().run, execute, ast.statements[i])
-                           for i in commands]
-                for i, future in zip(commands, futures):
-                    slots[i] = future.result()
-            records = slots
+        return [execute(stmt) for stmt in ast.statements]
     finally:
         if budget is not None:
             ideals.STEP_BUDGET.reset(budget)
-    return records
 
 
 def _run_declaration(runner: _Runner, stmt, env):

@@ -118,6 +118,27 @@ def test_step_budget_env_var_is_the_default():
     assert result.returncode == 0
 
 
+@pytest.mark.parametrize("source", ["flag", "env"])
+def test_negative_step_budget_is_an_input_error(source):
+    if source == "flag":
+        result = run_cli("run", str(SESSIONS / "cremona.wr"), "--max-groebner-steps", "-1")
+    else:
+        result = run_cli("run", str(SESSIONS / "cremona.wr"), env={"WEILREG_MAX_STEPS": "-1"})
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert result.stderr.startswith("weilreg: ")
+    assert "negative" in result.stderr
+    assert "Traceback" not in result.stderr
+    # zero is a budget, not an input error: every basis computation is refused
+    if source == "flag":
+        zero = run_cli("run", str(SESSIONS / "cremona.wr"), "--max-groebner-steps", "0")
+    else:
+        zero = run_cli("run", str(SESSIONS / "cremona.wr"), env={"WEILREG_MAX_STEPS": "0"})
+    assert zero.returncode == 1
+    assert any(r["payload"].get("reason") == "BudgetExceeded"
+               for r in json.loads(zero.stdout)["records"])
+
+
 def test_bad_step_budget_env_var_is_a_typed_input_error():
     result = run_cli("run", str(SESSIONS / "cremona.wr"), env={"WEILREG_MAX_STEPS": "abc"})
     assert result.returncode == 2

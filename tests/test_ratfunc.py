@@ -1,0 +1,99 @@
+"""`reduced_fraction` against the hand-written pipeline it replaced.
+
+The reference below is the substitute-and-reduce sequence that compose,
+specialisation, the lifted action and `RationalFunction.substitute` each
+spelled out inline: compose, refuse a denominator in the host ideal, reduce
+both sides, cancel.  The shared function must give the very same
+representative, not merely an equal function.
+"""
+
+import random
+
+import pytest
+
+from oracles import random_polynomial
+from weilreg.errors import ZeroDenominator
+from weilreg.polygcd import simplify_fraction
+from weilreg.ratfunc import RationalFunction, compose_fraction, fraction_text, reduced_fraction
+from weilreg.varieties import affine_space, variety
+
+
+def reference_reduce(host, num, den):
+    if host.ideal.contains(den):
+        raise ZeroDenominator("denominator vanishes identically after substitution")
+    num, den = simplify_fraction(host.ideal.normal_form(num), host.ideal.normal_form(den))
+    return RationalFunction(host, num, den)
+
+
+def reference_substitute(f, images, new_host):
+    num, den = compose_fraction(f.num, f.den, images)
+    return reference_reduce(new_host, num, den)
+
+
+HOSTS = {
+    "plane": affine_space(["x", "y"]),
+    "torus": variety(["x", "y"], "x*y-1"),
+    "parabola": variety(["x", "y"], "y-x^2"),
+    "circle": variety(["x", "y"], "x^2+y^2-1"),
+}
+
+
+def _nonvanishing(rng, host, max_deg):
+    while True:
+        p = random_polynomial(rng, host.arity, max_deg, max_terms=3, coeff_bound=3)
+        if not host.ideal.contains(p):
+            return p
+
+
+def _assert_same(got, want):
+    assert got.host is want.host
+    assert got.num == want.num and got.den == want.den
+    assert fraction_text(got) == fraction_text(want)
+
+
+@pytest.mark.parametrize("name", sorted(HOSTS))
+def test_reduced_fraction_matches_inline_pipeline(name):
+    host = HOSTS[name]
+    rng = random.Random(f"reduced-fraction-{name}")
+    for _ in range(60):
+        num = random_polynomial(rng, host.arity, 3, max_terms=4, coeff_bound=3)
+        den = _nonvanishing(rng, host, 2)
+        _assert_same(reduced_fraction(host, num, den), reference_reduce(host, num, den))
+
+
+@pytest.mark.parametrize("name", sorted(HOSTS))
+def test_substitute_matches_inline_pipeline(name):
+    host = HOSTS[name]
+    source = HOSTS["plane"]
+    rng = random.Random(f"substitute-{name}")
+    checked = 0
+    while checked < 40:
+        f = RationalFunction(source, random_polynomial(rng, 2, 2, max_terms=3, coeff_bound=3),
+                             _nonvanishing(rng, source, 2))
+        images = [(random_polynomial(rng, 2, 2, max_terms=3, coeff_bound=3),
+                   _nonvanishing(rng, host, 1)) for _ in range(2)]
+        try:
+            want = reference_substitute(f, images, host)
+        except ZeroDenominator:
+            with pytest.raises(ZeroDenominator):
+                f.substitute(images, host)
+            continue
+        _assert_same(f.substitute(images, host), want)
+        checked += 1
+
+
+def test_denominator_vanishing_on_the_host_raises_in_both_versions():
+    torus, plane = HOSTS["torus"], HOSTS["plane"]
+    one = torus.poly("1")
+    for den in (torus.poly("x*y-1"), torus.poly("x^2*y-x"), torus.poly("0")):
+        with pytest.raises(ZeroDenominator):
+            reference_reduce(torus, one, den)
+        with pytest.raises(ZeroDenominator):
+            reduced_fraction(torus, one, den)
+    # 1/x pulled back along x -> x*y - 1 lands on a denominator zero on the torus
+    f = RationalFunction.parse(plane, "1/x")
+    images = [(torus.poly("x*y-1"), torus.poly("1")), (torus.poly("y"), torus.poly("1"))]
+    with pytest.raises(ZeroDenominator):
+        reference_substitute(f, images, torus)
+    with pytest.raises(ZeroDenominator):
+        f.substitute(images, torus)
