@@ -130,6 +130,8 @@ class AlgebraicGroup:
             if point not in self.elements:
                 raise PointNotOnGroup(f"{point!r} is not an element of the group")
             return point
+        if isinstance(point, str):
+            raise PointNotOnGroup(f"{point!r} names no point of a parametric group")
         point = tuple(Fraction(x) for x in point)
         if not self.variety.point_on(point):
             raise PointNotOnGroup(f"{point} does not satisfy the group's defining ideal")

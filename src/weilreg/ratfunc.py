@@ -57,7 +57,9 @@ def reduced_fraction(host: AffineVariety, num: Polynomial, den: Polynomial) -> "
     if den.is_zero():
         raise ZeroDenominator("denominator vanishes identically after substitution")
     num, den = simplify_fraction(host.ideal.normal_form(num), den)
-    return RationalFunction(host, num, den)
+    # the cancelled den divides a normal form outside the host ideal, so it is
+    # outside the ideal too: the constructor's membership test is skipped
+    return RationalFunction._of(host, num, den)
 
 
 class RationalFunction:
@@ -66,14 +68,22 @@ class RationalFunction:
     __slots__ = ("host", "num", "den")
 
     def __init__(self, host: AffineVariety, num: Polynomial, den: Polynomial = None):
+        self._bind(host, num, Polynomial.one(host.arity) if den is None else den)
+        if host.ideal.contains(self.den):
+            raise ZeroDenominator(f"denominator {host.format(self.den)} vanishes on the host")
+
+    @classmethod
+    def _of(cls, host: AffineVariety, num: Polynomial, den: Polynomial) -> "RationalFunction":
+        """num/den for a den known to lie outside the host ideal, without testing it."""
+        out = cls.__new__(cls)
+        out._bind(host, num, den)
+        return out
+
+    def _bind(self, host, num, den):
         if not host.irreducible:
             raise ValueError("rational functions require an irreducible host")
-        if den is None:
-            den = Polynomial.one(host.arity)
         if num.arity != host.arity or den.arity != host.arity:
             raise ValueError("numerator/denominator arity does not match the host")
-        if host.ideal.contains(den):
-            raise ZeroDenominator(f"denominator {host.format(den)} vanishes on the host")
         self.host = host
         self.num = num
         self.den = den

@@ -1,9 +1,13 @@
 """The session language: declarations of varieties, maps, groups and actions,
 plus commands driving the toolkit, with structured reports.
 
-One statement per line.  Statements never abort a session at run time: every
-statement yields a report record and domain failures are recorded, not
-re-raised.  Parsing is total: bad input produces a positioned diagnostic.
+One statement per line.  Each statement kind is defined once: its AST class
+carries its keyword and prints its own canonical text, the parser reads it
+with `parse_<keyword>` and the session runs it with `run_<keyword>`; for
+commands the keyword is the command's own and `COMMANDS` lists the kinds of
+its named operands.  Statements never abort a session at run time: every
+statement yields a report record, and failures are recorded, not re-raised.
+Parsing is total: bad input produces a positioned diagnostic.
 """
 
 import json
@@ -33,7 +37,7 @@ from .errors import (
     RoundTripFailure,
     SliceNotRegular,
 )
-from .exprparse import FractionExprParser, Token, TokenStream, tokenize
+from .exprparse import FractionExprParser, TokenStream, parse_fraction, tokenize
 from .groups import additive_group, finite_group, multiplicative_group, product_group
 from .ideals import Ideal
 from .maps import (
@@ -67,13 +71,30 @@ _FAIL_ERRORS = (
     SliceNotRegular,
 )
 
-COMMAND_KEYWORDS = (
-    "dom", "breg", "graph", "image", "invert", "compose", "closedgraph",
-    "checkaction", "xreg", "regularize", "atlas", "certify",
-)
+# command keyword -> for each named operand, the declaration kinds it may have
+COMMANDS = {
+    **dict.fromkeys(("dom", "breg", "graph", "image", "invert"), (("map",),)),
+    "compose": (("map",), ("map",)),
+    "closedgraph": (("map", "action"),),
+    **dict.fromkeys(("checkaction", "xreg", "regularize", "atlas"), (("action",),)),
+    "certify": (("map", "action"),),
+}
+
+# torus group keyword -> (GroupDecl kind, coordinate count)
+_TORI = {"Ga": ("additive", 1), "Gm": ("multiplicative", 2)}
 
 
 # -- AST -------------------------------------------------------------------------
+
+
+def _join(items):
+    return ", ".join(items)
+
+
+def _point_text(p):
+    if isinstance(p, str):
+        return p
+    return str(p[0]) if len(p) == 1 else f"({_join(map(str, p))})"
 
 
 @dataclass
@@ -81,45 +102,92 @@ class Statement:
     line: int = field(default=0, compare=False)
     column: int = field(default=0, compare=False)
 
+    KEYWORD = ""
+
+    @property
+    def verb(self):
+        """Suffix of the session method that runs this statement."""
+        return self.KEYWORD
+
 
 @dataclass
 class VarDecl(Statement):
     names: tuple = ()
 
+    KEYWORD = "var"
+
+    def __str__(self):
+        return "var " + " ".join(self.names)
+
 
 @dataclass
-class VarietyDecl(Statement):
+class Declaration(Statement):
+    """A statement that binds `name` to an object of kind KEYWORD."""
+
     name: str = ""
+
+
+@dataclass
+class VarietyDecl(Declaration):
     coords: tuple = ()
     ideal_exprs: tuple = ()
 
+    KEYWORD = "variety"
+
+    def __str__(self):
+        text = f"variety {self.name} = affine({_join(self.coords)})"
+        return text + f"/({_join(self.ideal_exprs)})" if self.ideal_exprs else text
+
 
 @dataclass
-class MapDecl(Statement):
-    name: str = ""
+class MapDecl(Declaration):
     source: str = ""
     target: str = ""
     coord_exprs: tuple = ()
 
+    KEYWORD = "map"
+
+    def __str__(self):
+        return f"map {self.name} : {self.source} -> {self.target} = ({_join(self.coord_exprs)})"
+
 
 @dataclass
-class GroupDecl(Statement):
-    name: str = ""
+class GroupDecl(Declaration):
     kind: str = ""  # additive | multiplicative | finite | product
     coords: tuple = ()  # additive/multiplicative coordinate names
     elements: tuple = ()  # finite mode
     products: tuple = ()  # finite mode: ((a, b, c) meaning a*b=c)
     factors: tuple = ()  # product mode: declared group names
 
+    KEYWORD = "group"
+
+    def __str__(self):
+        head = f"group {self.name} = "
+        if self.kind == "product":
+            return head + " x ".join(self.factors)
+        if self.kind == "finite":
+            body = _join(self.elements)
+            if self.products:
+                body += " | " + _join(f"{a}*{b} = {c}" for a, b, c in self.products)
+            return head + f"finite({body})"
+        return head + ("Ga" if self.kind == "additive" else "Gm") + f"({_join(self.coords)})"
+
 
 @dataclass
-class ActionDecl(Statement):
-    name: str = ""
+class ActionDecl(Declaration):
     group: str = ""
     space: str = ""
     target: str = ""
     coord_exprs: tuple = ()  # parametric
     element_exprs: tuple = ()  # finite: ((elem, exprs), ...)
+
+    KEYWORD = "action"
+
+    def __str__(self):
+        head = f"action {self.name} : {self.group} x {self.space} -> {self.target} = "
+        if self.coord_exprs:
+            return head + f"({_join(self.coord_exprs)})"
+        return head + "{" + _join(f"{elem}: ({_join(exprs)})" for elem, exprs in self.element_exprs) + "}"
 
 
 @dataclass
@@ -133,6 +201,31 @@ class Command(Statement):
     f_expr: str = None  # certify: hypersurface expression
     samples: tuple = None  # certify: sample points (tuples or names)
 
+    KEYWORD = "cmd"
+
+    @property
+    def verb(self):
+        return self.keyword
+
+    def __str__(self):
+        parts = ["cmd", self.keyword, *self.names]
+        if self.at_point is not None:
+            parts.append(f"at ({_join(map(str, self.at_point))})")
+        if self.wrt is not None:
+            parts.append(f"wrt ({_join(self.wrt)})")
+        if self.f_expr is not None:
+            parts.append(f"f=({self.f_expr})")
+        if self.points is not None:
+            parts.append(f"S=({_join(map(_point_text, self.points))})")
+        if self.samples is not None:
+            parts.append(f"samples=({_join(map(_point_text, self.samples))})")
+        if self.on_xreg:
+            parts.append("xreg")
+        return " ".join(parts)
+
+
+STATEMENTS = tuple(cls.KEYWORD for cls in (VarDecl, VarietyDecl, MapDecl, GroupDecl, ActionDecl, Command))
+
 
 @dataclass
 class SessionAST:
@@ -143,38 +236,26 @@ class SessionAST:
 
 
 def _expr_text(tokens):
-    return "".join(t.text for t in tokens)
+    """The expression's tokens joined without spaces, except one between
+    adjacent words, so that "x y" stays two tokens when parsed again."""
+    text = tokens[0].text
+    for prev, tok in zip(tokens, tokens[1:]):
+        if prev.kind in ("IDENT", "INT") and tok.kind in ("IDENT", "INT"):
+            text += " "
+        text += tok.text
+    return text
 
 
-class _SessionParser:
+class _SessionParser(TokenStream):
     def __init__(self, text: str):
-        self.tokens = tokenize(text)
-        self.pos = 0
-        self.declared = {}  # name -> kind
-
-    def peek(self):
-        return self.tokens[self.pos]
-
-    def next(self):
-        tok = self.tokens[self.pos]
-        if tok.kind != "EOF":
-            self.pos += 1
-        return tok
-
-    def expect(self, *kinds):
-        tok = self.peek()
-        if tok.kind not in kinds:
-            raise SessionSyntaxError(f"unexpected token {tok.text!r}", tok.line, tok.column, kinds)
-        return self.next()
+        super().__init__(tokenize(text))
+        self.kinds = {}  # declared name -> kind
 
     def expect_ident(self, what="identifier"):
         tok = self.peek()
         if tok.kind != "IDENT":
             raise SessionSyntaxError(f"expected {what}, found {tok.text!r}", tok.line, tok.column, ("IDENT",))
         return self.next()
-
-    def at(self, *kinds):
-        return self.peek().kind in kinds
 
     def at_word(self, word):
         tok = self.peek()
@@ -186,9 +267,12 @@ class _SessionParser:
             raise SessionSyntaxError(f"expected {word!r}, found {tok.text!r}", tok.line, tok.column, (word,))
         return self.next()
 
-    def skip_newlines(self):
-        while self.at("NEWLINE"):
+    def flag(self, word):
+        """Consume the optional word; whether it was there."""
+        if self.at_word(word):
             self.next()
+            return True
+        return False
 
     def end_statement(self):
         tok = self.peek()
@@ -196,15 +280,63 @@ class _SessionParser:
             raise SessionSyntaxError(
                 f"unexpected trailing token {tok.text!r}", tok.line, tok.column, ("NEWLINE", "EOF")
             )
-        if tok.kind == "NEWLINE":
+        self.next()
+
+    def declare(self, name_tok, kind):
+        """End a declaration and bind its name to kind."""
+        self.end_statement()
+        if name_tok.text in self.kinds:
+            raise SessionSyntaxError(f"{name_tok.text!r} already declared", name_tok.line, name_tok.column)
+        self.kinds[name_tok.text] = kind
+        return name_tok.text
+
+    # lists, names and expressions ------------------------------------------------
+
+    def items(self, item):
+        """item (',' item)*"""
+        out = [item()]
+        while self.at(","):
             self.next()
+            out.append(item())
+        return tuple(out)
 
-    # expression helpers -----------------------------------------------------
+    def paren_list(self, item):
+        self.expect("(")
+        out = self.items(item)
+        self.expect(")")
+        return out
 
-    def balanced_expr_tokens(self, stoppers=(",", ")")):
-        """Tokens up to an unparenthesised stopper; no newlines inside."""
+    def reference(self, what, *kinds):
+        """An identifier already declared as one of kinds."""
+        tok = self.expect_ident(what)
+        kind = self.kinds.get(tok.text)
+        if kind is None:
+            raise UseBeforeDeclare(f"{tok.text!r} used at line {tok.line} before declaration")
+        if kind not in kinds:
+            raise SessionSyntaxError(
+                f"{tok.text!r} is a {kind}, expected {' or '.join(kinds)}", tok.line, tok.column)
+        return tok.text
+
+    def word(self, what):
+        return self.expect_ident(what).text
+
+    def coordinate(self):
+        name = self.word("coordinate")
+        if self.kinds.get(name) != "variable":
+            raise UseBeforeDeclare(f"coordinate {name!r} was not declared with 'var'")
+        return name
+
+    def coordinates(self):
+        tok = self.peek()
+        coords = self.paren_list(self.coordinate)
+        if len(set(coords)) != len(coords):
+            raise SessionSyntaxError("duplicate coordinate names", tok.line, tok.column)
+        return coords
+
+    def expr(self):
+        """Text of the tokens up to an unparenthesised ',' or ')'; no newlines inside."""
         depth = 0
-        out = []
+        tokens = []
         while True:
             tok = self.peek()
             if tok.kind in ("NEWLINE", "EOF"):
@@ -213,117 +345,51 @@ class _SessionParser:
                 break
             if tok.kind == "(":
                 depth += 1
-            elif tok.kind == ")":
-                if depth == 0:
-                    break
-                depth -= 1
-            elif tok.kind in stoppers and depth == 0:
+            elif tok.kind in (",", ")") and depth == 0:
                 break
-            out.append(self.next())
-        if not out:
-            tok = self.peek()
+            elif tok.kind == ")":
+                depth -= 1
+            tokens.append(self.next())
+        if not tokens:
             raise SessionSyntaxError("expected an expression", tok.line, tok.column, ("INT", "IDENT", "("))
-        return out
+        return _expr_text(tokens)
 
-    def expr_list_in_parens(self):
-        self.expect("(")
-        exprs = [_expr_text(self.balanced_expr_tokens())]
-        while self.at(","):
-            self.next()
-            exprs.append(_expr_text(self.balanced_expr_tokens()))
-        self.expect(")")
-        return tuple(exprs)
+    def exprs(self):
+        return self.paren_list(self.expr)
 
     def rational(self):
-        tokens = self.balanced_expr_tokens()
-        text = _expr_text(tokens)
-        parser = FractionExprParser(TokenStream(tokens + [Token("EOF", "", 0, 0)]), [])
-        num, den = parser.parse()
-        return num.constant_value() / den.constant_value(), text
+        num, den = FractionExprParser(self, []).parse()
+        return num.constant_value() / den.constant_value()
 
-    def point_or_name(self):
-        """A sample item: rational, parenthesised rational tuple, or name."""
-        tok = self.peek()
-        if tok.kind == "(":
-            self.next()
-            values = [self.rational()[0]]
-            while self.at(","):
-                self.next()
-                values.append(self.rational()[0])
-            self.expect(")")
-            return tuple(values)
-        if tok.kind == "IDENT" and not _looks_numeric(tok.text):
-            self.next()
-            return tok.text
-        value, _ = self.rational()
-        return (value,)
+    def point(self):
+        """A point: a rational, a parenthesised tuple of rationals, or a name."""
+        if self.at("("):
+            return self.paren_list(self.rational)
+        if self.at("IDENT"):
+            return self.next().text
+        return (self.rational(),)
 
-    def point_list(self):
-        self.expect("(")
-        items = [self.point_or_name()]
-        while self.at(","):
-            self.next()
-            items.append(self.point_or_name())
-        self.expect(")")
-        return tuple(items)
-
-    # declarations --------------------------------------------------------------
-
-    def require_declared(self, name_tok, *kinds):
-        name = name_tok.text
-        kind = self.declared.get(name)
-        if kind is None:
-            raise UseBeforeDeclare(
-                f"{name!r} used at line {name_tok.line} before declaration"
-            )
-        if kinds and kind not in kinds:
-            raise SessionSyntaxError(
-                f"{name!r} is a {kind}, expected {' or '.join(kinds)}",
-                name_tok.line, name_tok.column,
-            )
-        return name
-
-    def declare(self, tok, kind):
-        if tok.text in self.declared:
-            raise SessionSyntaxError(f"{tok.text!r} already declared", tok.line, tok.column)
-        self.declared[tok.text] = kind
-        return tok.text
+    # statements -------------------------------------------------------------------
 
     def parse(self) -> SessionAST:
         statements = []
-        self.skip_newlines()
-        while not self.at("EOF"):
+        while True:
+            while self.at("NEWLINE"):
+                self.next()
+            if self.at("EOF"):
+                return SessionAST(tuple(statements))
             statements.append(self.statement())
-            self.skip_newlines()
-        return SessionAST(tuple(statements))
 
     def statement(self) -> Statement:
         tok = self.peek()
         if tok.kind != "IDENT":
             raise SessionSyntaxError(
-                f"expected a statement, found {tok.text!r}", tok.line, tok.column,
-                ("var", "variety", "map", "group", "action", "cmd"),
-            )
-        word = tok.text
-        if word == "var":
-            return self.var_decl()
-        if word == "variety":
-            return self.variety_decl()
-        if word == "map":
-            return self.map_decl()
-        if word == "group":
-            return self.group_decl()
-        if word == "action":
-            return self.action_decl()
-        if word == "cmd":
-            return self.command()
-        raise SessionSyntaxError(
-            f"unknown statement {word!r}", tok.line, tok.column,
-            ("var", "variety", "map", "group", "action", "cmd"),
-        )
+                f"expected a statement, found {tok.text!r}", tok.line, tok.column, STATEMENTS)
+        if tok.text not in STATEMENTS:
+            raise SessionSyntaxError(f"unknown statement {tok.text!r}", tok.line, tok.column, STATEMENTS)
+        return getattr(self, "parse_" + tok.text)(self.next())
 
-    def var_decl(self):
-        start = self.next()
+    def parse_var(self, start):
         names = []
         while self.at("IDENT"):
             tok = self.next()
@@ -334,214 +400,128 @@ class _SessionParser:
             tok = self.peek()
             raise SessionSyntaxError("expected variable names", tok.line, tok.column, ("IDENT",))
         for n in names:
-            self.declared.setdefault(n, "variable")
+            self.kinds.setdefault(n, "variable")
         self.end_statement()
         return VarDecl(start.line, start.column, tuple(names))
 
-    def variety_decl(self):
-        start = self.next()
+    def parse_variety(self, start):
         name_tok = self.expect_ident("variety name")
         self.expect("=")
         self.expect_word("affine")
-        self.expect("(")
-        coords = [self.expect_ident("coordinate").text]
-        while self.at(","):
-            self.next()
-            coords.append(self.expect_ident("coordinate").text)
-        self.expect(")")
-        for c in coords:
-            if self.declared.get(c) != "variable":
-                raise UseBeforeDeclare(f"coordinate {c!r} was not declared with 'var'")
+        coords = self.coordinates()
         ideal_exprs = ()
         if self.at("/"):
             self.next()
-            ideal_exprs = self.expr_list_in_parens()
-        self.end_statement()
-        name = self.declare(name_tok, "variety")
-        return VarietyDecl(start.line, start.column, name, tuple(coords), ideal_exprs)
+            ideal_exprs = self.exprs()
+        return VarietyDecl(start.line, start.column, self.declare(name_tok, "variety"), coords, ideal_exprs)
 
-    def map_decl(self):
-        start = self.next()
+    def parse_map(self, start):
         name_tok = self.expect_ident("map name")
         self.expect(":")
-        src = self.require_declared(self.expect_ident("source variety"), "variety")
+        src = self.reference("source variety", "variety")
         self.expect("->")
-        tgt = self.require_declared(self.expect_ident("target variety"), "variety")
+        tgt = self.reference("target variety", "variety")
         self.expect("=")
-        exprs = self.expr_list_in_parens()
-        self.end_statement()
-        name = self.declare(name_tok, "map")
-        return MapDecl(start.line, start.column, name, src, tgt, exprs)
+        exprs = self.exprs()
+        return MapDecl(start.line, start.column, self.declare(name_tok, "map"), src, tgt, exprs)
 
-    def group_decl(self):
-        start = self.next()
+    def parse_group(self, start):
         name_tok = self.expect_ident("group name")
         self.expect("=")
-        head = self.expect_ident("group kind")
-        if head.text == "Ga":
+        head = self.peek()
+        if head.text in _TORI:
+            self.next()
+            kind, count = _TORI[head.text]
+            coords = self.coordinates()
+            if len(coords) != count:
+                raise SessionSyntaxError(f"{head.text} takes {count} coordinate(s)", head.line, head.column)
+            return GroupDecl(start.line, start.column, self.declare(name_tok, "group"), kind, coords)
+        if self.flag("finite"):
             self.expect("(")
-            coord = self.expect_ident("coordinate").text
-            self.expect(")")
-            if self.declared.get(coord) != "variable":
-                raise UseBeforeDeclare(f"coordinate {coord!r} was not declared with 'var'")
-            self.end_statement()
-            name = self.declare(name_tok, "group")
-            return GroupDecl(start.line, start.column, name, "additive", (coord,))
-        if head.text == "Gm":
-            self.expect("(")
-            a = self.expect_ident("coordinate").text
-            self.expect(",")
-            b = self.expect_ident("coordinate").text
-            self.expect(")")
-            for c in (a, b):
-                if self.declared.get(c) != "variable":
-                    raise UseBeforeDeclare(f"coordinate {c!r} was not declared with 'var'")
-            self.end_statement()
-            name = self.declare(name_tok, "group")
-            return GroupDecl(start.line, start.column, name, "multiplicative", (a, b))
-        if head.text == "finite":
-            self.expect("(")
-            elements = [self.expect_ident("element").text]
-            while self.at(","):
-                self.next()
-                elements.append(self.expect_ident("element").text)
-            products = []
+            elements = self.items(lambda: self.word("element"))
+            products = ()
             if self.at("|"):
                 self.next()
-                while True:
-                    a = self.expect_ident("element").text
-                    self.expect("*")
-                    b = self.expect_ident("element").text
-                    self.expect("=")
-                    c = self.expect_ident("element").text
-                    products.append((a, b, c))
-                    if self.at(","):
-                        self.next()
-                        continue
-                    break
+                products = self.items(self.product)
             self.expect(")")
-            self.end_statement()
-            name = self.declare(name_tok, "group")
-            return GroupDecl(start.line, start.column, name, "finite",
-                             elements=tuple(elements), products=tuple(products))
-        # product of declared groups: G x H
-        first = self.require_declared(head, "group")
-        factors = [first]
-        while self.at_word("x"):
-            self.next()
-            factors.append(self.require_declared(self.expect_ident("group name"), "group"))
+            return GroupDecl(start.line, start.column, self.declare(name_tok, "group"), "finite",
+                             elements=elements, products=products)
+        factors = [self.reference("group kind", "group")]
+        while self.flag("x"):
+            factors.append(self.reference("group name", "group"))
         if len(factors) < 2:
             raise SessionSyntaxError(
                 f"unknown group kind {head.text!r}", head.line, head.column,
                 ("Ga", "Gm", "finite", "group name"),
             )
-        self.end_statement()
-        name = self.declare(name_tok, "group")
-        return GroupDecl(start.line, start.column, name, "product", factors=tuple(factors))
+        return GroupDecl(start.line, start.column, self.declare(name_tok, "group"), "product",
+                         factors=tuple(factors))
 
-    def action_decl(self):
-        start = self.next()
+    def product(self):
+        a = self.word("element")
+        self.expect("*")
+        b = self.word("element")
+        self.expect("=")
+        return a, b, self.word("element")
+
+    def parse_action(self, start):
         name_tok = self.expect_ident("action name")
         self.expect(":")
-        group = self.require_declared(self.expect_ident("group name"), "group")
+        group = self.reference("group name", "group")
         self.expect_word("x")
-        space = self.require_declared(self.expect_ident("variety name"), "variety")
+        space = self.reference("variety name", "variety")
         self.expect("->")
-        target = self.require_declared(self.expect_ident("variety name"), "variety")
+        target = self.reference("variety name", "variety")
         self.expect("=")
+        coords, table = (), ()
         if self.at("{"):
             self.next()
-            element_exprs = []
-            while True:
-                elem = self.expect_ident("element name").text
-                self.expect(":")
-                exprs = self.expr_list_in_parens()
-                element_exprs.append((elem, exprs))
-                if self.at(","):
-                    self.next()
-                    continue
-                break
+            table = self.items(self.element_map)
             self.expect("}")
-            self.end_statement()
-            name = self.declare(name_tok, "action")
-            return ActionDecl(start.line, start.column, name, group, space, target,
-                              element_exprs=tuple(element_exprs))
-        exprs = self.expr_list_in_parens()
-        self.end_statement()
-        name = self.declare(name_tok, "action")
-        return ActionDecl(start.line, start.column, name, group, space, target,
-                          coord_exprs=exprs)
+        else:
+            coords = self.exprs()
+        return ActionDecl(start.line, start.column, self.declare(name_tok, "action"),
+                          group, space, target, coords, table)
 
-    # commands -------------------------------------------------------------------
+    def element_map(self):
+        elem = self.word("element name")
+        self.expect(":")
+        return elem, self.exprs()
 
-    def command(self):
-        start = self.next()
-        key_tok = self.expect_ident("command keyword")
-        keyword = key_tok.text
-        if keyword not in COMMAND_KEYWORDS:
-            raise SessionSyntaxError(
-                f"unknown command {keyword!r}", key_tok.line, key_tok.column, COMMAND_KEYWORDS
-            )
-        cmd = Command(start.line, start.column, keyword)
-        if keyword in ("dom", "breg", "graph", "image", "invert"):
-            cmd.names = (self.require_declared(self.expect_ident("map name"), "map"),)
-        elif keyword == "compose":
-            a = self.require_declared(self.expect_ident("map name"), "map")
-            b = self.require_declared(self.expect_ident("map name"), "map")
-            cmd.names = (a, b)
-        elif keyword == "closedgraph":
-            tok = self.expect_ident("map or action name")
-            name = self.require_declared(tok, "map", "action")
-            cmd.names = (name,)
-            if self.at_word("at"):
-                self.next()
-                self.expect("(")
-                values = [self.rational()[0]]
-                while self.at(","):
-                    self.next()
-                    values.append(self.rational()[0])
-                self.expect(")")
-                cmd.at_point = tuple(values)
-            if self.at_word("xreg"):
-                self.next()
-                cmd.on_xreg = True
-        elif keyword in ("checkaction", "xreg", "regularize"):
-            cmd.names = (self.require_declared(self.expect_ident("action name"), "action"),)
-        elif keyword == "atlas":
-            cmd.names = (self.require_declared(self.expect_ident("action name"), "action"),)
-            self.expect_word("S")
-            self.expect("=")
-            cmd.points = self.point_list()
-            if self.at_word("xreg"):
-                self.next()
-                cmd.on_xreg = True
-        elif keyword == "certify":
-            tok = self.expect_ident("map or action name")
-            name = self.require_declared(tok, "map", "action")
-            cmd.names = (name,)
-            if self.at_word("wrt"):
-                self.next()
-                self.expect("(")
-                wrt = [self.expect_ident("variable").text]
-                while self.at(","):
-                    self.next()
-                    wrt.append(self.expect_ident("variable").text)
-                self.expect(")")
-                cmd.wrt = tuple(wrt)
-                self.expect_word("f")
-                self.expect("=")
-                self.expect("(")
-                cmd.f_expr = _expr_text(self.balanced_expr_tokens())
-                self.expect(")")
-            self.expect_word("samples")
-            self.expect("=")
-            cmd.samples = self.point_list()
+    def parse_cmd(self, start):
+        tok = self.expect_ident("command keyword")
+        if tok.text not in COMMANDS:
+            raise SessionSyntaxError(f"unknown command {tok.text!r}", tok.line, tok.column, tuple(COMMANDS))
+        names = tuple(self.reference(" or ".join(kinds) + " name", *kinds) for kinds in COMMANDS[tok.text])
+        cmd = Command(start.line, start.column, tok.text, names)
+        clauses = getattr(self, "parse_" + tok.text, None)
+        if clauses is not None:
+            clauses(cmd)
         self.end_statement()
         return cmd
 
+    def parse_closedgraph(self, cmd):
+        if self.flag("at"):
+            cmd.at_point = self.paren_list(self.rational)
+        cmd.on_xreg = self.flag("xreg")
 
-def _looks_numeric(text):
-    return text and (text[0].isdigit() or text[0] == "-")
+    def parse_atlas(self, cmd):
+        self.expect_word("S")
+        self.expect("=")
+        cmd.points = self.paren_list(self.point)
+        cmd.on_xreg = self.flag("xreg")
+
+    def parse_certify(self, cmd):
+        if self.flag("wrt"):
+            cmd.wrt = self.paren_list(lambda: self.word("variable"))
+            self.expect_word("f")
+            self.expect("=")
+            self.expect("(")
+            cmd.f_expr = self.expr()
+            self.expect(")")
+        self.expect_word("samples")
+        self.expect("=")
+        cmd.samples = self.paren_list(self.point)
 
 
 def parse_session(text: str) -> SessionAST:
@@ -549,98 +529,15 @@ def parse_session(text: str) -> SessionAST:
     return _SessionParser(text).parse()
 
 
-# -- pretty printing -----------------------------------------------------------------
-
-
-def _format_point(p):
-    if isinstance(p, str):
-        return p
-    if len(p) == 1:
-        return _frac_str(p[0])
-    inner = ", ".join(_frac_str(c) for c in p)
-    return f"({inner})"
-
-
-def _frac_str(value: Fraction) -> str:
-    return str(value)
-
-
-def format_statement(stmt: Statement) -> str:
-    if isinstance(stmt, VarDecl):
-        return "var " + " ".join(stmt.names)
-    if isinstance(stmt, VarietyDecl):
-        base = f"variety {stmt.name} = affine({', '.join(stmt.coords)})"
-        if stmt.ideal_exprs:
-            base += "/(" + ", ".join(stmt.ideal_exprs) + ")"
-        return base
-    if isinstance(stmt, MapDecl):
-        return f"map {stmt.name} : {stmt.source} -> {stmt.target} = (" + ", ".join(stmt.coord_exprs) + ")"
-    if isinstance(stmt, GroupDecl):
-        if stmt.kind == "additive":
-            return f"group {stmt.name} = Ga({stmt.coords[0]})"
-        if stmt.kind == "multiplicative":
-            return f"group {stmt.name} = Gm({stmt.coords[0]}, {stmt.coords[1]})"
-        if stmt.kind == "finite":
-            body = ", ".join(stmt.elements)
-            if stmt.products:
-                body += " | " + ", ".join(f"{a}*{b} = {c}" for a, b, c in stmt.products)
-            return f"group {stmt.name} = finite({body})"
-        return f"group {stmt.name} = " + " x ".join(stmt.factors)
-    if isinstance(stmt, ActionDecl):
-        head = f"action {stmt.name} : {stmt.group} x {stmt.space} -> {stmt.target} = "
-        if stmt.coord_exprs:
-            return head + "(" + ", ".join(stmt.coord_exprs) + ")"
-        parts = [f"{elem}: (" + ", ".join(exprs) + ")" for elem, exprs in stmt.element_exprs]
-        return head + "{" + ", ".join(parts) + "}"
-    if isinstance(stmt, Command):
-        parts = [f"cmd {stmt.keyword}"] + list(stmt.names)
-        if stmt.at_point is not None:
-            parts.append("at (" + ", ".join(_frac_str(c) for c in stmt.at_point) + ")")
-        if stmt.wrt is not None:
-            parts.append("wrt (" + ", ".join(stmt.wrt) + ")")
-        if stmt.f_expr is not None:
-            parts.append(f"f=({stmt.f_expr})")
-        if stmt.points is not None:
-            parts.append("S=(" + ", ".join(_format_point(p) for p in stmt.points) + ")")
-        if stmt.samples is not None:
-            parts.append("samples=(" + ", ".join(_format_point(p) for p in stmt.samples) + ")")
-        if stmt.on_xreg:
-            parts.append("xreg")
-        return " ".join(parts)
-    raise TypeError(f"unknown statement {stmt!r}")
-
-
 def format_session(ast: SessionAST) -> str:
-    return "\n".join(format_statement(s) for s in ast.statements) + "\n"
+    return "\n".join(map(str, ast.statements)) + "\n"
 
 
 # -- execution --------------------------------------------------------------------------
 
 
-class _Environment:
-    def __init__(self):
-        self.objects = {}  # name -> (kind, object)
-        self.failed = set()  # names whose declaration failed
-
-    def bind(self, name, kind, obj):
-        self.objects[name] = (kind, obj)
-
-    def fetch(self, name, *kinds):
-        if name in self.failed:
-            raise UseBeforeDeclare(f"{name!r} is unavailable: its declaration failed")
-        if name not in self.objects:
-            raise UseBeforeDeclare(f"{name!r} was never bound")
-        kind, obj = self.objects[name]
-        if kinds and kind not in kinds:
-            raise UseBeforeDeclare(f"{name!r} is a {kind}, expected {' or '.join(kinds)}")
-        return obj
-
-
-
-
 def _ideal_strings(ideal: Ideal, names) -> list:
-    basis = ideal.groebner_basis()
-    return [format_polynomial(g, names) for g in basis]
+    return [format_polynomial(g, names) for g in ideal.groebner_basis()]
 
 
 def _open_payload(subset: OpenSubset) -> dict:
@@ -657,64 +554,114 @@ def _point_payload(p) -> list:
     return [str(Fraction(c)) for c in p]
 
 
-class _Runner:
-    def __init__(self, env: _Environment):
-        self.env = env
+def _texts(functions) -> list:
+    return [_fraction_text(f) for f in functions]
+
+
+def _laws(finite: bool) -> list:
+    return ["identity", "homomorphism" if finite else "associativity"]
+
+
+def _polynomial(stmt, text, names, what):
+    num, den = parse_fraction(text, names)
+    if not den.is_constant():
+        raise SessionSyntaxError(f"{what} must be polynomial", stmt.line, stmt.column)
+    return num.scale(Fraction(1) / den.constant_value())
+
+
+def _map(stmt, source, target, exprs):
+    """The rational map source -> target given by one expression per target coordinate."""
+    if len(exprs) != target.arity:
+        raise SessionSyntaxError(
+            f"{len(exprs)} coordinate(s) given, the target has {target.arity}", stmt.line, stmt.column)
+    return make_rational_map(source, target, [tuple(RationalFunction.parse(source, e) for e in exprs)])
+
+
+class _Session:
+    """The objects a running session has bound; `run_<verb>` runs one
+    statement and returns its payload, or a (status, payload) pair."""
+
+    def __init__(self):
+        self.objects = {}  # name -> (kind, object)
+        self.failed = set()  # names whose declaration failed
+
+    def lookup(self, name):
+        if name in self.failed:
+            raise UseBeforeDeclare(f"{name!r} is unavailable: its declaration failed")
+        if name not in self.objects:
+            raise UseBeforeDeclare(f"{name!r} was never bound")
+        return self.objects[name]
+
+    def __getitem__(self, name):
+        return self.lookup(name)[1]
+
+    def bind(self, stmt: Declaration, obj):
+        self.objects[stmt.name] = (stmt.KEYWORD, obj)
+
+    def execute(self, stmt: Statement) -> dict:
+        ideals.reset_step_tally()
+        started = time.perf_counter()
+        try:
+            result = getattr(self, "run_" + stmt.verb)(stmt)
+            status, payload = result if isinstance(result, tuple) else ("ok", result)
+        except WeilregError as err:
+            status = "fail" if isinstance(err, _FAIL_ERRORS) else "error"
+            payload = {"reason": type(err).__name__, "message": str(err)}
+            if isinstance(stmt, Declaration):
+                self.failed.add(stmt.name)
+        millis = int((time.perf_counter() - started) * 1000)
+        return {
+            "command": str(stmt),
+            "status": status,
+            "payload": payload,
+            "millis": millis,
+            "groebner_steps": ideals.step_tally(),
+        }
 
     # declarations -----------------------------------------------------------
 
-    def run_var(self, stmt: VarDecl):
+    def run_var(self, stmt):
         return {"vars": list(stmt.names)}
 
-    def run_variety(self, stmt: VarietyDecl):
-        gens = [FractionExprParser(
-            TokenStream(tokenize(e) ), list(stmt.coords)).parse() for e in stmt.ideal_exprs]
-        polys = []
-        for num, den in gens:
-            if not den.is_constant():
-                raise SessionSyntaxError("ideal generators must be polynomials", stmt.line, stmt.column)
-            polys.append(num.scale(Fraction(1) / den.constant_value()))
+    def run_variety(self, stmt):
+        polys = [_polynomial(stmt, e, stmt.coords, "ideal generators") for e in stmt.ideal_exprs]
         X = AffineVariety(stmt.coords, Ideal(len(stmt.coords), polys))
-        self.env.bind(stmt.name, "variety", X)
+        self.bind(stmt, X)
         return {
             "variety": stmt.name,
             "coordinates": list(stmt.coords),
             "ideal": [format_polynomial(g, X.names) for g in X.ideal.gens],
         }
 
-    def run_map(self, stmt: MapDecl):
-        src = self.env.fetch(stmt.source, "variety")
-        tgt = self.env.fetch(stmt.target, "variety")
-        coords = tuple(RationalFunction.parse(src, e) for e in stmt.coord_exprs)
-        m = make_rational_map(src, tgt, [coords])
-        self.env.bind(stmt.name, "map", m)
+    def run_map(self, stmt):
+        m = _map(stmt, self[stmt.source], self[stmt.target], stmt.coord_exprs)
+        self.bind(stmt, m)
         return {
             "map": stmt.name,
             "source": stmt.source,
             "target": stmt.target,
-            "coordinates": [_fraction_text(f) for f in m.reps[0]],
+            "coordinates": _texts(m.reps[0]),
         }
 
-    def run_group(self, stmt: GroupDecl):
+    def run_group(self, stmt):
         if stmt.kind == "additive":
             G = additive_group(stmt.coords[0])
         elif stmt.kind == "multiplicative":
             G = multiplicative_group(stmt.coords)
         elif stmt.kind == "finite":
-            table = {}
             e = stmt.elements[0]
+            table = {}
             for a in stmt.elements:
-                table[(e, a)] = a
-                table[(a, e)] = a
+                table[(e, a)] = table[(a, e)] = a
             for a, b, c in stmt.products:
                 table[(a, b)] = c
             G = finite_group(stmt.elements, table)
         else:
-            factors = [self.env.fetch(f, "group") for f in stmt.factors]
+            factors = [self[f] for f in stmt.factors]
             G = factors[0]
             for h in factors[1:]:
                 G = product_group(G, h)
-        self.env.bind(stmt.name, "group", G)
+        self.bind(stmt, G)
         payload = {"group": stmt.name, "kind": stmt.kind}
         if G.is_finite:
             payload["elements"] = list(G.elements)
@@ -722,153 +669,106 @@ class _Runner:
             payload["coordinates"] = list(G.variety.names)
         return payload
 
-    def run_action(self, stmt: ActionDecl):
-        G = self.env.fetch(stmt.group, "group")
-        X = self.env.fetch(stmt.space, "variety")
+    def run_action(self, stmt):
+        G, X = self[stmt.group], self[stmt.space]
         if stmt.space != stmt.target:
             raise SessionSyntaxError("actions must map the space to itself", stmt.line, stmt.column)
-        if stmt.element_exprs:
-            if not G.is_finite:
-                raise SessionSyntaxError(
-                    "element tables require a finite group", stmt.line, stmt.column)
+        if G.is_finite != bool(stmt.element_exprs):
+            raise SessionSyntaxError(
+                "finite groups act through element tables" if G.is_finite
+                else "element tables require a finite group", stmt.line, stmt.column)
+        if G.is_finite:
             maps = {G.identity_element: identity_map(X)}
             for elem, exprs in stmt.element_exprs:
                 if elem not in G.elements:
                     raise UseBeforeDeclare(f"{elem!r} is not an element of {stmt.group}")
-                coords = tuple(RationalFunction.parse(X, e) for e in exprs)
-                maps[elem] = make_rational_map(X, X, [coords])
+                maps[elem] = _map(stmt, X, X, exprs)
             for elem in G.elements:
                 if elem not in maps:
-                    raise SessionSyntaxError(
-                        f"no map supplied for element {elem!r}", stmt.line, stmt.column)
+                    raise SessionSyntaxError(f"no map supplied for element {elem!r}", stmt.line, stmt.column)
             action = make_rational_action(G, X, maps)
         else:
-            if G.is_finite:
-                raise SessionSyntaxError(
-                    "finite groups act through element tables", stmt.line, stmt.column)
             amb = ProductAmbient(G.variety, X)
-            coords = tuple(RationalFunction.parse(amb.variety, e) for e in stmt.coord_exprs)
-            rho = make_rational_map(amb.variety, X, [coords])
-            action = make_rational_action(G, X, rho)
-        self.env.bind(stmt.name, "action", action)
+            action = make_rational_action(G, X, _map(stmt, amb.variety, X, stmt.coord_exprs))
+        self.bind(stmt, action)
         return {
             "action": stmt.name,
             "kind": "finite" if G.is_finite else "parametric",
-            "laws": ["identity", "homomorphism"] if G.is_finite else ["identity", "associativity"],
+            "laws": _laws(G.is_finite),
         }
 
     # commands ------------------------------------------------------------------
 
-    def run_command(self, stmt: Command):
-        handler = getattr(self, f"cmd_{stmt.keyword}")
-        return handler(stmt)
+    def run_dom(self, stmt):
+        return _open_payload(definable_locus(self[stmt.names[0]]))
 
-    def cmd_dom(self, stmt):
-        m = self.env.fetch(stmt.names[0], "map")
-        return "ok", _open_payload(definable_locus(m))
+    def run_breg(self, stmt):
+        return _open_payload(biregular_locus(self[stmt.names[0]]))
 
-    def cmd_breg(self, stmt):
-        m = self.env.fetch(stmt.names[0], "map")
-        return "ok", _open_payload(biregular_locus(m))
+    def run_graph(self, stmt):
+        graph = graph_closure(self[stmt.names[0]])
+        return {"ambient": list(graph.names), "ideal": _ideal_strings(graph.ideal, graph.names)}
 
-    def cmd_graph(self, stmt):
-        m = self.env.fetch(stmt.names[0], "map")
-        graph = graph_closure(m)
-        return "ok", {
-            "ambient": list(graph.names),
-            "ideal": _ideal_strings(graph.ideal, graph.names),
-        }
-
-    def cmd_image(self, stmt):
-        m = self.env.fetch(stmt.names[0], "map")
+    def run_image(self, stmt):
+        m = self[stmt.names[0]]
         image = closed_image(m)
-        return "ok", {
-            "ideal": _ideal_strings(image.ideal, image.names),
-            "dominant": is_dominant(m),
-        }
+        return {"ideal": _ideal_strings(image.ideal, image.names), "dominant": is_dominant(m)}
 
-    def cmd_invert(self, stmt):
-        m = self.env.fetch(stmt.names[0], "map")
-        inv = inverse(m)
-        return "ok", {"inverse": [_fraction_text(f) for f in inv.reps[0]]}
+    def run_invert(self, stmt):
+        return {"inverse": _texts(inverse(self[stmt.names[0]]).reps[0])}
 
-    def cmd_compose(self, stmt):
-        a = self.env.fetch(stmt.names[0], "map")
-        b = self.env.fetch(stmt.names[1], "map")
-        composed = compose(a, b)
-        return "ok", {"composition": [_fraction_text(f) for f in composed.reps[0]]}
+    def run_compose(self, stmt):
+        return {"composition": _texts(compose(self[stmt.names[0]], self[stmt.names[1]]).reps[0])}
 
-    def _resolve_self_map(self, stmt):
-        kind, obj = self.env.objects.get(stmt.names[0], (None, None))
-        if stmt.names[0] in self.env.failed or kind is None:
-            self.env.fetch(stmt.names[0])  # raises
+    def run_closedgraph(self, stmt):
+        kind, obj = self.lookup(stmt.names[0])
         if kind == "map":
-            return obj, OpenSubset.full(obj.source), "full"
-        action = obj
-        host_label = "full"
-        if stmt.on_xreg:
-            action = restrict_to_regular_locus(action)
-            host_label = "xreg"
-        if stmt.at_point is None:
-            raise SessionSyntaxError(
-                "closedgraph on an action needs a group point: at (...)", stmt.line, stmt.column)
-        m = specialize(action, stmt.at_point)
-        return m, action.domain, host_label
-
-    def cmd_closedgraph(self, stmt):
-        m, host, host_label = self._resolve_self_map(stmt)
+            m, host, host_label = obj, OpenSubset.full(obj.source), "full"
+        else:
+            if stmt.at_point is None:
+                raise SessionSyntaxError(
+                    "closedgraph on an action needs a group point: at (...)", stmt.line, stmt.column)
+            action, host_label = _on_host(obj, stmt)
+            m, host = specialize(action, stmt.at_point), action.domain
         closed, witness = is_graph_closed(m, host)
         payload = {"closed": closed, "host": host_label}
         if witness is not None:
-            names = graph_closure(m).names
-            payload["witness"] = _ideal_strings(witness, names)
+            payload["witness"] = _ideal_strings(witness, graph_closure(m).names)
         return ("ok" if closed else "fail"), payload
 
-    def cmd_checkaction(self, stmt):
-        action = self.env.fetch(stmt.names[0], "action")
-        # declaration already validated the laws; re-state them for the record
-        laws = ["identity", "homomorphism"] if action.is_finite else ["identity", "associativity"]
-        return "ok", {"valid": True, "laws": laws}
+    def run_checkaction(self, stmt):
+        # the declaration already validated the laws; re-state them for the record
+        return {"valid": True, "laws": _laws(self[stmt.names[0]].is_finite)}
 
-    def cmd_xreg(self, stmt):
-        action = self.env.fetch(stmt.names[0], "action")
+    def run_xreg(self, stmt):
+        action = self[stmt.names[0]]
         reg = g_regular_locus(action)
         payload = _open_payload(reg.locus)
-        names = action.space.names
-        payload["bad_ideals"] = [_ideal_strings(b, names) for b in reg.bad_ideals]
-        return "ok", payload
+        payload["bad_ideals"] = [_ideal_strings(b, action.space.names) for b in reg.bad_ideals]
+        return payload
 
-    def cmd_regularize(self, stmt):
-        action = self.env.fetch(stmt.names[0], "action")
+    def run_regularize(self, stmt):
+        action = self[stmt.names[0]]
         model = regularize_finite(action)
         names = model.model.names
-        return "ok", {
+        return {
             "model_coordinates": list(names),
             "presentation": _ideal_strings(model.model.ideal, names),
-            "psi": [_fraction_text(f) for f in model.to_space.reps[0]],
-            "psi_inverse": [_fraction_text(f) for f in model.from_space.reps[0]],
+            "psi": _texts(model.to_space.reps[0]),
+            "psi_inverse": _texts(model.from_space.reps[0]),
             "action": {
                 elem: [format_polynomial(p, names) for p in model.action_on_model[elem]]
                 for elem in action.group.elements
             },
         }
 
-    def cmd_atlas(self, stmt):
-        action = self.env.fetch(stmt.names[0], "action")
-        host_label = "full"
-        if stmt.on_xreg:
-            action = restrict_to_regular_locus(action)
-            host_label = "xreg"
+    def run_atlas(self, stmt):
+        action, host_label = _on_host(self[stmt.names[0]], stmt)
         atlas = build_atlas(action, stmt.points)
         report = check_atlas(atlas)
-        payload = {
-            "host": host_label,
-            "points": [_point_payload(p) for p in atlas.points],
-            "symmetry": "pass" if report.symmetry["passed"] else "fail",
-            "cocycle": "pass" if report.cocycle["passed"] else "fail",
-            "separated": "pass" if report.separated["passed"] else "fail",
-            "covering": "pass" if report.covering["passed"] else "fail",
-        }
+        payload = {"host": host_label, "points": [_point_payload(p) for p in atlas.points]}
+        for check in ("symmetry", "cocycle", "separated", "covering"):
+            payload[check] = "pass" if getattr(report, check)["passed"] else "fail"
         if report.separated["witnesses"]:
             first_key = sorted(report.separated["witnesses"])[0]
             witness = report.separated["witnesses"][first_key]
@@ -883,29 +783,28 @@ class _Runner:
             payload["covering_saturations"] = [
                 _ideal_strings(s, amb.names) for s in report.covering["saturations"]
             ]
-        status = "ok" if report.all_passed() else "fail"
-        return status, payload
+        return ("ok" if report.all_passed() else "fail"), payload
 
-    def cmd_certify(self, stmt):
-        kind, obj = self.env.objects.get(stmt.names[0], (None, None))
-        if stmt.names[0] in self.env.failed or kind is None:
-            self.env.fetch(stmt.names[0])
+    def run_certify(self, stmt):
+        kind, obj = self.lookup(stmt.names[0])
         if kind == "action":
-            samples = [p for p in stmt.samples]
-            result = regularity_from_subgroup(obj, samples)
-            return "ok", {
+            result = regularity_from_subgroup(obj, list(stmt.samples))
+            return {
                 "regular": True,
                 "samples": [_point_payload(p) for p in result.sample_points],
-                "coordinates": [_fraction_text(f) for f in result.polynomial_map.reps[0]],
+                "coordinates": _texts(result.polynomial_map.reps[0]),
             }
-        m = obj
-        src = m.source
-        if len(m.reps[0]) != 1:
+        if stmt.wrt is None:
             raise SessionSyntaxError(
-                "certify runs on maps with a single coordinate", stmt.line, stmt.column)
-        wrt = stmt.wrt or ()
-        n_left = len(wrt)
-        if tuple(src.names[:n_left]) != tuple(wrt):
+                "certify on a map needs a 'wrt (...) f=(...)' clause", stmt.line, stmt.column)
+        src = obj.source
+        if len(obj.reps[0]) != 1:
+            raise SessionSyntaxError("certify runs on maps with a single coordinate", stmt.line, stmt.column)
+        if any(isinstance(p, str) for p in stmt.samples):
+            raise SessionSyntaxError(
+                "certify on a map takes numeric sample points, not names", stmt.line, stmt.column)
+        n_left = len(stmt.wrt)
+        if tuple(src.names[:n_left]) != stmt.wrt:
             raise SessionSyntaxError(
                 "wrt variables must be the leading source coordinates", stmt.line, stmt.column)
         left_names = src.names[:n_left]
@@ -923,16 +822,11 @@ class _Runner:
         left = AffineVariety(left_names, Ideal(n_left, left_gens))
         right = AffineVariety(right_names, Ideal(src.arity - n_left, right_gens))
         split = ProductAmbient(left, right)
-        f_num, f_den = FractionExprParser(
-            TokenStream(tokenize(stmt.f_expr)), list(right_names)).parse()
-        if not f_den.is_constant():
-            raise SessionSyntaxError("f must be a polynomial", stmt.line, stmt.column)
-        f_poly = f_num.scale(Fraction(1) / f_den.constant_value())
-        coord = m.reps[0][0]
+        f_poly = _polynomial(stmt, stmt.f_expr, right_names, "f")
+        coord = obj.reps[0][0]
         F = RationalFunction(split.variety, coord.num, coord.den)
-        samples = [p for p in stmt.samples]
-        dec = certify_regular(split, F, f_poly, samples=samples)
-        return "ok", {
+        dec = certify_regular(split, F, f_poly, samples=list(stmt.samples))
+        return {
             "power": dec.power,
             "terms": [
                 [format_polynomial(h, left.names), format_polynomial(fi, right.names)]
@@ -946,65 +840,21 @@ class _Runner:
         }
 
 
+def _on_host(action, stmt):
+    """The action on the host the command asks for, and the host's label."""
+    return (restrict_to_regular_locus(action), "xreg") if stmt.on_xreg else (action, "full")
+
+
 def run_session(ast: SessionAST, session_name: str = "", max_steps=None):
     """Execute every statement, producing one record each; failures are
     recorded and never abort the session."""
     budget = None if max_steps is None else ideals.STEP_BUDGET.set(int(max_steps))
-    env = _Environment()
-    runner = _Runner(env)
-
-    def execute(stmt):
-        ideals.reset_step_tally()
-        started = time.perf_counter()
-        status = "ok"
-        payload = {}
-        try:
-            if isinstance(stmt, Command):
-                result = runner.run_command(stmt)
-                if isinstance(result, tuple):
-                    status, payload = result
-                else:
-                    payload = result
-            else:
-                payload = _run_declaration(runner, stmt, env)
-        except _FAIL_ERRORS as err:
-            status = "fail"
-            payload = {"reason": type(err).__name__, "message": str(err)}
-            if isinstance(stmt, (VarietyDecl, MapDecl, GroupDecl, ActionDecl)):
-                env.failed.add(stmt.name)
-        except WeilregError as err:
-            status = "error"
-            payload = {"reason": type(err).__name__, "message": str(err)}
-            if isinstance(stmt, (VarietyDecl, MapDecl, GroupDecl, ActionDecl)):
-                env.failed.add(stmt.name)
-        millis = int((time.perf_counter() - started) * 1000)
-        return {
-            "command": format_statement(stmt),
-            "status": status,
-            "payload": payload,
-            "millis": millis,
-            "groebner_steps": ideals.step_tally(),
-        }
-
+    session = _Session()
     try:
-        return [execute(stmt) for stmt in ast.statements]
+        return [session.execute(stmt) for stmt in ast.statements]
     finally:
         if budget is not None:
             ideals.STEP_BUDGET.reset(budget)
-
-
-def _run_declaration(runner: _Runner, stmt, env):
-    if isinstance(stmt, VarDecl):
-        return runner.run_var(stmt)
-    if isinstance(stmt, VarietyDecl):
-        return runner.run_variety(stmt)
-    if isinstance(stmt, MapDecl):
-        return runner.run_map(stmt)
-    if isinstance(stmt, GroupDecl):
-        return runner.run_group(stmt)
-    if isinstance(stmt, ActionDecl):
-        return runner.run_action(stmt)
-    raise TypeError(f"unknown statement {stmt!r}")
 
 
 # -- reports ------------------------------------------------------------------------------

@@ -146,3 +146,19 @@ def test_bad_step_budget_env_var_is_a_typed_input_error():
     assert result.stderr.startswith("weilreg: ")
     assert "WEILREG_MAX_STEPS" in result.stderr and "'abc'" in result.stderr
     assert "Traceback" not in result.stderr
+
+
+def test_bad_session_input_exits_one_without_a_traceback(tmp_path):
+    session = tmp_path / "typed.wr"
+    session.write_text(
+        "var x y s\nvariety X = affine(x, y)\ngroup G = Ga(s)\n"
+        "action rho : G x X -> X = (x+s, y)\n"
+        "map m : X -> X = (x)\ncmd atlas rho S=(foo)\ncmd checkaction rho\n",
+        encoding="utf-8",
+    )
+    result = run_cli("run", str(session))
+    assert result.returncode == 1
+    assert "Traceback" not in result.stderr
+    records = json.loads(result.stdout)["records"]
+    assert [r["status"] for r in records[-3:]] == ["error", "error", "ok"]
+    assert [r["payload"].get("reason") for r in records[-3:-1]] == ["SessionSyntaxError", "PointNotOnGroup"]

@@ -97,3 +97,17 @@ def test_denominator_vanishing_on_the_host_raises_in_both_versions():
         reference_substitute(f, images, torus)
     with pytest.raises(ZeroDenominator):
         f.substitute(images, torus)
+
+
+@pytest.mark.parametrize("name", sorted(HOSTS))
+def test_reduced_fraction_denominator_lies_outside_the_host_ideal(name):
+    # reduced_fraction builds its result without the constructor's membership
+    # test; this is the fact that makes skipping it sound
+    host = HOSTS[name]
+    rng = random.Random(f"reduced-fraction-{name}")
+    for _ in range(60):
+        num = random_polynomial(rng, host.arity, 3, max_terms=4, coeff_bound=3)
+        den = _nonvanishing(rng, host, 2)
+        for n, d in ((num, den), (num * den, den * den)):
+            result = reduced_fraction(host, n, d)
+            assert not host.ideal.contains(result.den)

@@ -1,14 +1,19 @@
 import json
 import random
 import string
+from pathlib import Path
 
 import pytest
 
 from weilreg import ideals
 from weilreg.errors import SessionSyntaxError, UseBeforeDeclare
 from weilreg.sessions import (
+    COMMANDS,
+    ActionDecl,
     Command,
+    GroupDecl,
     MapDecl,
+    VarietyDecl,
     emit_report,
     format_session,
     parse_report,
@@ -35,6 +40,31 @@ group G = Ga(s)
 action rho : G x X -> X = (u+s, u*t/(u+s))
 cmd xreg rho
 """
+
+# every statement form the golden sessions leave out
+FORMS = """\
+var s z w x y a b
+variety X = affine(x, y)
+variety C = affine(a, b)/(a^2+b^2-1, 2 * a)
+map m : X -> X = (x+1, y/x)
+map n : X -> X = (y, x)
+group A = Ga(s)
+group T = Gm(z, w)
+group P = A x T x A
+group E = finite(e)
+action tr : A x X -> X = (x+s, y)
+action one : E x X -> X = {e: (x, y)}
+cmd dom m
+cmd graph m
+cmd image m
+cmd invert n
+cmd compose m n
+cmd closedgraph m
+cmd closedgraph tr at (-1/2, (3)) xreg
+cmd atlas one S=(e, (1, 2), -3)
+"""
+
+SESSION_FILES = sorted((Path(__file__).resolve().parent.parent / "sessions").glob("*.wr"))
 
 
 # -- parsing ------------------------------------------------------------------------
@@ -90,13 +120,30 @@ def test_parser_totality_fuzz():
             pass  # positioned diagnostics are the only acceptable failures
 
 
+def _form(stmt):
+    if isinstance(stmt, GroupDecl):
+        return f"group {stmt.kind}"
+    if isinstance(stmt, ActionDecl):
+        return "action finite" if stmt.element_exprs else "action parametric"
+    return stmt.keyword if isinstance(stmt, Command) else stmt.KEYWORD
+
+
 def test_pretty_print_round_trip_is_idempotent():
-    for source in (CREMONA, BLOWUP):
+    sources = [CREMONA, BLOWUP, FORMS] + [p.read_text(encoding="utf-8") for p in SESSION_FILES]
+    statements = []
+    for source in sources:
         ast = parse_session(source)
         printed = format_session(ast)
         again = format_session(parse_session(printed))
         assert printed == again
         assert parse_session(printed) == ast
+        statements += ast.statements
+    assert {_form(s) for s in statements} == set(COMMANDS) | {
+        "var", "variety", "map", "group additive", "group multiplicative", "group finite",
+        "group product", "action parametric", "action finite",
+    }
+    assert any(isinstance(s, VarietyDecl) and s.ideal_exprs for s in statements)
+    assert any(isinstance(s, GroupDecl) and s.kind == "finite" and not s.products for s in statements)
 
 
 # -- execution -----------------------------------------------------------------------
@@ -154,12 +201,66 @@ def test_action_with_vanishing_specialisation_names_the_group_point():
     assert "denominators vanish identically at the group point" in record["payload"]["message"]
 
 
-def test_step_budget_is_scoped_to_the_session_and_reaches_worker_threads():
+def test_step_budget_is_scoped_to_the_session():
     sequential = run_session(parse_session(CREMONA), max_steps=1)
     assert ideals.STEP_BUDGET.get() == ideals.DEFAULT_MAX_STEPS == 200_000
     exceeded = [r["command"] for r in sequential if r["payload"].get("reason") == "BudgetExceeded"]
     assert exceeded == ["cmd breg s", "cmd regularize inv2"]
     assert all(r["status"] == "ok" for r in run_session(parse_session(CREMONA)))
+
+
+TYPED_HEAD = """\
+var x y s v z w
+variety X = affine(x, y)
+variety V = affine(v)
+group G = Ga(s)
+group M = Gm(z, w)
+action rho : G x X -> X = (x+s, y)
+"""
+
+TYPED_ERRORS = {
+    "map with too few coordinates": ("map m : X -> X = (x)", "SessionSyntaxError", "1 coordinate(s) given"),
+    "parametric action with too few coordinates": (
+        "action a : G x X -> X = (x+s)", "SessionSyntaxError", "1 coordinate(s) given"),
+    "finite action with too few coordinates": (
+        "group Z = finite(e, g | g*g = e)\naction f : Z x X -> X = {g: (1/x)}",
+        "SessionSyntaxError", "1 coordinate(s) given"),
+    "certify on a map without wrt": (
+        "map F : X -> V = (x*y)\ncmd certify F samples=(0, 1)", "SessionSyntaxError", "wrt (...) f=(...)"),
+    "named atlas point of a parametric group": ("cmd atlas rho S=(foo)", "PointNotOnGroup", "'foo'"),
+    "named sample of a parametric group": (
+        "action sc : M x V -> V = (z*v)\ncmd certify sc samples=(foo)", "PointNotOnGroup", "'foo'"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(TYPED_ERRORS))
+def test_bad_session_input_is_a_typed_error_record(case):
+    body, reason, message = TYPED_ERRORS[case]
+    records = run_session(parse_session(TYPED_HEAD + body + "\ncmd checkaction rho\n"))
+    failed, after = records[-2], records[-1]
+    assert failed["status"] == "error"
+    assert failed["payload"]["reason"] == reason
+    assert message in failed["payload"]["message"]
+    assert after["command"] == "cmd checkaction rho" and after["status"] == "ok"
+
+
+def test_point_tuple_is_parsed_to_its_end():
+    with pytest.raises(SessionSyntaxError) as err:
+        parse_session(BLOWUP.replace("cmd xreg rho", "cmd closedgraph rho at (2 3)"))
+    assert (err.value.line, err.value.column) == (5, 27)  # the "3"
+
+
+@pytest.mark.parametrize("decl, text, trailing", [
+    ("variety Y = affine(x)/(2 x)", "2 x", "'x'"),
+    ("map m : X -> X = (x y, x)", "x y", "'y'"),
+])
+def test_adjacent_words_in_an_expression_stay_apart(decl, text, trailing):
+    ast = parse_session("var x y\nvariety X = affine(x, y)\n" + decl + "\n")
+    assert text in format_session(ast)
+    record = run_session(ast)[-1]
+    assert record["status"] == "error"
+    assert record["payload"]["reason"] == "SessionSyntaxError"
+    assert f"trailing input {trailing}" in record["payload"]["message"]
 
 
 # -- reports --------------------------------------------------------------------------
