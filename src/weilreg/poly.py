@@ -4,17 +4,18 @@ A polynomial is immutable: an arity plus a mapping from exponent tuples to
 nonzero Fraction coefficients.  Term order is a view concern; sorted term
 lists are produced on demand for a given MonomialOrder.
 
-`Polynomial.divide` is the one multivariate division kernel: normal forms,
-division with quotients and exact division all run through it.  It works on
-a private term dict that it mutates in place, and finds the largest
-remaining term with a min-heap of negated order keys.  Entries whose term
-was cancelled are skipped when they surface (lazy deletion), so each step
-costs one key per new term instead of a scan of the whole remainder.
+`Polynomial.divide` is the one multivariate division kernel over Q: normal
+forms and division with quotients run through it (exact division works on
+integer term dicts in `polygcd`).  It works on a private term dict that it
+mutates in place, and finds the largest remaining term with a min-heap of
+negated order keys.  Entries whose term was cancelled are skipped when they
+surface (lazy deletion), so each step costs one key per new term instead of
+a scan of the whole remainder.
 """
 
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from math import gcd
+from math import gcd, lcm
 from operator import add, ge, neg, sub
 
 from .errors import ArityMismatch
@@ -194,15 +195,14 @@ class Polynomial:
 
     # -- division ----------------------------------------------------------
 
-    def divide(self, divisors, order: MonomialOrder = GREVLEX, exact: bool = False):
+    def divide(self, divisors, order: MonomialOrder = GREVLEX):
         """Multivariate division: ``(quotients, remainder)`` with
         ``self == sum(q_i * divisors[i]) + remainder``.
 
         Each step divides the largest remaining term by the first divisor
         whose leading monomial divides it, or moves it to the remainder, so
         no remainder term is divisible by any lead.  Zero divisors are skipped
-        and get a zero quotient.  With ``exact=True`` the division returns
-        None at the first remainder term instead.
+        and get a zero quotient.
         """
         key = order.key
         active = []
@@ -224,8 +224,6 @@ class Polynomial:
                 if all(map(ge, exps, lead)):
                     break
             else:
-                if exact:
-                    return None
                 remainder[exps] = coeff
                 continue
             shift = tuple(map(sub, exps, lead))
@@ -248,25 +246,23 @@ class Polynomial:
 
     # -- normalisation -----------------------------------------------------
 
-    def content(self) -> Fraction:
-        """Positive rational c with self/c integer-primitive; 0 for the zero poly."""
+    def integer_primitive(self):
+        """(c, F) with self = c*F, c a positive rational and F an integer term
+        dict of content 1; (0, {}) for the zero polynomial."""
         if not self.terms:
-            return Fraction(0)
-        num = 0
-        den = 1
-        for c in self.terms.values():
-            num = gcd(num, abs(c.numerator))
-            den = den * c.denominator // gcd(den, c.denominator)
-        return Fraction(num, den)
+            return Fraction(0), {}
+        num = gcd(*(c.numerator for c in self.terms.values()))
+        den = lcm(*(c.denominator for c in self.terms.values()))
+        return Fraction(num, den), {e: c.numerator // num * (den // c.denominator)
+                                    for e, c in self.terms.items()}
 
     def primitive(self, order: MonomialOrder = GREVLEX) -> "Polynomial":
         """Divide out the content and make the leading coefficient positive."""
         if not self.terms:
             return self
-        c = self.content()
-        if self.leading_term(order)[1] < 0:
-            c = -c
-        return self.scale(1 / c)
+        sign = -1 if self.leading_term(order)[1] < 0 else 1
+        terms = self.integer_primitive()[1]
+        return Polynomial._of(self.arity, {e: Fraction(sign * c) for e, c in terms.items()})
 
     def monic(self, order: MonomialOrder = GREVLEX) -> "Polynomial":
         if not self.terms:

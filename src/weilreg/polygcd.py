@@ -1,88 +1,174 @@
-"""Multivariate polynomial gcd and exact division.
+"""Multivariate polynomial gcd and exact division over the rationals.
 
-The gcd is computed by the classical primitive pseudo-remainder recursion:
-pick a main variable, split into content and primitive part over the smaller
-ring, run a pseudo-Euclidean loop on the primitive parts, recurse for the
-contents.  Sizes in this toolkit are small, so no subresultant refinements
-are needed.
+Both work on integer term dicts (exponent tuple -> nonzero int): a
+polynomial over Q is a positive rational times an integer-primitive one, and
+by Gauss's lemma gcds and exact quotients of integer-primitive polynomials
+are the same over Z as over Q.
+
+`poly_gcd` runs the heuristic gcd GCDHEU (Char, Geddes and Gonnet, *GCDHEU:
+heuristic polynomial GCD algorithm based on integer GCD computation*, JSC
+1989).  At each level of the recursion it
+
+* splits off the gcd of the two integer contents;
+* answers a monomial argument directly (x^b, b the componentwise minimum
+  exponent; a constant is the monomial x^0);
+* evaluates the main variable at an integer xi with
+  xi >= 2*min(|f|, |g|) + 2, where |.| is the largest absolute coefficient
+  (2*min + 29 here, as in sympy), and takes the gcd of the two images one
+  variable down, so that the recursion ends in the integer gcd of
+  `math.gcd`;
+* interpolates that gcd xi-adically, reading each coefficient as digits in
+  (-xi/2, xi/2], and takes the primitive part h.
+
+h is returned only if it divides both arguments exactly.  Divisibility
+makes h a common divisor, and for xi above the bound Char, Geddes and Gonnet
+show that a candidate built this way which divides both arguments is their
+gcd.  The exact divisions are therefore the certificate: a candidate that
+fails them is never returned.  The evaluation is retried at larger xi, and
+when `HEU_TRIES` tries fail the classical primitive pseudo-remainder
+recursion (`_prs_gcd`) computes the gcd instead.
+
+Results are integer-primitive with a positive grevlex leading coefficient,
+which makes the gcd over Q unique.
 """
 
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
+from math import gcd, isqrt
+from operator import add, ge, neg, sub
 
 from .orders import GREVLEX
 from .poly import Polynomial
 
-
-def divide_exact(f: Polynomial, g: Polynomial):
-    """Quotient f/g when g divides f exactly, else None."""
-    if g.is_zero():
-        raise ZeroDivisionError("division by the zero polynomial")
-    out = f.divide((g,), GREVLEX, exact=True)
-    return None if out is None else out[0][0]
+# evaluation points tried before the pseudo-remainder fallback runs
+HEU_TRIES = 6
 
 
-def derivative(f: Polynomial, var: int) -> Polynomial:
-    res = {}
-    for exps, coeff in f.terms.items():
-        e = exps[var]
-        if not e:
+# -- integer term dicts -------------------------------------------------------
+
+
+def _quotient(f: dict, g: dict):
+    """f/g for nonzero integer term dicts when g divides f in Z[x], else None.
+
+    Divides the largest remaining term (lexicographic order, which is plain
+    tuple order) by g's leading term, with the lazy-deletion heap of
+    `Polynomial.divide`; the first term that does not divide ends it."""
+    lead = max(g)
+    lc = g[lead]
+    tail = [(e, c) for e, c in g.items() if e != lead]
+    p = dict(f)
+    heap = [(tuple(map(neg, e)), e) for e in p]
+    heapify(heap)
+    q = {}
+    while heap:
+        exps = heappop(heap)[1]
+        coeff = p.pop(exps, None)
+        if coeff is None:  # cancelled after it was queued
             continue
-        new = list(exps)
-        new[var] = e - 1
-        res[tuple(new)] = coeff * e
-    return Polynomial(f.arity, res)
+        k, r = divmod(coeff, lc)
+        if r or not all(map(ge, exps, lead)):
+            return None
+        shift = tuple(map(sub, exps, lead))
+        q[shift] = k
+        for e, c in tail:
+            e = tuple(map(add, e, shift))
+            old = p.get(e)
+            if old is None:
+                p[e] = -c * k
+                heappush(heap, (tuple(map(neg, e)), e))
+            else:
+                old -= c * k
+                if old:
+                    p[e] = old
+                else:
+                    del p[e]
+    return q
 
 
-def _univariate_parts(f: Polynomial, var: int):
-    """Coefficient polynomials of f by powers of var: list indexed by power."""
-    deg = f.degree_in(var)
-    parts = [dict() for _ in range(deg + 1)]
-    for exps, coeff in f.terms.items():
-        e = exps[var]
-        rest = list(exps)
-        rest[var] = 0
-        parts[e][tuple(rest)] = coeff
-    return [Polynomial(f.arity, p) for p in parts]
+def _evaluate(f: dict, var: int, xi: int) -> dict:
+    """f with variable var set to xi."""
+    out = {}
+    for e, c in f.items():
+        k = e[var]
+        if k:
+            c *= xi**k
+            e = e[:var] + (0,) + e[var + 1:]
+        out[e] = out.get(e, 0) + c
+    return {e: c for e, c in out.items() if c}
+
+
+def _interpolate(h: dict, var: int, xi: int) -> dict:
+    """Primitive part of the polynomial in var whose coefficients of var^k are
+    the k-th symmetric xi-adic digits of h's coefficients."""
+    half = xi // 2
+    out = {}
+    for e, c in h.items():
+        k = 0
+        while c:
+            d = c % xi
+            if d > half:
+                d -= xi
+            if d:
+                out[e[:var] + (k,) + e[var + 1:]] = d
+            c = (c - d) // xi
+            k += 1
+    content = gcd(*out.values())
+    return out if content == 1 else {e: c // content for e, c in out.items()}
+
+
+def _heu_gcd(f: dict, g: dict):
+    """The gcd of nonzero integer term dicts f and g in Z[x], or None when
+    GCDHEU found no candidate that divides both."""
+    c = gcd(*f.values(), *g.values())
+    if c != 1:
+        f = {e: v // c for e, v in f.items()}
+        g = {e: v // c for e, v in g.items()}
+    if len(f) == 1 or len(g) == 1:
+        # a monomial's divisors are monomials: x^low divides every term of both
+        return {tuple(map(min, *f, *g)): c}
+    var = max(i for e in f for i, k in enumerate(e) if k)
+    xi = 2 * min(max(map(abs, f.values())), max(map(abs, g.values()))) + 29
+    for _ in range(HEU_TRIES):
+        ff, gg = _evaluate(f, var, xi), _evaluate(g, var, xi)
+        if ff and gg:
+            image = _heu_gcd(ff, gg)
+            if image is None:
+                return None
+            h = _interpolate(image, var, xi)
+            if _quotient(f, h) is not None and _quotient(g, h) is not None:
+                return {e: v * c for e, v in h.items()}
+        xi = xi * 73794 * isqrt(isqrt(xi)) // 27011  # about 2.7 * xi^(5/4), sympy's schedule
+    return None
+
+
+# -- the pseudo-remainder fallback ------------------------------------------------
 
 
 def _content_wrt(f: Polynomial, var: int) -> Polynomial:
     acc = Polynomial.zero(f.arity)
-    for part in _univariate_parts(f, var):
-        if not part.is_zero():
-            acc = poly_gcd(acc, part)
+    for _, part in f.coefficients_wrt((var,)):
+        acc = poly_gcd(acc, part)
     return acc
 
 
 def _pseudo_rem(a, b, var: int):
     """Pseudo-remainder of a by b in the main variable."""
     db = b.degree_in(var)
-    lb = _univariate_parts(b, var)[db]
+    lb = b.coefficients_wrt((var,))[0][1]
     r = a
     xv = Polynomial.variable(a.arity, var)
     while not r.is_zero() and r.degree_in(var) >= db:
         dr = r.degree_in(var)
-        lr = _univariate_parts(r, var)[dr]
+        lr = r.coefficients_wrt((var,))[0][1]
         r = r * lb - b * lr * xv ** (dr - db)
     return r
 
 
-def poly_gcd(f: Polynomial, g: Polynomial) -> Polynomial:
-    """Gcd normalised to be integer-primitive with positive leading coefficient.
-
-    gcd(0, 0) = 0; constants have gcd 1 (we work over a field).
-    """
-    if f.is_zero() and g.is_zero():
-        return Polynomial.zero(f.arity)
-    if f.is_zero():
-        return g.primitive()
-    if g.is_zero():
-        return f.primitive()
-    fvars = f.variables_present()
-    gvars = g.variables_present()
-    if not fvars or not gvars:
-        return Polynomial.one(f.arity)
-    common = fvars | gvars
-    var = max(common)
+def _prs_gcd(f: Polynomial, g: Polynomial) -> Polynomial:
+    """Gcd of two non-constant polynomials: pick a main variable, split into
+    content and primitive part over the smaller ring, run a pseudo-Euclidean
+    loop on the primitive parts, recurse for the contents."""
+    var = max(f.variables_present() | g.variables_present())
     if f.degree_in(var) == 0 or g.degree_in(var) == 0:
         # var occurs in only one argument: gcd divides that one's content
         a, b = (f, g) if g.degree_in(var) else (g, f)
@@ -101,12 +187,60 @@ def poly_gcd(f: Polynomial, g: Polynomial) -> Polynomial:
     return (cont * a).primitive()
 
 
+# -- public functions ---------------------------------------------------------------
+
+
+def divide_exact(f: Polynomial, g: Polynomial):
+    """Quotient f/g when g divides f exactly, else None."""
+    if g.is_zero():
+        raise ZeroDivisionError("division by the zero polynomial")
+    if f.is_zero():
+        return f
+    cf, F = f.integer_primitive()
+    cg, G = g.integer_primitive()
+    q = _quotient(F, G)
+    if q is None:
+        return None
+    scale = cf / cg
+    return Polynomial._of(f.arity, {e: scale * c for e, c in q.items()})
+
+
+def derivative(f: Polynomial, var: int) -> Polynomial:
+    res = {}
+    for exps, coeff in f.terms.items():
+        e = exps[var]
+        if not e:
+            continue
+        new = list(exps)
+        new[var] = e - 1
+        res[tuple(new)] = coeff * e
+    return Polynomial(f.arity, res)
+
+
+def poly_gcd(f: Polynomial, g: Polynomial) -> Polynomial:
+    """Gcd normalised to be integer-primitive with positive leading coefficient.
+
+    gcd(0, 0) = 0; constants have gcd 1 (we work over a field).
+    """
+    if f.is_zero() and g.is_zero():
+        return Polynomial.zero(f.arity)
+    if f.is_zero():
+        return g.primitive()
+    if g.is_zero():
+        return f.primitive()
+    found = _heu_gcd(f.integer_primitive()[1], g.integer_primitive()[1])
+    if found is None:
+        return _prs_gcd(f, g)
+    h = Polynomial._of(f.arity, {e: Fraction(c) for e, c in found.items()})
+    return -h if h.leading_term(GREVLEX)[1] < 0 else h
+
+
 def simplify_fraction(num: Polynomial, den: Polynomial):
     """Cancel the gcd and scale so the denominator is monic (grevlex)."""
     if num.is_zero():
         return num, Polynomial.one(den.arity)
     g = poly_gcd(num, den)
-    if not (g.is_constant() and g.constant_value() == 1):
+    if not g.is_constant():
         num = divide_exact(num, g)
         den = divide_exact(den, g)
     lc = den.leading_term(GREVLEX)[1]

@@ -569,6 +569,14 @@ def _polynomial(stmt, text, names, what):
     return num.scale(Fraction(1) / den.constant_value())
 
 
+def _no_repeats(stmt, elements):
+    seen = set()
+    for elem in elements:
+        if elem in seen:
+            raise SessionSyntaxError(f"repeated element {elem!r}", stmt.line, stmt.column)
+        seen.add(elem)
+
+
 def _map(stmt, source, target, exprs):
     """The rational map source -> target given by one expression per target coordinate."""
     if len(exprs) != target.arity:
@@ -649,6 +657,7 @@ class _Session:
         elif stmt.kind == "multiplicative":
             G = multiplicative_group(stmt.coords)
         elif stmt.kind == "finite":
+            _no_repeats(stmt, stmt.elements)
             e = stmt.elements[0]
             table = {}
             for a in stmt.elements:
@@ -678,6 +687,7 @@ class _Session:
                 "finite groups act through element tables" if G.is_finite
                 else "element tables require a finite group", stmt.line, stmt.column)
         if G.is_finite:
+            _no_repeats(stmt, [elem for elem, _ in stmt.element_exprs])
             maps = {G.identity_element: identity_map(X)}
             for elem, exprs in stmt.element_exprs:
                 if elem not in G.elements:
@@ -723,6 +733,9 @@ class _Session:
     def run_closedgraph(self, stmt):
         kind, obj = self.lookup(stmt.names[0])
         if kind == "map":
+            if stmt.at_point is not None or stmt.on_xreg:
+                raise SessionSyntaxError(
+                    "closedgraph on a map takes no group point or 'xreg'", stmt.line, stmt.column)
             m, host, host_label = obj, OpenSubset.full(obj.source), "full"
         else:
             if stmt.at_point is None:

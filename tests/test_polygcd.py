@@ -1,0 +1,161 @@
+"""Cross-checks of the GCDHEU kernel in `polygcd`.
+
+The reference is the primitive pseudo-remainder gcd that `polygcd` used
+before GCDHEU, kept here verbatim except that its exact divisions run
+through `Polynomial.divide`, so that none of its steps uses the integer
+kernel it checks.  sympy, an independent implementation, is a second oracle
+where it is installed.
+"""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+from weilreg import GREVLEX, Polynomial
+from weilreg import polygcd
+from weilreg.polygcd import divide_exact, poly_gcd, squarefree_part, squarefree_part_degree
+
+from oracles import random_polynomial
+
+
+# -- the pseudo-remainder reference -------------------------------------------------
+
+
+def _divide_exact(f, g):
+    (q,), r = f.divide((g,), GREVLEX)
+    return q if r.is_zero() else None
+
+
+def _univariate_parts(f, var):
+    deg = f.degree_in(var)
+    parts = [dict() for _ in range(deg + 1)]
+    for exps, coeff in f.terms.items():
+        e = exps[var]
+        rest = list(exps)
+        rest[var] = 0
+        parts[e][tuple(rest)] = coeff
+    return [Polynomial(f.arity, p) for p in parts]
+
+
+def _content_wrt(f, var):
+    acc = Polynomial.zero(f.arity)
+    for part in _univariate_parts(f, var):
+        if not part.is_zero():
+            acc = prs_gcd(acc, part)
+    return acc
+
+
+def _pseudo_rem(a, b, var):
+    db = b.degree_in(var)
+    lb = _univariate_parts(b, var)[db]
+    r = a
+    xv = Polynomial.variable(a.arity, var)
+    while not r.is_zero() and r.degree_in(var) >= db:
+        dr = r.degree_in(var)
+        lr = _univariate_parts(r, var)[dr]
+        r = r * lb - b * lr * xv ** (dr - db)
+    return r
+
+
+def prs_gcd(f, g):
+    if f.is_zero() and g.is_zero():
+        return Polynomial.zero(f.arity)
+    if f.is_zero():
+        return g.primitive()
+    if g.is_zero():
+        return f.primitive()
+    fvars = f.variables_present()
+    gvars = g.variables_present()
+    if not fvars or not gvars:
+        return Polynomial.one(f.arity)
+    common = fvars | gvars
+    var = max(common)
+    if f.degree_in(var) == 0 or g.degree_in(var) == 0:
+        a, b = (f, g) if g.degree_in(var) else (g, f)
+        return prs_gcd(a, _content_wrt(b, var))
+    cf = _content_wrt(f, var)
+    cg = _content_wrt(g, var)
+    cont = prs_gcd(cf, cg)
+    a = _divide_exact(f, cf)
+    b = _divide_exact(g, cg)
+    while not b.is_zero():
+        r = _pseudo_rem(a, b, var)
+        if not r.is_zero():
+            rc = _content_wrt(r, var)
+            r = _divide_exact(r, rc)
+        a, b = b, r
+    return (cont * a).primitive()
+
+
+# -- inputs ---------------------------------------------------------------------------
+
+
+def gcd_pairs(seed, count=60):
+    """Seeded (f, g) pairs at arity 1-4: unrelated pairs, and (a*c, b*c) with
+    a common factor c, with rational coefficients."""
+    rng = random.Random(seed)
+    for i in range(count):
+        arity = 1 + i % 4
+        # random_polynomial drops the drawn terms of degree above 3: most of them at arity 4
+        a, b, c = (random_polynomial(rng, arity, 3, max_terms=2 + 2**arity, coeff_bound=9) for _ in range(3))
+        yield a, b
+        scale = Fraction(rng.randrange(1, 20), rng.randrange(1, 20))
+        yield (a * c).scale(scale), b * c
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_gcd_equals_the_pseudo_remainder_reference(seed):
+    for f, g in gcd_pairs(seed):
+        assert poly_gcd(f, g) == prs_gcd(f, g), (f, g)
+
+
+def test_fallback_gives_the_same_gcd(monkeypatch):
+    monkeypatch.setattr(polygcd, "HEU_TRIES", 0)
+    calls = []
+    prs = polygcd._prs_gcd
+    monkeypatch.setattr(polygcd, "_prs_gcd", lambda f, g: calls.append(1) or prs(f, g))
+    for f, g in gcd_pairs(4, count=20):
+        assert poly_gcd(f, g) == prs_gcd(f, g), (f, g)
+    assert calls  # the heuristic made no try, so the fallback ran
+
+
+def test_exact_division_returns_the_cofactor_or_none():
+    for f, g in gcd_pairs(5, count=20):
+        h = poly_gcd(f, g)
+        if h.is_zero():
+            continue
+        for p in (f, g):
+            q = divide_exact(p, h)
+            assert q is not None and q * h == p
+            if h.total_degree() > 0:
+                assert divide_exact(p + Polynomial.one(p.arity), h) is None
+
+
+# -- sympy ----------------------------------------------------------------------------
+
+
+def test_gcd_and_squarefree_part_agree_with_sympy():
+    sympy = pytest.importorskip("sympy")
+    from test_sympy_oracle import from_sympy, to_sympy
+
+    for f, g in gcd_pairs(6, count=20):
+        xs = sympy.symbols(f"x0:{f.arity}")
+        theirs = sympy.gcd(to_sympy(f, xs), to_sympy(g, xs))
+        assert poly_gcd(f, g) == from_sympy(theirs, xs).primitive(), (f, g)
+        square = f * f * g
+        if not square.is_zero():
+            assert squarefree_part(square) == from_sympy(sympy.sqf_part(to_sympy(square, xs)), xs).primitive()
+
+
+def test_squarefree_part_degree_counts_distinct_roots():
+    sympy = pytest.importorskip("sympy")
+    from test_sympy_oracle import to_sympy
+
+    rng = random.Random(7)
+    x = sympy.Symbol("x")
+    for _ in range(30):
+        f = random_polynomial(rng, 1, 4, coeff_bound=9)
+        f = f * f * random_polynomial(rng, 1, 2, coeff_bound=9)
+        if f.total_degree() > 0:
+            assert squarefree_part_degree(f, 0) == sympy.Poly(to_sympy(f, [x]), x).sqf_part().degree()

@@ -230,6 +230,14 @@ TYPED_ERRORS = {
     "named atlas point of a parametric group": ("cmd atlas rho S=(foo)", "PointNotOnGroup", "'foo'"),
     "named sample of a parametric group": (
         "action sc : M x V -> V = (z*v)\ncmd certify sc samples=(foo)", "PointNotOnGroup", "'foo'"),
+    "closedgraph of a map at a group point": (
+        "map m : X -> X = (y, x)\ncmd closedgraph m at (5)", "SessionSyntaxError", "no group point or 'xreg'"),
+    "closedgraph of a map on the regular locus": (
+        "map m : X -> X = (y, x)\ncmd closedgraph m xreg", "SessionSyntaxError", "no group point or 'xreg'"),
+    "finite group with a repeated element": ("group Z = finite(e, e)", "SessionSyntaxError", "repeated element 'e'"),
+    "finite action with a repeated element": (
+        "group Z = finite(e, g | g*g = e)\naction f : Z x X -> X = {g: (y, x), g: (x, y)}",
+        "SessionSyntaxError", "repeated element 'g'"),
 }
 
 
