@@ -13,14 +13,13 @@ from .groups import AlgebraicGroup
 from .ideals import Ideal
 from .maps import (
     RationalMap,
-    _bind_inverse,
+    _pair_inverses,
     biregular_locus,
     compose,
     identity_map,
     make_rational_map,
     maps_equal,
     point_status,
-    _roundtrip_is_identity,
 )
 from .poly import Polynomial
 from .ratfunc import RationalFunction, compose_fraction
@@ -90,9 +89,8 @@ def specialize(action: RationalAction, g) -> RationalMap:
         result = _specialize_raw(action, g)
         g_inv = action.group.invert_point(g)
         candidate = _specialize_raw(action, g_inv)
-        if not (_roundtrip_is_identity(result, candidate) and _roundtrip_is_identity(candidate, result)):
-            raise RoundTripFailure(f"specialisations at {g} and {g_inv} are not mutually inverse")
-        _bind_inverse(result, candidate)
+        _pair_inverses(result, candidate, RoundTripFailure(
+            f"specialisations at {g} and {g_inv} are not mutually inverse"))
         action._specialized[g_inv] = candidate
     action._specialized[g] = result
     return result
@@ -188,10 +186,8 @@ def _validate_finite_action(action: RationalAction):
     # attach inverses so every element map is certified birational
     for g in G.elements:
         g_inv = G.inverse_element(g)
-        if not (_roundtrip_is_identity(maps[g], maps[g_inv])
-                and _roundtrip_is_identity(maps[g_inv], maps[g])):
-            raise NotAnAction("homomorphism", f"maps of {g} and {g_inv} are not mutually inverse")
-        _bind_inverse(maps[g], maps[g_inv])
+        _pair_inverses(maps[g], maps[g_inv], NotAnAction(
+            "homomorphism", f"maps of {g} and {g_inv} are not mutually inverse"))
     for g in G.elements:
         for h in G.elements:
             gh = G.table[(g, h)]
@@ -230,9 +226,8 @@ def lift_action(action: RationalAction, element=None):
     images += [(Polynomial.variable(arity, r + j), Polynomial.one(arity)) for j in range(n)]
     back_coords = [f.substitute(images, P) for f in action.rho.reps[0]]
     backward = make_rational_map(P, P, [g_coords + tuple(back_coords)])
-    if not (_roundtrip_is_identity(forward, backward) and _roundtrip_is_identity(backward, forward)):
-        raise RoundTripFailure("lifted action map and its conjugated inverse do not round-trip")
-    _bind_inverse(forward, backward)
+    _pair_inverses(forward, backward, RoundTripFailure(
+        "lifted action map and its conjugated inverse do not round-trip"))
     action._tilde = (forward, backward)
     return action._tilde
 

@@ -17,6 +17,7 @@ from .errors import (
     NotIntoTarget,
     PointNotOnVariety,
     RepresentativeMismatch,
+    RoundTripFailure,
     ZeroDenominator,
 )
 from .ideals import Ideal, eliminate, saturate
@@ -116,16 +117,10 @@ def rational_map(source: AffineVariety, target: AffineVariety, *rep_texts) -> Ra
     return make_rational_map(source, target, reps)
 
 
-def _bind_inverse(a: RationalMap, b: RationalMap) -> None:
-    """Record that a and b are certified mutually inverse birational maps."""
-    a._inverse, b._inverse = b, a
-    a._dominant = b._dominant = True
-
-
 def identity_map(X: AffineVariety) -> RationalMap:
     rep = tuple(RationalFunction.coordinate(X, i) for i in range(X.arity))
     m = RationalMap(X, X, [rep])
-    _bind_inverse(m, m)
+    _pair_inverses(m, m, RoundTripFailure("the identity map does not round-trip"))
     return m
 
 
@@ -231,6 +226,16 @@ def _roundtrip_is_identity(phi: RationalMap, psi: RationalMap) -> bool:
     return True
 
 
+def _pair_inverses(a: RationalMap, b: RationalMap, error: Exception) -> None:
+    """Record a and b as mutually inverse birational maps once both round
+    trips are proved by exact substitution; raise error, recording nothing,
+    if either fails.  The only place a map is paired with its inverse."""
+    if not (_roundtrip_is_identity(a, b) and _roundtrip_is_identity(b, a)):
+        raise error
+    a._inverse, b._inverse = b, a
+    a._dominant = b._dominant = True
+
+
 def inverse(phi: RationalMap) -> RationalMap:
     """Rational inverse extracted from the graph closure.
 
@@ -273,9 +278,7 @@ def inverse(phi: RationalMap) -> RationalMap:
         psi = make_rational_map(tgt, phi.source, [tuple(coords)])
     except (NotIntoTarget, ZeroDenominator) as err:
         raise NotBirational(f"extracted candidate is not a map into the source: {err}")
-    if not _roundtrip_is_identity(phi, psi) or not _roundtrip_is_identity(psi, phi):
-        raise NotBirational("round-trip identity failed for the extracted candidate")
-    _bind_inverse(phi, psi)
+    _pair_inverses(phi, psi, NotBirational("round-trip identity failed for the extracted candidate"))
     return psi
 
 

@@ -18,29 +18,18 @@ from .varieties import AffineVariety
 def compose_poly(p: Polynomial, images):
     """Substitute fraction pairs images[i] = (num_i, den_i) into p.
 
-    Returns a fraction pair over the images' ring.
+    Returns a fraction pair over the images' ring: num_i and den_i are
+    substituted for x_i and w_i in p homogenised as c*x^e*w^(deg-e), and in
+    the denominator prod w_i^deg_i.
     """
     if not images:
         raise ValueError("no images supplied")
-    arity = images[0][0].arity
-    degs = [p.degree_in(i) if p.degree_in(i) > 0 else 0 for i in range(p.arity)]
-    den = Polynomial.one(arity)
-    den_pows = []
-    for (num_i, den_i), d in zip(images, degs):
-        pows = [Polynomial.one(arity)]
-        for _ in range(d):
-            pows.append(pows[-1] * den_i)
-        den_pows.append(pows)
-        den = den * pows[d]
-    total = Polynomial.zero(arity)
-    for exps, coeff in sorted(p.terms.items()):
-        term = Polynomial.constant(arity, coeff)
-        for i, e in enumerate(exps):
-            if e:
-                term = term * images[i][0] ** e
-            term = term * den_pows[i][degs[i] - e]
-        total = total + term
-    return total, den
+    degs = tuple(max(p.degree_in(i), 0) for i in range(p.arity))
+    homogenised = Polynomial(2 * p.arity, {
+        exps + tuple(d - e for d, e in zip(degs, exps)): c for exps, c in p.terms.items()})
+    kernel = [num for num, _ in images] + [den for _, den in images]
+    monomial = Polynomial(2 * p.arity, {(0,) * p.arity + degs: 1})
+    return homogenised.substitute(kernel), monomial.substitute(kernel)
 
 
 def compose_fraction(num: Polynomial, den: Polynomial, images):

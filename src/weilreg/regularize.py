@@ -10,7 +10,7 @@ from fractions import Fraction
 from .errors import NotAnAction, NotInSpan, RoundTripFailure
 from .ideals import Ideal, eliminate, saturate
 from .linalg import solve_linear
-from .maps import RationalMap, _bind_inverse, make_rational_map, _roundtrip_is_identity
+from .maps import RationalMap, _pair_inverses, make_rational_map
 from .orders import GREVLEX
 from .poly import Polynomial
 from .polygcd import divide_exact
@@ -99,9 +99,7 @@ def present_subalgebra(space: AffineVariety, gens):
         psi_coords.append(RationalFunction.coordinate(model, j))
     psi = make_rational_map(model, space, [tuple(psi_coords)])
     psi_inv = make_rational_map(space, model, [tuple(gens)])
-    if not (_roundtrip_is_identity(psi_inv, psi) and _roundtrip_is_identity(psi, psi_inv)):
-        raise RoundTripFailure("presentation morphism and its inverse do not round-trip")
-    _bind_inverse(psi, psi_inv)
+    _pair_inverses(psi_inv, psi, RoundTripFailure("presentation morphism and its inverse do not round-trip"))
     return model, psi, psi_inv
 
 

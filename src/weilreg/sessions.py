@@ -569,12 +569,12 @@ def _polynomial(stmt, text, names, what):
     return num.scale(Fraction(1) / den.constant_value())
 
 
-def _no_repeats(stmt, elements):
+def _no_repeats(stmt, items, what="element"):
     seen = set()
-    for elem in elements:
-        if elem in seen:
-            raise SessionSyntaxError(f"repeated element {elem!r}", stmt.line, stmt.column)
-        seen.add(elem)
+    for item in items:
+        if item in seen:
+            raise SessionSyntaxError(f"repeated {what} {item!r}", stmt.line, stmt.column)
+        seen.add(item)
 
 
 def _map(stmt, source, target, exprs):
@@ -658,6 +658,7 @@ class _Session:
             G = multiplicative_group(stmt.coords)
         elif stmt.kind == "finite":
             _no_repeats(stmt, stmt.elements)
+            _no_repeats(stmt, (f"{a}*{b}" for a, b, _ in stmt.products), "product")
             e = stmt.elements[0]
             table = {}
             for a in stmt.elements:

@@ -1,4 +1,6 @@
+import ast
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -9,9 +11,12 @@ from weilreg.errors import (
     NotIntoTarget,
     PointNotOnVariety,
     RepresentativeMismatch,
+    RoundTripFailure,
     ZeroDenominator,
 )
+import weilreg.maps
 from weilreg.maps import (
+    _pair_inverses,
     biregular_locus,
     closed_image,
     compose,
@@ -211,6 +216,50 @@ def test_inverse_failure_is_not_birational():
     assert is_dominant(squaring)
     with pytest.raises(NotBirational):
         inverse(squaring)
+
+
+def test_pairing_a_non_inverse_pair_raises_and_records_nothing():
+    line = affine_space(["x"])
+    doubling = rational_map(line, line, ("2*x",))
+    ident = rational_map(line, line, ("x",))
+    error = RoundTripFailure("not mutually inverse")
+    with pytest.raises(RoundTripFailure) as raised:
+        _pair_inverses(doubling, ident, error)
+    assert raised.value is error
+    assert doubling._inverse is None and ident._inverse is None
+
+
+def test_inverse_of_a_paired_map_is_its_partner(chart, rho1, monkeypatch):
+    partner = rational_map(chart, chart, ("u-1", "u*t/(u-1)"))
+    _pair_inverses(rho1, partner, RoundTripFailure("not mutually inverse"))
+    closures = []
+    monkeypatch.setattr(weilreg.maps, "graph_closure", lambda phi: closures.append(phi))
+    assert inverse(rho1) is partner and inverse(partner) is rho1
+    assert not closures
+
+
+def _inverse_assignments(node, func=None):
+    """(enclosing function, assigned value) for each assignment to an
+    attribute named _inverse, tuple targets included."""
+    if isinstance(node, ast.FunctionDef):
+        func = node.name
+    found = []
+    if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
+        targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+        if any(isinstance(sub, ast.Attribute) and sub.attr == "_inverse"
+               for target in targets for sub in ast.walk(target)):
+            found.append((func, ast.unparse(node.value)))
+    for child in ast.iter_child_nodes(node):
+        found += _inverse_assignments(child, func)
+    return found
+
+
+def test_only_pair_inverses_records_an_inverse():
+    src = Path(weilreg.maps.__file__).resolve().parent
+    sites = {(path.name,) + site for path in src.glob("*.py")
+             for site in _inverse_assignments(ast.parse(path.read_text()))}
+    # a RationalMap starts unpaired; only _pair_inverses pairs it
+    assert sites == {("maps.py", "__init__", "None"), ("maps.py", "_pair_inverses", "(b, a)")}
 
 
 # -- definable locus ------------------------------------------------------------------------

@@ -11,10 +11,13 @@ from weilreg.actions import (
     specialize,
 )
 import weilreg.atlas
-from weilreg.atlas import Atlas, _fresh_copy, build_atlas, check_atlas
+import weilreg.ideals
+import weilreg.maps
+from weilreg.atlas import Atlas, build_atlas, check_atlas
 from weilreg.errors import ZeroDenominator
 from weilreg.groups import additive_group, cyclic_group_2, multiplicative_group, product_group
 from weilreg.maps import (
+    RationalMap,
     compose,
     identity_map,
     inverse,
@@ -290,7 +293,8 @@ def _reference_check_symmetry(atlas: Atlas) -> dict:
         for j in range(m):
             if i == j:
                 continue
-            recomputed = inverse(_fresh_copy(atlas.transitions[(i, j)]))
+            t = atlas.transitions[(i, j)]
+            recomputed = inverse(RationalMap(t.source, t.target, t.reps))  # unpaired: inverted honestly
             if not maps_equal(recomputed, atlas.transitions[(j, i)]):
                 failures.append([i, j])
     return {"passed": not failures, "failures": failures}
@@ -344,15 +348,15 @@ def _gm_action():
     return make_rational_action(G, X, rational_map(P.variety, X, ("z*x", "w*y*(x+1)/(z*x+1)")))
 
 
-def _spy(monkeypatch, name):
+def _spy(monkeypatch, name, module=weilreg.atlas):
     calls = []
-    real = getattr(weilreg.atlas, name)
+    real = getattr(module, name)
 
     def spy(*args, **kwargs):
         calls.append(args)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(weilreg.atlas, name, spy)
+    monkeypatch.setattr(module, name, spy)
     return calls
 
 
@@ -399,3 +403,24 @@ def test_element_keyed_checks_match_per_pair_checks(case, blowup_action, cremona
     assert len(inversions) == len(elements)
     assert len(closed_graph_tests) == len(elements)
     assert len(compositions) == len(element_pairs)
+
+
+@pytest.mark.parametrize("case", ["blowup_xreg", "cremona"])
+def test_symmetry_check_reads_the_certified_pairing(case, blowup_action, cremona_action, monkeypatch):
+    if case == "blowup_xreg":
+        atlas = build_atlas(restrict_to_regular_locus(blowup_action), [(0,), (1,), (2,)])
+    else:
+        atlas = build_atlas(restrict_to_regular_locus(cremona_action))
+    closures = _spy(monkeypatch, "graph_closure", module=weilreg.maps)
+    weilreg.ideals.reset_step_tally()
+    assert weilreg.atlas._check_symmetry(atlas)["passed"]
+    assert weilreg.ideals.step_tally() == 0
+    assert not closures
+
+
+def test_symmetry_check_catches_a_wrong_transition(blowup_action):
+    atlas = build_atlas(blowup_action, [(0,), (1,)])
+    assert weilreg.atlas._check_symmetry(atlas)["passed"]
+    atlas.transitions[(1, 0)] = specialize(blowup_action, (2,))
+    symmetry = weilreg.atlas._check_symmetry(atlas)
+    assert symmetry == {"passed": False, "failures": [[0, 1], [1, 0]]}

@@ -235,6 +235,8 @@ TYPED_ERRORS = {
     "closedgraph of a map on the regular locus": (
         "map m : X -> X = (y, x)\ncmd closedgraph m xreg", "SessionSyntaxError", "no group point or 'xreg'"),
     "finite group with a repeated element": ("group Z = finite(e, e)", "SessionSyntaxError", "repeated element 'e'"),
+    "finite group with a repeated product": (
+        "group Z = finite(e, g | g*g = e, g*g = g)", "SessionSyntaxError", "repeated product 'g*g'"),
     "finite action with a repeated element": (
         "group Z = finite(e, g | g*g = e)\naction f : Z x X -> X = {g: (y, x), g: (x, y)}",
         "SessionSyntaxError", "repeated element 'g'"),
