@@ -18,7 +18,7 @@ from .ideals import (  # noqa: F401
     radical_membership,
     saturate,
 )
-from .exprparse import parse_fraction, parse_polynomial, parse_rational  # noqa: F401
+from .exprparse import parse_fraction, parse_polynomial  # noqa: F401
 from .varieties import (  # noqa: F401
     AffineVariety,
     OpenSubset,

@@ -88,7 +88,7 @@ def specialize(action: RationalAction, g) -> RationalMap:
     else:
         result = _specialize_raw(action, g)
         g_inv = action.group.invert_point(g)
-        candidate = _specialize_raw(action, g_inv)
+        candidate = result if g_inv == g else _specialize_raw(action, g_inv)
         _pair_inverses(result, candidate, RoundTripFailure(
             f"specialisations at {g} and {g_inv} are not mutually inverse"))
         action._specialized[g_inv] = candidate

@@ -92,10 +92,6 @@ class RoundTripFailure(WeilregError):
     """A constructed map and its claimed inverse fail the round-trip check."""
 
 
-class NotInSpan(WeilregError):
-    """A pullback of a generator escapes the stable linear span."""
-
-
 class NotFPower(WeilregError):
     """The denominator is not supported on the given principal divisor."""
 

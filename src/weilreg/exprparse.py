@@ -204,7 +204,3 @@ def parse_polynomial(text: str, names) -> Polynomial:
         raise SessionSyntaxError("expected a polynomial, found a fraction", 1, 1)
     return num.scale(Fraction(1) / den.constant_value())
 
-
-def parse_rational(text: str) -> Fraction:
-    num, den = parse_fraction(text, [])
-    return num.constant_value() / den.constant_value()

@@ -229,8 +229,9 @@ def _roundtrip_is_identity(phi: RationalMap, psi: RationalMap) -> bool:
 def _pair_inverses(a: RationalMap, b: RationalMap, error: Exception) -> None:
     """Record a and b as mutually inverse birational maps once both round
     trips are proved by exact substitution; raise error, recording nothing,
-    if either fails.  The only place a map is paired with its inverse."""
-    if not (_roundtrip_is_identity(a, b) and _roundtrip_is_identity(b, a)):
+    if either fails.  An involution (b is a) has one round trip to prove.
+    The only place a map is paired with its inverse."""
+    if not (_roundtrip_is_identity(a, b) and (b is a or _roundtrip_is_identity(b, a))):
         raise error
     a._inverse, b._inverse = b, a
     a._dominant = b._dominant = True

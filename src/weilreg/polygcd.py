@@ -25,8 +25,9 @@ makes h a common divisor, and for xi above the bound Char, Geddes and Gonnet
 show that a candidate built this way which divides both arguments is their
 gcd.  The exact divisions are therefore the certificate: a candidate that
 fails them is never returned.  The evaluation is retried at larger xi, and
-when `HEU_TRIES` tries fail the classical primitive pseudo-remainder
-recursion (`_prs_gcd`) computes the gcd instead.
+when `HEU_TRIES` tries fail `_lcm_gcd` computes the gcd on the Groebner
+engine instead: lcm(f, g) generates the intersection (f) & (g), and the gcd
+is f*g / lcm.  The Groebner step budget bounds that fallback.
 
 Results are integer-primitive with a positive grevlex leading coefficient,
 which makes the gcd over Q unique.
@@ -37,10 +38,11 @@ from heapq import heapify, heappop, heappush
 from math import gcd, isqrt
 from operator import add, ge, neg, sub
 
+from .ideals import Ideal, intersect
 from .orders import GREVLEX
 from .poly import Polynomial
 
-# evaluation points tried before the pseudo-remainder fallback runs
+# evaluation points tried before the Groebner fallback runs
 HEU_TRIES = 6
 
 
@@ -141,50 +143,14 @@ def _heu_gcd(f: dict, g: dict):
     return None
 
 
-# -- the pseudo-remainder fallback ------------------------------------------------
+# -- the Groebner fallback ---------------------------------------------------------
 
 
-def _content_wrt(f: Polynomial, var: int) -> Polynomial:
-    acc = Polynomial.zero(f.arity)
-    for _, part in f.coefficients_wrt((var,)):
-        acc = poly_gcd(acc, part)
-    return acc
-
-
-def _pseudo_rem(a, b, var: int):
-    """Pseudo-remainder of a by b in the main variable."""
-    db = b.degree_in(var)
-    lb = b.coefficients_wrt((var,))[0][1]
-    r = a
-    xv = Polynomial.variable(a.arity, var)
-    while not r.is_zero() and r.degree_in(var) >= db:
-        dr = r.degree_in(var)
-        lr = r.coefficients_wrt((var,))[0][1]
-        r = r * lb - b * lr * xv ** (dr - db)
-    return r
-
-
-def _prs_gcd(f: Polynomial, g: Polynomial) -> Polynomial:
-    """Gcd of two non-constant polynomials: pick a main variable, split into
-    content and primitive part over the smaller ring, run a pseudo-Euclidean
-    loop on the primitive parts, recurse for the contents."""
-    var = max(f.variables_present() | g.variables_present())
-    if f.degree_in(var) == 0 or g.degree_in(var) == 0:
-        # var occurs in only one argument: gcd divides that one's content
-        a, b = (f, g) if g.degree_in(var) else (g, f)
-        return poly_gcd(a, _content_wrt(b, var))
-    cf = _content_wrt(f, var)
-    cg = _content_wrt(g, var)
-    cont = poly_gcd(cf, cg)
-    a = divide_exact(f, cf)
-    b = divide_exact(g, cg)
-    while not b.is_zero():
-        r = _pseudo_rem(a, b, var)
-        if not r.is_zero():
-            rc = _content_wrt(r, var)
-            r = divide_exact(r, rc)
-        a, b = b, r
-    return (cont * a).primitive()
+def _lcm_gcd(f: Polynomial, g: Polynomial) -> Polynomial:
+    """Gcd of two nonzero polynomials as f*g over their lcm, the sole
+    generator of the reduced basis of (f) & (g); bounded by `STEP_BUDGET`."""
+    (lcm,) = intersect(Ideal(f.arity, [f]), Ideal(g.arity, [g])).gens
+    return divide_exact(f * g, lcm).primitive()
 
 
 # -- public functions ---------------------------------------------------------------
@@ -230,7 +196,7 @@ def poly_gcd(f: Polynomial, g: Polynomial) -> Polynomial:
         return f.primitive()
     found = _heu_gcd(f.integer_primitive()[1], g.integer_primitive()[1])
     if found is None:
-        return _prs_gcd(f, g)
+        return _lcm_gcd(f, g)
     h = Polynomial._of(f.arity, {e: Fraction(c) for e, c in found.items()})
     return -h if h.leading_term(GREVLEX)[1] < 0 else h
 

@@ -111,34 +111,6 @@ class RationalFunction:
         a function on new_host."""
         return reduced_fraction(new_host, *compose_fraction(self.num, self.den, images))
 
-    # arithmetic stays raw; equality is ideal-aware
-    def __add__(self, other):
-        other = self._coerce(other)
-        return RationalFunction(self.host, self.num * other.den + other.num * self.den, self.den * other.den)
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        return RationalFunction(self.host, self.num * other.den - other.num * self.den, self.den * other.den)
-
-    def __mul__(self, other):
-        other = self._coerce(other)
-        return RationalFunction(self.host, self.num * other.num, self.den * other.den)
-
-    def __truediv__(self, other):
-        other = self._coerce(other)
-        if self.host.ideal.contains(other.num):
-            raise ZeroDenominator("division by a function vanishing on the host")
-        return RationalFunction(self.host, self.num * other.den, self.den * other.num)
-
-    def _coerce(self, other):
-        if isinstance(other, RationalFunction):
-            if other.host.names != self.host.names:
-                raise ValueError("rational functions on different hosts")
-            return other
-        if isinstance(other, Polynomial):
-            return RationalFunction(self.host, other)
-        return RationalFunction(self.host, Polynomial.constant(self.host.arity, other))
-
     def __repr__(self):
         return fraction_text(self)
 

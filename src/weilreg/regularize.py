@@ -2,18 +2,20 @@
 variety: present the subalgebra generated by the orbit of the coordinate
 functions, and transport the action to the presented model, where it becomes
 regular.
+
+G permutes the orbit generators: the pullback of x_i o rho_h along rho_g is
+x_i o rho_hg, so the model action is read off the group table.  The checks
+that the action preserves the presentation, obeys the table and matches the
+input action through the presentation morphism certify the result.
 """
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 
-from .errors import NotAnAction, NotInSpan, RoundTripFailure
+from .errors import NotAnAction, RoundTripFailure
 from .ideals import Ideal, eliminate, saturate
-from .linalg import solve_linear
 from .maps import RationalMap, _pair_inverses, make_rational_map
 from .orders import GREVLEX
 from .poly import Polynomial
-from .polygcd import divide_exact
 from .ratfunc import RationalFunction, compose_fraction
 from .varieties import AffineVariety
 
@@ -30,12 +32,14 @@ class RegularModel:
     generators: list = field(default_factory=list)  # stable generators (functions on the space)
 
 
-def stable_generators(action) -> list:
+def stable_generators(action):
     """Orbit of the coordinate functions under the element pullbacks, with
     duplicates removed; spans a stable space containing the coordinates.
 
-    Order is element-major: all pullbacks along the identity first (the
-    coordinates themselves), then per group element in table order.
+    Returns (gens, orbit) where orbit[(g, i)] = l means gens[l] equals
+    x_i o rho_g.  Order is element-major: all pullbacks along the identity
+    first (the coordinates themselves), then per group element in table
+    order.
     """
     if not action.is_finite:
         raise NotAnAction("finite", "stable generators exist for finite groups only")
@@ -43,13 +47,17 @@ def stable_generators(action) -> list:
     if not X.irreducible:
         raise NotAnAction("irreducible", "the space must be irreducible")
     gens = []
+    orbit = {}
     for g in action.group.elements:
         element_map = action.element_map(g)
-        for f in element_map.reps[0]:
+        for i, f in enumerate(element_map.reps[0]):
             candidate = f.simplified()
-            if not any(candidate.equals(seen) for seen in gens):
+            l = next((k for k, seen in enumerate(gens) if candidate.equals(seen)), None)
+            if l is None:
+                l = len(gens)
                 gens.append(candidate)
-    return gens
+            orbit[(g, i)] = l
+    return gens, orbit
 
 
 def _model_names(space: AffineVariety, count: int):
@@ -103,57 +111,33 @@ def present_subalgebra(space: AffineVariety, gens):
     return model, psi, psi_inv
 
 
-def _express_in_span(space: AffineVariety, gens, target: RationalFunction):
-    """Write target as c0 + sum c_l * gens[l] in the function field, solving
-    an exact linear system; None when no combination exists."""
-    common = Polynomial.one(space.arity)
-    for f in gens:
-        common = common * f.den
-    cofactors = [divide_exact(common, f.den) for f in gens]
-    base = space.ideal.normal_form(target.num * common)
-    cols = [space.ideal.normal_form(target.den * common)]
-    cols += [space.ideal.normal_form(target.den * f.num * cof) for f, cof in zip(gens, cofactors)]
-    monomials = set(base.terms)
-    for c in cols:
-        monomials |= set(c.terms)
-    monomials = sorted(monomials)
-    rows = [[c.terms.get(m, Fraction(0)) for c in cols] for m in monomials]
-    rhs = [base.terms.get(m, Fraction(0)) for m in monomials]
-    return solve_linear(rows, rhs)
-
-
-def induced_regular_action(model: AffineVariety, action, gens) -> dict:
+def induced_regular_action(model: AffineVariety, action, orbit) -> dict:
     """Coordinate tuples of the regular action on the presented model.
 
-    Each generator's pullback along an element map is located in the orbit
-    list, or expressed as an exact linear combination of the generators
-    and 1; a pullback escaping the span signals an upstream bug.
+    G permutes the orbit generators as the group table says: generator l is
+    x_i o rho_h for its first key (h, i) in orbit, and its pullback along
+    rho_g is x_i o rho_hg, so mu_g sends u_l to u_orbit[(hg, i)].  The
+    checks certify the result: here, that it preserves the presentation and
+    obeys the group table; in `regularize_finite`, that it matches the input
+    action through the presentation morphism.
     """
-    X = action.space
-    count = len(gens)
+    table = action.group.table
+    first = {}
+    for key, l in orbit.items():
+        first.setdefault(l, key)
+    count = model.arity
     result = {}
     for g in action.group.elements:
-        images = [f.fraction_pair() for f in action.element_map(g).reps[0]]
         coords = []
-        for f in gens:
-            pulled = f.substitute(images, X)
-            l = next((k for k, h in enumerate(gens) if pulled.equals(h)), None)
-            if l is not None:
-                coords.append(Polynomial.variable(count, l))
-                continue
-            combo = _express_in_span(X, gens, pulled)
-            if combo is None:
-                raise NotInSpan(f"pullback of a generator along {g} escapes the stable span")
-            poly = Polynomial.constant(count, combo[0])
-            for k in range(count):
-                poly = poly + Polynomial.variable(count, k).scale(combo[k + 1])
-            coords.append(poly)
+        for l in range(count):
+            h, i = first[l]
+            coords.append(Polynomial.variable(count, orbit[(table[(h, g)], i)]))
         result[g] = tuple(coords)
-    _verify_induced_action(model, action, gens, result)
+    _verify_induced_action(model, action, result)
     return result
 
 
-def _verify_induced_action(model, action, gens, endos):
+def _verify_induced_action(model, action, endos):
     group = action.group
     J = model.ideal
     for g, coords in endos.items():
@@ -188,8 +172,8 @@ def _verify_equivariance(model, action, psi, endos):
 
 def regularize_finite(action) -> RegularModel:
     """Full pipeline: stable generators, presentation, induced action, checks."""
-    gens = stable_generators(action)
+    gens, orbit = stable_generators(action)
     model, psi, psi_inv = present_subalgebra(action.space, gens)
-    endos = induced_regular_action(model, action, gens)
+    endos = induced_regular_action(model, action, orbit)
     _verify_equivariance(model, action, psi, endos)
     return RegularModel(model, endos, psi, psi_inv, gens)

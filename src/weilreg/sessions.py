@@ -30,7 +30,6 @@ from .errors import (
     NotAnAction,
     NotBirational,
     NotFPower,
-    NotInSpan,
     NotRegularOnSample,
     EmptyLocus,
     NonPolynomialResidue,
@@ -63,7 +62,6 @@ _FAIL_ERRORS = (
     NotAnAction,
     NotBirational,
     NotFPower,
-    NotInSpan,
     NotRegularOnSample,
     EmptyLocus,
     NonPolynomialResidue,

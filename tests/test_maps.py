@@ -238,6 +238,20 @@ def test_inverse_of_a_paired_map_is_its_partner(chart, rho1, monkeypatch):
     assert not closures
 
 
+def test_an_involution_pairs_with_itself_after_one_round_trip(monkeypatch):
+    line = affine_space(["x"])
+    trips = []
+    real = weilreg.maps._roundtrip_is_identity
+    monkeypatch.setattr(weilreg.maps, "_roundtrip_is_identity", lambda a, b: trips.append(1) or real(a, b))
+    flip = rational_map(line, line, ("1/x",))
+    _pair_inverses(flip, flip, RoundTripFailure("not an involution"))
+    assert inverse(flip) is flip and len(trips) == 1
+    doubling = rational_map(line, line, ("2*x",))
+    with pytest.raises(RoundTripFailure):
+        _pair_inverses(doubling, doubling, RoundTripFailure("not an involution"))
+    assert doubling._inverse is None
+
+
 def _inverse_assignments(node, func=None):
     """(enclosing function, assigned value) for each assignment to an
     attribute named _inverse, tuple targets included."""

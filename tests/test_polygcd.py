@@ -8,12 +8,15 @@ where it is installed.
 """
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
 from weilreg import GREVLEX, Polynomial
 from weilreg import polygcd
+from weilreg.errors import BudgetExceeded
+from weilreg.ideals import STEP_BUDGET
 from weilreg.polygcd import divide_exact, poly_gcd, squarefree_part, squarefree_part_degree
 
 from oracles import random_polynomial
@@ -91,14 +94,16 @@ def prs_gcd(f, g):
 # -- inputs ---------------------------------------------------------------------------
 
 
-def gcd_pairs(seed, count=60):
+def gcd_pairs(seed, count=60, max_terms=None):
     """Seeded (f, g) pairs at arity 1-4: unrelated pairs, and (a*c, b*c) with
-    a common factor c, with rational coefficients."""
+    a common factor c, with rational coefficients.  Each factor draws up to
+    max_terms terms (default 2 + 2**arity)."""
     rng = random.Random(seed)
     for i in range(count):
         arity = 1 + i % 4
+        terms = 2 + 2**arity if max_terms is None else max_terms
         # random_polynomial drops the drawn terms of degree above 3: most of them at arity 4
-        a, b, c = (random_polynomial(rng, arity, 3, max_terms=2 + 2**arity, coeff_bound=9) for _ in range(3))
+        a, b, c = (random_polynomial(rng, arity, 3, max_terms=terms, coeff_bound=9) for _ in range(3))
         yield a, b
         scale = Fraction(rng.randrange(1, 20), rng.randrange(1, 20))
         yield (a * c).scale(scale), b * c
@@ -113,11 +118,39 @@ def test_gcd_equals_the_pseudo_remainder_reference(seed):
 def test_fallback_gives_the_same_gcd(monkeypatch):
     monkeypatch.setattr(polygcd, "HEU_TRIES", 0)
     calls = []
-    prs = polygcd._prs_gcd
-    monkeypatch.setattr(polygcd, "_prs_gcd", lambda f, g: calls.append(1) or prs(f, g))
+    fallback = polygcd._lcm_gcd
+    monkeypatch.setattr(polygcd, "_lcm_gcd", lambda f, g: calls.append(1) or fallback(f, g))
     for f, g in gcd_pairs(4, count=20):
         assert poly_gcd(f, g) == prs_gcd(f, g), (f, g)
     assert calls  # the heuristic made no try, so the fallback ran
+
+
+def _large_pair():
+    """Pair 5 of the seed-1 stream with up to 68 terms per factor: arity 3,
+    75 and 52 terms, with a common cubic factor."""
+    f, g = list(gcd_pairs(1, count=3, max_terms=68))[5]
+    assert (f.arity, len(f.terms), len(g.terms)) == (3, 75, 52)
+    return f, g
+
+
+def test_fallback_gives_the_heuristic_gcd_of_a_large_pair_quickly(monkeypatch):
+    f, g = _large_pair()
+    expected = poly_gcd(f, g)
+    monkeypatch.setattr(polygcd, "HEU_TRIES", 0)
+    start = time.perf_counter()
+    assert poly_gcd(f, g) == expected
+    assert time.perf_counter() - start < 1
+
+
+def test_fallback_is_bounded_by_the_step_budget(monkeypatch):
+    f, g = _large_pair()
+    monkeypatch.setattr(polygcd, "HEU_TRIES", 0)
+    token = STEP_BUDGET.set(1)
+    try:
+        with pytest.raises(BudgetExceeded):
+            poly_gcd(f, g)
+    finally:
+        STEP_BUDGET.reset(token)
 
 
 def test_exact_division_returns_the_cofactor_or_none():

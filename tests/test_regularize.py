@@ -10,11 +10,14 @@ from weilreg.actions import (
     restrict_to_regular_locus,
     specialize,
 )
+import weilreg.actions
 import weilreg.atlas
 import weilreg.ideals
 import weilreg.maps
+import weilreg.ratfunc
+import weilreg.regularize
 from weilreg.atlas import Atlas, build_atlas, check_atlas
-from weilreg.errors import ZeroDenominator
+from weilreg.errors import NotAnAction, ZeroDenominator
 from weilreg.groups import additive_group, cyclic_group_2, multiplicative_group, product_group
 from weilreg.maps import (
     RationalMap,
@@ -75,7 +78,7 @@ def blowup_action():
 
 
 def test_stable_generators_cremona(plane, cremona_action):
-    gens = stable_generators(cremona_action)
+    gens, orbit = stable_generators(cremona_action)
     expected = ["x", "y", "1/x", "1/y"]
     assert len(gens) == 4
     for f, text in zip(gens, expected):
@@ -83,14 +86,14 @@ def test_stable_generators_cremona(plane, cremona_action):
 
 
 def test_stable_generators_swap_closes_on_coordinates(plane, swap_action):
-    gens = stable_generators(swap_action)
+    gens, orbit = stable_generators(swap_action)
     assert len(gens) == 2
     assert gens[0].equals(RationalFunction.parse(plane, "x"))
     assert gens[1].equals(RationalFunction.parse(plane, "y"))
 
 
 def test_stable_generators_half_cremona(plane, half_cremona_action):
-    gens = stable_generators(half_cremona_action)
+    gens, orbit = stable_generators(half_cremona_action)
     texts = ["x", "y", "1/x"]
     assert len(gens) == 3
     for f, text in zip(gens, texts):
@@ -101,7 +104,7 @@ def test_stable_generators_half_cremona(plane, half_cremona_action):
 
 
 def test_present_subalgebra_cremona_gives_torus(plane, cremona_action):
-    gens = stable_generators(cremona_action)
+    gens, orbit = stable_generators(cremona_action)
     model, psi, psi_inv = present_subalgebra(plane, gens)
     assert model.names == ("u1", "u2", "u3", "u4")
     expected = Ideal(4, [parse_polynomial(t, model.names) for t in ("u1*u3-1", "u2*u4-1")])
@@ -111,14 +114,14 @@ def test_present_subalgebra_cremona_gives_torus(plane, cremona_action):
 
 
 def test_present_subalgebra_swap_is_identity_presentation(plane, swap_action):
-    gens = stable_generators(swap_action)
+    gens, orbit = stable_generators(swap_action)
     model, psi, psi_inv = present_subalgebra(plane, gens)
     assert model.ideal.gens == ()
     assert model.arity == 2
 
 
 def test_present_subalgebra_half_cremona(plane, half_cremona_action):
-    gens = stable_generators(half_cremona_action)
+    gens, orbit = stable_generators(half_cremona_action)
     model, psi, psi_inv = present_subalgebra(plane, gens)
     expected = Ideal(3, [parse_polynomial("u1*u3-1", model.names)])
     assert model.ideal == expected
@@ -128,9 +131,9 @@ def test_present_subalgebra_half_cremona(plane, half_cremona_action):
 
 
 def test_induced_action_cremona_swaps_pairs(plane, cremona_action):
-    gens = stable_generators(cremona_action)
+    gens, orbit = stable_generators(cremona_action)
     model, psi, psi_inv = present_subalgebra(plane, gens)
-    endos = induced_regular_action(model, cremona_action, gens)
+    endos = induced_regular_action(model, cremona_action, orbit)
     u = [Polynomial.variable(4, i) for i in range(4)]
     assert endos["sig"] == (u[2], u[3], u[0], u[1])
     assert endos["e"] == (u[0], u[1], u[2], u[3])
@@ -139,17 +142,17 @@ def test_induced_action_cremona_swaps_pairs(plane, cremona_action):
 
 
 def test_induced_action_swap(plane, swap_action):
-    gens = stable_generators(swap_action)
+    gens, orbit = stable_generators(swap_action)
     model, _, _ = present_subalgebra(plane, gens)
-    endos = induced_regular_action(model, swap_action, gens)
+    endos = induced_regular_action(model, swap_action, orbit)
     u = [Polynomial.variable(2, i) for i in range(2)]
     assert endos["sw"] == (u[1], u[0])
 
 
 def test_induced_action_half_cremona(plane, half_cremona_action):
-    gens = stable_generators(half_cremona_action)
+    gens, orbit = stable_generators(half_cremona_action)
     model, _, _ = present_subalgebra(plane, gens)
-    endos = induced_regular_action(model, half_cremona_action, gens)
+    endos = induced_regular_action(model, half_cremona_action, orbit)
     u = [Polynomial.variable(3, i) for i in range(3)]
     assert endos["s2"] == (u[2], u[1], u[0])
 
@@ -178,6 +181,33 @@ def test_regularize_half_cremona(plane, half_cremona_action):
     assert result.model.ideal == Ideal(3, [parse_polynomial("u1*u3-1", result.model.names)])
     u = [Polynomial.variable(3, i) for i in range(3)]
     assert result.action_on_model["s2"] == (u[2], u[1], u[0])
+
+
+@pytest.mark.parametrize("name", ["cremona_action", "swap_action", "half_cremona_action"])
+def test_induced_action_substitutes_nothing(name, plane, request, monkeypatch):
+    action = request.getfixturevalue(name)
+    gens, orbit = stable_generators(action)
+    model, _, _ = present_subalgebra(plane, gens)
+    reductions = _spy(monkeypatch, "reduced_fraction", module=weilreg.ratfunc)
+    comparisons = _spy(monkeypatch, "equals", module=RationalFunction)
+    endos = induced_regular_action(model, action, orbit)
+    assert set(endos) == set(action.group.elements)
+    assert reductions == [] and comparisons == []
+
+
+@pytest.mark.parametrize("name, g", [("cremona_action", "sig"), ("swap_action", "sw")])
+def test_corrupted_orbit_is_caught(name, g, request, monkeypatch):
+    action = request.getfixturevalue(name)
+    real = stable_generators
+
+    def corrupted(act):
+        gens, orbit = real(act)
+        orbit[(g, 0)], orbit[(g, 1)] = orbit[(g, 1)], orbit[(g, 0)]
+        return gens, orbit
+
+    monkeypatch.setattr(weilreg.regularize, "stable_generators", corrupted)
+    with pytest.raises(NotAnAction):
+        regularize_finite(action)
 
 
 # -- atlases ---------------------------------------------------------------------------------
@@ -424,3 +454,10 @@ def test_symmetry_check_catches_a_wrong_transition(blowup_action):
     atlas.transitions[(1, 0)] = specialize(blowup_action, (2,))
     symmetry = weilreg.atlas._check_symmetry(atlas)
     assert symmetry == {"passed": False, "failures": [[0, 1], [1, 0]]}
+
+
+def test_specialize_at_an_involution_pairs_one_map_with_itself(blowup_action, monkeypatch):
+    raw = _spy(monkeypatch, "_specialize_raw", module=weilreg.actions)
+    m = specialize(blowup_action, (0,))
+    assert len(raw) == 1
+    assert inverse(m) is m
