@@ -79,6 +79,21 @@ def tokenize(text: str, line_offset: int = 1):
     return tokens
 
 
+class SourceExpr(str):
+    """The text of an expression read out of a longer token stream, such as a
+    session, together with the tokens it was read from, closed by an EOF
+    token where the expression ended.  `parse_fraction` parses those tokens,
+    so its errors give positions in the whole stream, not in the text."""
+
+    def __new__(cls, text: str, tokens):
+        self = super().__new__(cls, text)
+        self.tokens = tuple(tokens)
+        return self
+
+    def __getnewargs__(self):
+        return str(self), self.tokens
+
+
 class TokenStream:
     def __init__(self, tokens):
         self.tokens = tokens
@@ -189,7 +204,7 @@ class FractionExprParser:
 
 def parse_fraction(text: str, names):
     """(numerator, denominator) of the expression over the named variables."""
-    stream = TokenStream(tokenize(text))
+    stream = TokenStream(text.tokens if isinstance(text, SourceExpr) else tokenize(text))
     parser = FractionExprParser(stream, names)
     num, den = parser.parse()
     tok = stream.peek()

@@ -8,16 +8,28 @@ pops in exactly the order a scan for the minimum would pick.  A cap on
 processed S-pairs, read from the `STEP_BUDGET` context variable, turns
 intractable instances into a BudgetExceeded error instead of a hang; a caller
 sets it for its own context without touching any process-wide value.
+
+The basis is held as integer divisor records (lead, lc, tail) of primitive
+polynomials with positive leads, and every reduction runs on the
+fraction-free kernel of `poly`.  An S-polynomial is the integer combination
+(lc_g/d)*x^m_f*f - (lc_f/d)*x^m_g*g with d = gcd(lc_f, lc_g), and a nonzero
+remainder is made primitive.  Minimalisation and inter-reduction stay on
+integers too; one monic Fraction basis is emitted at the end.  A
+fraction-free remainder is a positive multiple of the remainder over Q, with
+the same primitive part, so every lead, every pair, the step count and the
+reduced basis are those of the same algorithm run over Q.
 """
 
 import threading
 from contextvars import ContextVar
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
+from math import gcd
+from operator import add, ge, sub
 
 from .errors import ArityMismatch, BudgetExceeded
 from .orders import GREVLEX, MonomialOrder, block_order
-from .poly import Polynomial
+from .poly import Polynomial, _primitive_terms, _record, _reduce_terms
 
 DEFAULT_MAX_STEPS = 200_000
 
@@ -57,42 +69,53 @@ def divide_with_quotients(f: Polynomial, divisors, order: MonomialOrder = GREVLE
 # -- Buchberger ---------------------------------------------------------------
 
 
-def _s_polynomial(f, g, order):
-    (ef, cf) = f.leading_term(order)
-    (eg, cg) = g.leading_term(order)
-    lcm = tuple(max(a, b) for a, b in zip(ef, eg))
-    mf = tuple(l - a for l, a in zip(lcm, ef))
-    mg = tuple(l - b for l, b in zip(lcm, eg))
-    return f.mul_term(mf, Fraction(1) / cf) - g.mul_term(mg, Fraction(1) / cg)
+def _s_polynomial(f, g):
+    """(lc_g/d)*x^m_f*f - (lc_f/d)*x^m_g*g for two divisor records, d the gcd
+    of their leading coefficients; the leads cancel, so only the tails enter."""
+    (ef, cf, tf), (eg, cg, tg) = f, g
+    lcm = tuple(map(max, ef, eg))
+    mf = tuple(map(sub, lcm, ef))
+    mg = tuple(map(sub, lcm, eg))
+    d = gcd(cf, cg)
+    a, b = cg // d, cf // d
+    s = {tuple(map(add, e, mf)): a * c for e, c in tf}
+    for e, c in tg:
+        e = tuple(map(add, e, mg))
+        c = s.get(e, 0) - b * c
+        if c:
+            s[e] = c
+        else:
+            del s[e]
+    return s
 
 
-def _reduced_basis(basis, order):
-    basis = [g.monic(order) for g in basis if not g.is_zero()]
+def _reduced_basis(records, order, arity):
+    key = order.key
     # minimal: drop generators whose lead is divisible by another's
-    basis.sort(key=lambda g: order.key(g.leading_term(order)[0]))
     minimal = []
-    for g in basis:
-        eg = g.leading_term(order)[0]
-        if any(all(a >= b for a, b in zip(eg, h.leading_term(order)[0])) for h in minimal):
-            continue
-        minimal.append(g)
+    for rec in sorted(records, key=lambda rec: key(rec[0])):
+        if not any(all(map(ge, rec[0], h[0])) for h in minimal):
+            minimal.append(rec)
     # inter-reduce tails
     changed = True
     while changed:
         changed = False
         for i in range(len(minimal)):
-            others = minimal[:i] + minimal[i + 1:]
-            r = reduce_full(minimal[i], others, order)
-            if r.is_zero():
+            lead, lc, tail = minimal[i]
+            terms = {lead: lc, **dict(tail)}
+            r = _reduce_terms(dict(terms), minimal[:i] + minimal[i + 1:], order)[0]
+            if not r:
                 del minimal[i]
                 changed = True
                 break
-            r = r.monic(order)
-            if r != minimal[i]:
-                minimal[i] = r
+            first = next(iter(r))  # the kernel emits the remainder in descending order
+            r = _primitive_terms(r, first)
+            if r != terms:
+                minimal[i] = _record(r, first)
                 changed = True
-    minimal.sort(key=lambda g: order.key(g.leading_term(order)[0]), reverse=True)
-    return tuple(minimal)
+    minimal.sort(key=lambda rec: key(rec[0]), reverse=True)
+    return tuple(Polynomial._of(arity, {lead: Fraction(1), **{e: Fraction(c, lc) for e, c in tail}})
+                 for lead, lc, tail in minimal)
 
 
 def buchberger(generators, order: MonomialOrder = GREVLEX, max_steps=None):
@@ -101,17 +124,21 @@ def buchberger(generators, order: MonomialOrder = GREVLEX, max_steps=None):
     `max_steps` caps the S-pairs processed; by default the cap is the
     current context's `STEP_BUDGET`."""
     limit = STEP_BUDGET.get() if max_steps is None else max_steps
-    gens = [g.primitive(order) for g in generators if not g.is_zero()]
-    seen = set()
-    basis = []
-    for g in sorted(gens, key=lambda g: g.sort_key(order)):
-        if g not in seen:
-            seen.add(g)
-            basis.append(g)
-    if not basis:
-        return ()
-    leads = [g.leading_term(order)[0] for g in basis]
     key = order.key
+    # each distinct generator, primitive with a positive lead, as its terms
+    # (key, coefficient, exponents) in descending order; sorting these is
+    # sorting by `Polynomial.sort_key`
+    distinct = set()
+    for g in generators:
+        if g.terms:
+            terms = sorted(((key(e), c, e) for e, c in g.integer_primitive()[1].items()), reverse=True)
+            sign = -1 if terms[0][1] < 0 else 1
+            distinct.add(tuple((k, sign * c, e) for k, c, e in terms))
+    if not distinct:
+        return ()
+    basis = [(terms[0][2], terms[0][1], [(e, c) for _, c, e in terms[1:]]) for terms in sorted(distinct)]
+    arity = len(basis[0][0])
+    leads = [lead for lead, _, _ in basis]
 
     def pair(i, j):
         lcm = tuple(map(max, leads[i], leads[j]))
@@ -146,17 +173,16 @@ def buchberger(generators, order: MonomialOrder = GREVLEX, max_steps=None):
                     break
         if skip:
             continue
-        s = _s_polynomial(basis[i], basis[j], order)
-        r = reduce_full(s, basis, order)
-        if r.is_zero():
+        r = _reduce_terms(_s_polynomial(basis[i], basis[j]), basis, order)[0]
+        if not r:
             continue
-        r = r.primitive(order)
-        basis.append(r)
-        leads.append(r.leading_term(order)[0])
+        lead = next(iter(r))  # the kernel emits the remainder in descending order
+        basis.append(_record(_primitive_terms(r, lead), lead))
+        leads.append(lead)
         t = len(basis) - 1
         for k in range(t):
             heappush(pairs, pair(k, t))
-    return _reduced_basis(basis, order)
+    return _reduced_basis(basis, order, arity)
 
 
 # -- the Ideal type -----------------------------------------------------------

@@ -4,17 +4,18 @@ A polynomial is immutable: an arity plus a mapping from exponent tuples to
 nonzero Fraction coefficients.  Term order is a view concern; sorted term
 lists are produced on demand for a given MonomialOrder.
 
-`Polynomial.divide` is the one multivariate division kernel over Q: normal
-forms and division with quotients run through it (exact division works on
-integer term dicts in `polygcd`).  It works on a private term dict that it
-mutates in place, and finds the largest remaining term with a min-heap of
-negated order keys.  Entries whose term was cancelled are skipped when they
-surface (lazy deletion), so each step costs one key per new term instead of
-a scan of the whole remainder.
+Multivariate division has one kernel, `_reduce_terms`, which is
+fraction-free and works on integer term dicts: `Fraction` stays at the
+`Polynomial` interface.  `divide`, and so every normal form, runs it on the
+integer-primitive parts of its arguments and scales the results back
+exactly; Buchberger in `ideals` calls it directly.  The kernel finds the
+largest remaining term with a min-heap of negated order keys; entries whose
+term was cancelled are skipped when they surface (lazy deletion).
 """
 
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
+from itertools import chain
 from math import gcd, lcm
 from operator import add, ge, neg, sub
 
@@ -202,47 +203,24 @@ class Polynomial:
         Each step divides the largest remaining term by the first divisor
         whose leading monomial divides it, or moves it to the remainder, so
         no remainder term is divisible by any lead.  Zero divisors are skipped
-        and get a zero quotient.
+        and get a zero quotient.  `_reduce_terms` does the work on the
+        integer-primitive parts; only its results are scaled back to Q.
         """
-        key = order.key
         active = []
         for i, g in enumerate(divisors):
             if g.terms:
-                lead, lc = g.leading_term(order)
-                active.append((i, lead, lc, [(e, c) for e, c in g.terms.items() if e != lead]))
-        p = dict(self.terms)
-        heap = [(tuple(map(neg, key(e))), e) for e in p]
-        heapify(heap)
-        quotients = [{} for _ in divisors]
-        remainder = {}
-        while heap:
-            exps = heappop(heap)[1]
-            coeff = p.pop(exps, None)
-            if coeff is None:  # cancelled after it was queued
-                continue
-            for i, lead, lc, tail in active:
-                if all(map(ge, exps, lead)):
-                    break
-            else:
-                remainder[exps] = coeff
-                continue
-            shift = tuple(map(sub, exps, lead))
-            q = coeff / lc
-            quotients[i][shift] = q
-            # every new term lies below exps, so no term popped so far comes back
-            for e, c in tail:
-                e = tuple(map(add, e, shift))
-                old = p.get(e)
-                if old is None:
-                    p[e] = -c * q
-                    heappush(heap, (tuple(map(neg, key(e))), e))
-                else:
-                    old -= c * q
-                    if old:
-                        p[e] = old
-                    else:
-                        del p[e]
-        return [Polynomial._of(self.arity, q) for q in quotients], Polynomial._of(self.arity, remainder)
+                content, terms = g.integer_primitive()
+                active.append((i, content, _record(terms, max(terms, key=order.key))))
+        content, terms = self.integer_primitive()
+        quotients = [{} for _ in active]
+        remainder, scale = _reduce_terms(terms, [record for _, _, record in active], order, quotients)
+        factor = content / scale
+        out = [{} for _ in divisors]
+        for (i, divisor_content, _), q in zip(active, quotients):
+            q_factor = factor / divisor_content
+            out[i] = {e: q_factor * c for e, c in q.items()}
+        return ([Polynomial._of(self.arity, q) for q in out],
+                Polynomial._of(self.arity, {e: factor * c for e, c in remainder.items()}))
 
     # -- normalisation -----------------------------------------------------
 
@@ -370,6 +348,90 @@ class Polynomial:
     def __repr__(self):
         names = [f"x{i}" for i in range(self.arity)]
         return format_polynomial(self, names)
+
+
+# -- the fraction-free division kernel -------------------------------------------
+
+
+def _record(terms: dict, lead) -> tuple:
+    """Divisor record (lead, lc, tail) of a nonzero integer term dict."""
+    return lead, terms[lead], [(e, c) for e, c in terms.items() if e != lead]
+
+
+def _primitive_terms(terms: dict, lead) -> dict:
+    """A nonzero integer term dict divided by its content, lead made positive."""
+    content = gcd(*terms.values())
+    if terms[lead] < 0:
+        content = -content
+    return terms if content == 1 else {e: c // content for e, c in terms.items()}
+
+
+def _reduce_terms(p: dict, divisors, order: MonomialOrder, quotients=None):
+    """Fraction-free division of the integer term dict p, which it consumes,
+    by integer divisor records (lead, lc, tail).
+
+    Returns (remainder, s) with s*p == sum(q_i*D_i) + remainder, s a positive
+    rational; the q_i are written into `quotients` (one dict per record) when
+    it is given.  The remainder's terms come out in descending order.
+
+    Each step takes the largest remaining term c*x^e and the first divisor
+    whose lead divides it.  With d = gcd(c, lc) and m = |lc|/d, everything
+    kept (the rest of p, the remainder, the quotients) is multiplied by m and
+    (c/d)*x^shift*tail, signed so that the lead cancels, is subtracted.  After
+    such a rescale the common content is divided out again (fraction-free
+    reduction; Geddes, Czapor and Labahn, *Algorithms for Computer Algebra*,
+    1992, ch. 2).  Every state is a positive multiple of the state of the
+    same division over Q, so the steps are the same and the results differ
+    from it only by the scale s.
+    """
+    key = order.key
+    heap = [(tuple(map(neg, key(e))), e) for e in p]
+    heapify(heap)
+    remainder = {}
+    parts = [p, remainder] if quotients is None else [p, remainder, *quotients]
+    num = den = 1
+    while heap:
+        exps = heappop(heap)[1]
+        coeff = p.pop(exps, None)
+        if coeff is None:  # cancelled after it was queued
+            continue
+        for i, (lead, lc, tail) in enumerate(divisors):
+            if all(map(ge, exps, lead)):
+                break
+        else:
+            remainder[exps] = coeff
+            continue
+        d = gcd(coeff, lc)
+        m, k = abs(lc) // d, coeff // d if lc > 0 else -coeff // d
+        if m != 1:
+            for part in parts:
+                for e in part:
+                    part[e] *= m
+            num *= m
+        shift = tuple(map(sub, exps, lead))
+        if quotients is not None:
+            quotients[i][shift] = k
+        # every new term lies below exps, so no term popped so far comes back
+        for e, c in tail:
+            e = tuple(map(add, e, shift))
+            old = p.get(e)
+            if old is None:
+                p[e] = -c * k
+                heappush(heap, (tuple(map(neg, key(e))), e))
+            else:
+                old -= c * k
+                if old:
+                    p[e] = old
+                else:
+                    del p[e]
+        if m != 1:
+            content = gcd(*chain.from_iterable(map(dict.values, parts)))
+            if content > 1:
+                for part in parts:
+                    for e in part:
+                        part[e] //= content
+                den *= content
+    return remainder, Fraction(num, den)
 
 
 def format_polynomial(p: Polynomial, names, order: MonomialOrder = GREVLEX) -> str:

@@ -53,8 +53,10 @@ def _quotient(f: dict, g: dict):
     """f/g for nonzero integer term dicts when g divides f in Z[x], else None.
 
     Divides the largest remaining term (lexicographic order, which is plain
-    tuple order) by g's leading term, with the lazy-deletion heap of
-    `Polynomial.divide`; the first term that does not divide ends it."""
+    tuple order) by g's leading term, with the lazy-deletion heap of the
+    division kernel `poly._reduce_terms`.  Exact division in Z[x] never
+    rescales and stops at the first term that does not divide, so it keeps
+    this loop rather than the kernel's rescaling one."""
     lead = max(g)
     lc = g[lead]
     tail = [(e, c) for e, c in g.items() if e != lead]

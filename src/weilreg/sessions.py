@@ -36,7 +36,7 @@ from .errors import (
     RoundTripFailure,
     SliceNotRegular,
 )
-from .exprparse import FractionExprParser, TokenStream, parse_fraction, tokenize
+from .exprparse import FractionExprParser, SourceExpr, Token, TokenStream, parse_fraction, tokenize
 from .groups import additive_group, finite_group, multiplicative_group, product_group
 from .ideals import Ideal
 from .maps import (
@@ -235,7 +235,7 @@ class SessionAST:
 
 def _expr_text(tokens):
     """The expression's tokens joined without spaces, except one between
-    adjacent words, so that "x y" stays two tokens when parsed again."""
+    adjacent words, so that "x y" stays two tokens in a printed session."""
     text = tokens[0].text
     for prev, tok in zip(tokens, tokens[1:]):
         if prev.kind in ("IDENT", "INT") and tok.kind in ("IDENT", "INT"):
@@ -332,7 +332,9 @@ class _SessionParser(TokenStream):
         return coords
 
     def expr(self):
-        """Text of the tokens up to an unparenthesised ',' or ')'; no newlines inside."""
+        """The tokens up to an unparenthesised ',' or ')' as a `SourceExpr`, so
+        that errors found when it is parsed point into the session; no
+        newlines inside."""
         depth = 0
         tokens = []
         while True:
@@ -350,7 +352,7 @@ class _SessionParser(TokenStream):
             tokens.append(self.next())
         if not tokens:
             raise SessionSyntaxError("expected an expression", tok.line, tok.column, ("INT", "IDENT", "("))
-        return _expr_text(tokens)
+        return SourceExpr(_expr_text(tokens), (*tokens, Token("EOF", "", tok.line, tok.column)))
 
     def exprs(self):
         return self.paren_list(self.expr)

@@ -6,6 +6,7 @@ mutual membership, locus equalities are radical membership where stated.
 
 import functools
 import json
+import os
 import subprocess
 import sys
 import time
@@ -281,10 +282,12 @@ def test_criterion_8_pointwise_laws():
 def test_criterion_9_cli_golden():
     fixtures = ["cremona", "blowup_xreg", "blowup_closedgraph", "blowup_atlas",
                 "action_laws", "certify"]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     for name in fixtures:
         result = subprocess.run(
             [sys.executable, "-m", "weilreg.cli", "run", str(ROOT / "sessions" / f"{name}.wr")],
-            capture_output=True, text=True, cwd=ROOT,
+            capture_output=True, text=True, cwd=ROOT, env=env,
         )
         assert result.returncode == 0, result.stderr
         doc = json.loads(result.stdout)

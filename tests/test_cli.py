@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -20,9 +21,9 @@ FIXTURES = [
 
 
 def run_cli(*args, env=None):
-    import os
-
     merged = dict(os.environ)
+    # this checkout's src first, so that the package need not be installed
+    merged["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), merged.get("PYTHONPATH")]))
     if env:
         merged.update(env)
     return subprocess.run(

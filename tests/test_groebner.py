@@ -82,7 +82,7 @@ def test_block_order_elimination_torus_presentation():
 def test_buchberger_criterion_all_s_polynomials_reduce_to_zero():
     I = ideal(["x", "y", "z"], "x^2+y", "x*y+z", "y*z-x")
     basis = list(I.groebner_basis(GREVLEX))
-    from weilreg.ideals import _s_polynomial
+    from reference_groebner import _s_polynomial
 
     for i in range(len(basis)):
         for j in range(i):

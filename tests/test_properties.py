@@ -11,11 +11,12 @@ from fractions import Fraction
 import pytest
 
 from weilreg import GREVLEX, Ideal, Polynomial, eliminate, radical_membership, saturate
-from weilreg.ideals import _s_polynomial, reduce_full
+from weilreg.ideals import reduce_full
 from weilreg.orders import LEX
 from weilreg.poly import Polynomial
 
 from oracles import random_polynomial, sylvester_resultant
+from reference_groebner import _s_polynomial
 
 
 def check_buchberger_criterion(basis):

@@ -273,6 +273,19 @@ def test_adjacent_words_in_an_expression_stay_apart(decl, text, trailing):
     assert f"trailing input {trailing}" in record["payload"]["message"]
 
 
+@pytest.mark.parametrize("session, line, column, trailing", [
+    ("var x y\nvariety X = affine(x, y)\nmap m : X -> X = (x y, x)\n", 3, 21, "'y'"),
+    ("var x y\nvariety X = affine(x, y)\nvariety Y = affine(x, y)/(x*y - 1, 2 x)\n", 3, 38, "'x'"),
+    ("var a y v\nvariety P = affine(a, y)\nvariety T = affine(v)\nmap F : P -> T = ((a*y^2+y)/y)\n"
+     "cmd certify F wrt (a) f=(y 2) samples=(0, 1)\n", 5, 28, "'2'"),
+])
+def test_errors_inside_an_expression_point_into_the_session(session, line, column, trailing):
+    record = run_session(parse_session(session))[-1]
+    assert record["status"] == "error"
+    assert record["payload"]["reason"] == "SessionSyntaxError"
+    assert f"trailing input {trailing} at line {line}, column {column};" in record["payload"]["message"]
+
+
 # -- reports --------------------------------------------------------------------------
 
 
