@@ -43,7 +43,7 @@ print("status at (-1, 0):", point_status(rho1, (-1, 0)))
 closed, witness = is_graph_closed(rho1)
 print("graph closed on the full chart:", closed)
 print("limit-point witness:", [format_polynomial(g, ['u', 't', "u'", "t'"]) for g in witness.gens])
-host = OpenSubset.principal_union(X, [X.poly("u")])
+host = OpenSubset(X, [X.poly("u")])
 closed_after, _ = is_graph_closed(rho1, host)
 print("graph closed after removing u = 0:", closed_after)
 

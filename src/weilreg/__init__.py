@@ -14,7 +14,6 @@ from .ideals import (  # noqa: F401
     eliminate,
     intersect,
     is_empty_variety,
-    normal_form,
     radical_membership,
     saturate,
 )

@@ -22,8 +22,8 @@ from .maps import (
     point_status,
 )
 from .poly import Polynomial
-from .ratfunc import RationalFunction, compose_fraction
-from .varieties import AffineVariety, OpenSubset, ProductAmbient
+from .ratfunc import RationalFunction, compose_poly, pullback
+from .varieties import AffineVariety, OpenSubset, ProductAmbient, format_point
 
 
 @dataclass
@@ -33,7 +33,6 @@ class GRegularLocus:
 
     locus: OpenSubset
     bad_ideals: list
-    tilde_complement: object  # Ideal (parametric) or {element: Ideal} (finite)
 
 
 class RationalAction:
@@ -59,9 +58,6 @@ class RationalAction:
     @property
     def is_restricted(self) -> bool:
         return not self.domain.is_all()
-
-    def element_map(self, g) -> RationalMap:
-        return specialize(self, g)
 
     def __repr__(self):
         kind = "finite" if self.is_finite else "parametric"
@@ -104,7 +100,8 @@ def _specialize_raw(action: RationalAction, point) -> RationalMap:
         try:
             coords = [f.substitute(images, X) for f in rep]
         except ZeroDenominator:
-            last_error = ZeroDenominator(f"denominators vanish identically at the group point {point}")
+            last_error = ZeroDenominator(
+                f"denominators vanish identically at the group point {format_point(point)}")
             continue
         return make_rational_map(X, X, [tuple(coords)])
     raise last_error
@@ -140,7 +137,7 @@ def _validate_identity_law(action: RationalAction):
     if not maps_equal(at_e, ident):
         k = next(i for i, (a, b) in enumerate(zip(at_e.reps[0], ident.reps[0])) if not a.equals(b))
         residue = at_e.reps[0][k].num - at_e.reps[0][k].den * Polynomial.variable(action.space.arity, k)
-        raise NotAnAction("identity", action.space.format(action.space.ideal.normal_form(residue)))
+        raise NotAnAction("identity", residue=action.space.format(action.space.ideal.normal_form(residue)))
 
 
 def _validate_associativity_law(action: RationalAction):
@@ -150,29 +147,29 @@ def _validate_associativity_law(action: RationalAction):
     big = ProductAmbient(G.variety, action.ambient.variety)
     arity = 2 * r + n
     big_ideal = big.variety.ideal
+    rho = action.rho.reps[0]
 
     def var(i):
         return (Polynomial.variable(arity, i), Polynomial.one(arity))
 
     inner_images = [var(r + i) for i in range(r)] + [var(2 * r + j) for j in range(n)]
-    inner = []
-    for f in action.rho.reps[0]:
-        num, den = compose_fraction(f.num, f.den, inner_images)
-        if big_ideal.contains(den):
-            raise NotAnAction("associativity", "inner substitution has identically zero denominator")
-        inner.append((num, den))
+    try:
+        inner = [pullback(big.variety, f.num, f.den, inner_images) for f in rho]
+    except ZeroDenominator:
+        raise NotAnAction("associativity", "inner substitution has identically zero denominator")
     lhs_images = [var(i) for i in range(r)] + inner
     mult_embedded = [m.embed(arity, list(range(2 * r))) for m in G.mult]
     rhs_images = [(m, Polynomial.one(arity)) for m in mult_embedded]
     rhs_images += [var(2 * r + j) for j in range(n)]
-    for k, f in enumerate(action.rho.reps[0]):
-        lnum, lden = compose_fraction(f.num, f.den, lhs_images)
-        rnum, rden = compose_fraction(f.num, f.den, rhs_images)
-        if big_ideal.contains(lden) or big_ideal.contains(rden):
+    for f in rho:
+        try:
+            lnum, lden = pullback(big.variety, f.num, f.den, lhs_images)
+            rnum, rden = pullback(big.variety, f.num, f.den, rhs_images)
+        except ZeroDenominator:
             raise NotAnAction("associativity", "law is not checkable with this representative")
         residue = big_ideal.normal_form(lnum * rden - rnum * lden)
         if not residue.is_zero():
-            raise NotAnAction("associativity", big.variety.format(residue.primitive()))
+            raise NotAnAction("associativity", residue=big.variety.format(residue.primitive()))
 
 
 def _validate_finite_action(action: RationalAction):
@@ -232,12 +229,6 @@ def lift_action(action: RationalAction, element=None):
     return action._tilde
 
 
-def _pullback_witness(witness: Polynomial, images):
-    """Numerator of the witness composed with coordinate fraction images."""
-    num, _ = compose_fraction(witness, Polynomial.one(witness.arity), images)
-    return num
-
-
 def tilde_biregular_locus(action: RationalAction) -> OpenSubset:
     """Biregular locus of the lifted map on the product, with the restriction
     witnesses (x in the domain, g.x in the domain) multiplied in."""
@@ -250,10 +241,8 @@ def tilde_biregular_locus(action: RationalAction) -> OpenSubset:
     witnesses = []
     for w in base.witnesses:
         for v in action.domain.witnesses:
-            v_emb = amb.embed_right(v)
-            v_pull = _pullback_witness(v, images)
-            witnesses.append(w * v_emb * v_pull)
-    return OpenSubset.principal_union(amb.variety, witnesses)
+            witnesses.append(w * amb.embed_right(v) * compose_poly(v, images)[0])
+    return OpenSubset(amb.variety, witnesses)
 
 
 def element_biregular_locus(action: RationalAction, g) -> OpenSubset:
@@ -266,8 +255,8 @@ def element_biregular_locus(action: RationalAction, g) -> OpenSubset:
     witnesses = []
     for w in base.witnesses:
         for v in action.domain.witnesses:
-            witnesses.append(w * v * _pullback_witness(v, images))
-    return OpenSubset.principal_union(action.space, witnesses)
+            witnesses.append(w * v * compose_poly(v, images)[0])
+    return OpenSubset(action.space, witnesses)
 
 
 def action_point_defined(action: RationalAction, g, x):
@@ -292,26 +281,23 @@ def g_regular_locus(action: RationalAction) -> GRegularLocus:
     X = action.space
     if action.is_finite:
         bad_ideals = []
-        complements = {}
         locus = OpenSubset.full(X)
         for g in action.group.elements:
             breg = element_biregular_locus(action, g)
             bad = Ideal(X.arity, breg.witnesses)
             bad = Ideal(X.arity, bad.groebner_basis())
             bad_ideals.append(bad)
-            complements[g] = bad
             locus = locus.intersect(breg)
         locus = locus.intersect(action.domain)
         if locus.is_empty():
             raise EmptyLocus("no G-regular points certified; supply more representatives")
-        result = GRegularLocus(locus, bad_ideals, complements)
+        result = GRegularLocus(locus, bad_ideals)
     else:
         if not action.group.variety.irreducible:
             raise NotAnAction("components", "parametric G-regular loci need an irreducible group")
         amb = action.ambient
         r, n = action.group.arity, X.arity
         breg = tilde_biregular_locus(action)
-        e_ideal = Ideal(amb.arity, breg.witnesses)
         group_ideal = Ideal(amb.arity, [amb.embed_left(g) for g in action.group.variety.ideal.gens])
         from .orders import block_order
 
@@ -323,11 +309,11 @@ def g_regular_locus(action: RationalAction) -> GRegularLocus:
                 coeffs.append(c.restrict(range(r, r + n)))
         bad = Ideal(n, coeffs)
         bad = Ideal(n, bad.groebner_basis())
-        locus = OpenSubset.principal_union(X, bad.gens if bad.gens else ())
+        locus = OpenSubset(X, bad.gens)
         locus = locus.intersect(action.domain)
         if locus.is_empty():
             raise EmptyLocus("no G-regular points certified; supply more representatives")
-        result = GRegularLocus(locus, [bad], e_ideal)
+        result = GRegularLocus(locus, [bad])
     action._xreg = result
     return result
 

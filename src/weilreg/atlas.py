@@ -18,7 +18,7 @@ Symmetry is certified by the exact round trip in both directions that
 that partner, and the check compares it with the reverse transition.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .actions import (
     RationalAction,
@@ -50,7 +50,6 @@ class Atlas:
     points: tuple  # group points; first is the identity
     transitions: dict  # (i, j) -> RationalMap from chart i to chart j
     elements: dict  # (i, j) -> group point g_j^-1 * g_i, whose element map is transition (i, j)
-    report: AtlasReport = field(default=None)
 
 
 def build_atlas(action: RationalAction, points=None) -> Atlas:
@@ -156,7 +155,6 @@ def _check_covering(atlas: Atlas) -> dict:
     action = atlas.action
     if action.is_finite:
         group = action.group
-        component_ideals = {}
         passed = True
         for g in group.elements:
             gens = []
@@ -164,11 +162,10 @@ def _check_covering(atlas: Atlas) -> dict:
                 h = group.multiply_points(group.inverse_element(gi), g)
                 gens.extend(element_biregular_locus(action, h).witnesses)
             ideal = Ideal(action.space.arity, gens)
-            component_ideals[g] = ideal
             for v in action.domain.witnesses:
                 if not saturate(ideal, v).is_unit():
                     passed = False
-        return {"passed": passed, "component_ideals": component_ideals}
+        return {"passed": passed}
     amb = action.ambient
     breg = tilde_biregular_locus(action)
     gens = []
@@ -188,11 +185,9 @@ def _check_covering(atlas: Atlas) -> dict:
 
 
 def check_atlas(atlas: Atlas) -> AtlasReport:
-    report = AtlasReport(
+    return AtlasReport(
         symmetry=_check_symmetry(atlas),
         cocycle=_check_cocycle(atlas),
         separated=_check_separated(atlas),
         covering=_check_covering(atlas),
     )
-    atlas.report = report
-    return report

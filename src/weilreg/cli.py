@@ -1,12 +1,11 @@
 """Command-line driver: run a session file and emit a report.
 
 weilreg run <session-file> [--format json|text] [--out <path>]
-            [--max-groebner-steps N] [--parallel] [--verbose]
+            [--max-groebner-steps N] [--verbose]
 
 Exit code is 0 iff no record has status "error"; the WEILREG_MAX_STEPS
 environment variable supplies the default step budget, which must not be
-negative.  Commands always run one after another; --parallel is accepted for
-compatibility and gives the same report as a run without it.
+negative.  Commands run one after another.
 """
 
 import argparse
@@ -27,8 +26,6 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--out", default=None, help="write the report here instead of stdout")
     run.add_argument("--max-groebner-steps", type=int, default=None,
                      help="cap on processed S-pairs per basis computation")
-    run.add_argument("--parallel", action="store_true",
-                     help="accepted for compatibility; commands always run sequentially")
     run.add_argument("--verbose", action="store_true",
                      help="echo each record's status to stderr as it completes")
     return parser

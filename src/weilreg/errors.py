@@ -69,12 +69,15 @@ class AxiomFailure(WeilregError):
 
 
 class NotAnAction(WeilregError):
-    """An action law failed; carries the offending residue polynomial."""
+    """An action law failed; carries the offending residue polynomial when
+    the failure is an identity that does not reduce to zero, else a reason."""
 
-    def __init__(self, law: str, residue=None):
+    def __init__(self, law: str, reason: str = None, residue=None):
         msg = f"action law violated: {law}"
         if residue is not None:
             msg += f" (residue {residue})"
+        elif reason is not None:
+            msg += f": {reason}"
         super().__init__(msg)
         self.law = law
         self.residue = residue

@@ -132,10 +132,7 @@ class AlgebraicGroup:
             return point
         if isinstance(point, str):
             raise PointNotOnGroup(f"{point!r} names no point of a parametric group")
-        point = tuple(Fraction(x) for x in point)
-        if not self.variety.point_on(point):
-            raise PointNotOnGroup(f"{point} does not satisfy the group's defining ideal")
-        return point
+        return self.variety.require_point(point, PointNotOnGroup, "group")
 
     def multiply_points(self, g, h):
         if self.is_finite:

@@ -246,10 +246,6 @@ class Ideal:
         return f"Ideal(arity={self.arity}, gens={list(self.gens)})"
 
 
-def normal_form(f: Polynomial, ideal: Ideal, order: MonomialOrder = GREVLEX) -> Polynomial:
-    return ideal.normal_form(f, order)
-
-
 def is_empty_variety(ideal: Ideal) -> bool:
     """True iff 1 lies in the ideal (no points over the algebraic closure)."""
     return ideal.is_unit()

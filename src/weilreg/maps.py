@@ -15,7 +15,6 @@ from .errors import (
     NotComposable,
     NotDominant,
     NotIntoTarget,
-    PointNotOnVariety,
     RepresentativeMismatch,
     RoundTripFailure,
     ZeroDenominator,
@@ -24,8 +23,8 @@ from .ideals import Ideal, eliminate, saturate
 from .orders import GREVLEX, block_order
 from .poly import Polynomial
 from .polygcd import squarefree_part_degree
-from .ratfunc import RationalFunction, compose_fraction, reduced_fraction
-from .varieties import AffineVariety, OpenSubset, product_names, varieties_equal
+from .ratfunc import RationalFunction, compose_poly, pullback, reduced_fraction
+from .varieties import AffineVariety, OpenSubset, ProductAmbient, varieties_equal
 
 
 @dataclass(frozen=True)
@@ -94,8 +93,7 @@ def make_rational_map(source: AffineVariety, target: AffineVariety, reps) -> Rat
     for rep in packed:
         images = [f.fraction_pair() for f in rep]
         for gen in target.ideal.gens:
-            num, den = compose_fraction(gen, Polynomial.one(target.arity), images)
-            if not source.ideal.contains(num):
+            if not source.ideal.contains(compose_poly(gen, images)[0]):
                 raise NotIntoTarget(
                     f"pullback of target relation {target.format(gen)} does not vanish on the source"
                 )
@@ -130,30 +128,19 @@ def identity_map(X: AffineVariety) -> RationalMap:
 def graph_closure(phi: RationalMap) -> GraphClosure:
     if phi._graph is not None:
         return phi._graph
-    src, tgt = phi.source, phi.target
-    n, m = src.arity, tgt.arity
-    names = product_names(src.names, tgt.names)
-    arity = n + m
-    src_emb = list(range(n))
-    tgt_emb = list(range(n, n + m))
-    gens = [g.embed(arity, src_emb) for g in src.ideal.gens]
-    gens += [g.embed(arity, tgt_emb) for g in tgt.ideal.gens]
-    rep = phi.reps[0]
-    dens = []
-    for j, f in enumerate(rep):
-        num = f.num.embed(arity, src_emb)
-        den = f.den.embed(arity, src_emb)
-        yj = Polynomial.variable(arity, n + j)
-        gens.append(den * yj - num)
-        dens.append(f.den)
-    ideal = Ideal(arity, gens)
-    product = Polynomial.one(src.arity)
-    for d in {d.primitive(GREVLEX) for d in dens}:
+    amb = ProductAmbient(phi.source, phi.target)
+    n = phi.source.arity
+    gens = list(amb.variety.ideal.gens)
+    for j, f in enumerate(phi.reps[0]):
+        gens.append(amb.embed_left(f.den) * Polynomial.variable(amb.arity, n + j) - amb.embed_left(f.num))
+    ideal = Ideal(amb.arity, gens)
+    product = Polynomial.one(n)
+    for d in {f.den.primitive(GREVLEX) for f in phi.reps[0]}:
         if not d.is_constant():
             product = product * d
     if not product.is_constant():
-        ideal = saturate(ideal, product.embed(arity, src_emb))
-    phi._graph = GraphClosure(names, ideal, n, m)
+        ideal = saturate(ideal, amb.embed_left(product))
+    phi._graph = GraphClosure(amb.names, ideal, n, phi.target.arity)
     return phi._graph
 
 
@@ -217,11 +204,11 @@ def _roundtrip_is_identity(phi: RationalMap, psi: RationalMap) -> bool:
     src = phi.source
     images = [f.fraction_pair() for f in phi.reps[0]]
     for k, f in enumerate(psi.reps[0]):
-        num, den = compose_fraction(f.num, f.den, images)
-        if src.ideal.contains(den):
+        try:
+            num, den = pullback(src, f.num, f.den, images)
+        except ZeroDenominator:
             return False
-        xk = Polynomial.variable(src.arity, k)
-        if not src.ideal.contains(num - xk * den):
+        if not src.ideal.contains(num - Polynomial.variable(src.arity, k) * den):
             return False
     return True
 
@@ -299,7 +286,7 @@ def definable_locus(phi: RationalMap) -> OpenSubset:
     """Union over representatives of the opens where all denominators are
     nonzero (the computed domain of definition)."""
     witnesses = [_denominator_product(rep, phi.source.arity) for rep in phi.reps]
-    return OpenSubset.principal_union(phi.source, witnesses)
+    return OpenSubset(phi.source, witnesses)
 
 
 def biregular_locus(phi: RationalMap) -> OpenSubset:
@@ -312,9 +299,8 @@ def biregular_locus(phi: RationalMap) -> OpenSubset:
         q = _denominator_product(rep, phi.source.arity)
         for rep_inv in psi.reps:
             q_inv = _denominator_product(rep_inv, psi.source.arity)
-            pulled_num, _ = compose_fraction(q_inv, Polynomial.one(q_inv.arity), images)
-            witnesses.append(q * pulled_num)
-    return OpenSubset.principal_union(phi.source, witnesses)
+            witnesses.append(q * compose_poly(q_inv, images)[0])
+    return OpenSubset(phi.source, witnesses)
 
 
 # -- closed graph test ---------------------------------------------------------------
@@ -371,9 +357,7 @@ def _zero_dimensional(basis, m, order=GREVLEX):
 def point_status(phi: RationalMap, point) -> PointStatus:
     """DEFINED with the image, UNDEFINED, or UNKNOWN (singleton graph fiber
     that no supplied representative reaches)."""
-    if not phi.source.point_on(point):
-        raise PointNotOnVariety(f"{tuple(point)} is not on the source variety")
-    point = tuple(Fraction(x) for x in point)
+    point = phi.source.require_point(point, name="source")
     for rep in phi.reps:
         if all(f.den.evaluate(point) != 0 for f in rep):
             value = tuple(f.evaluate(point) for f in rep)

@@ -39,6 +39,16 @@ def compose_fraction(num: Polynomial, den: Polynomial, images):
     return n_num * d_den, d_num * n_den
 
 
+def pullback(host: AffineVariety, num: Polynomial, den: Polynomial, images):
+    """(num/den) composed with the fraction images, as an unreduced fraction
+    pair on host; ZeroDenominator if the composite denominator lies in the
+    host ideal.  `RationalFunction.substitute` is the reduced counterpart."""
+    num, den = compose_fraction(num, den, images)
+    if host.ideal.contains(den):
+        raise ZeroDenominator("denominator vanishes identically after substitution")
+    return num, den
+
+
 def reduced_fraction(host: AffineVariety, num: Polynomial, den: Polynomial) -> "RationalFunction":
     """num/den on host, with both sides reduced modulo the host ideal and the
     common factor cancelled; ZeroDenominator if den vanishes on the host."""

@@ -1,7 +1,7 @@
 """Regularization of a finite-group rational action on an irreducible affine
-variety: present the subalgebra generated by the orbit of the coordinate
-functions, and transport the action to the presented model, where it becomes
-regular.
+variety: the model is the closed image of the space under the orbit of the
+coordinate functions (it presents the subalgebra they generate), and the
+action transported to the model becomes regular.
 
 G permutes the orbit generators: the pullback of x_i o rho_h along rho_g is
 x_i o rho_hg, so the model action is read off the group table.  The checks
@@ -11,13 +11,12 @@ input action through the presentation morphism certify the result.
 
 from dataclasses import dataclass, field
 
+from .actions import specialize
 from .errors import NotAnAction, RoundTripFailure
-from .ideals import Ideal, eliminate, saturate
-from .maps import RationalMap, _pair_inverses, make_rational_map
-from .orders import GREVLEX
+from .maps import RationalMap, _pair_inverses, closed_image, make_rational_map
 from .poly import Polynomial
-from .ratfunc import RationalFunction, compose_fraction
-from .varieties import AffineVariety
+from .ratfunc import RationalFunction, pullback
+from .varieties import AffineVariety, affine_space
 
 
 @dataclass
@@ -49,8 +48,7 @@ def stable_generators(action):
     gens = []
     orbit = {}
     for g in action.group.elements:
-        element_map = action.element_map(g)
-        for i, f in enumerate(element_map.reps[0]):
+        for i, f in enumerate(specialize(action, g).reps[0]):
             candidate = f.simplified()
             l = next((k for k, seen in enumerate(gens) if candidate.equals(seen)), None)
             if l is None:
@@ -74,32 +72,14 @@ def _model_names(space: AffineVariety, count: int):
 def present_subalgebra(space: AffineVariety, gens):
     """Present the subalgebra generated by the given fractions.
 
-    Returns (model Y, psi: Y -> X polynomial, psi_inverse: X --> Y) with the
-    round trips verified; the presentation ideal is obtained by eliminating
-    the space variables from the relation ideal saturated by the denominators.
+    The model Y is the closed image of the generator map X --> A^count, whose
+    coordinate ring is the subalgebra.  Returns (Y, psi: Y -> X polynomial,
+    psi_inverse: X --> Y) with both round trips verified.
     """
-    n = space.arity
-    count = len(gens)
-    names = _model_names(space, count)
-    arity = n + count
-    emb = list(range(n))
-    rel_gens = [g.embed(arity, emb) for g in space.ideal.gens]
-    denominators = []
-    for j, f in enumerate(gens):
-        uj = Polynomial.variable(arity, n + j)
-        rel_gens.append(f.den.embed(arity, emb) * uj - f.num.embed(arity, emb))
-        d = f.den.primitive(GREVLEX)
-        if not d.is_constant() and d not in denominators:
-            denominators.append(d)
-    relations = Ideal(arity, rel_gens)
-    for d in denominators:
-        relations = saturate(relations, d.embed(arity, emb))
-    projected = eliminate(relations, set(range(n)))
-    J = Ideal(count, [g.restrict(range(n, arity)) for g in projected.gens])
-    model = AffineVariety(names, J, irreducible=space.irreducible)
-
+    names = _model_names(space, len(gens))
+    model = closed_image(make_rational_map(space, affine_space(names), [tuple(gens)]))
     psi_coords = []
-    for i in range(n):
+    for i in range(space.arity):
         coord = RationalFunction.coordinate(space, i)
         j = next((k for k, f in enumerate(gens) if f.equals(coord)), None)
         if j is None:
@@ -159,12 +139,12 @@ def _verify_equivariance(model, action, psi, endos):
     J = model.ideal
     psi_images = [f.fraction_pair() for f in psi.reps[0]]
     for g, coords in endos.items():
-        rho_g = action.element_map(g)
+        rho_g = specialize(action, g)
         for i in range(X.arity):
             lhs = psi.reps[0][i]
             lhs_after = (lhs.num.substitute(list(coords)), lhs.den.substitute(list(coords)))
             f = rho_g.reps[0][i]
-            rnum, rden = compose_fraction(f.num, f.den, psi_images)
+            rnum, rden = pullback(model, f.num, f.den, psi_images)
             cross = lhs_after[0] * rden - rnum * lhs_after[1]
             if not J.contains(cross):
                 raise NotAnAction("equivariance", f"fails for {g} in coordinate {X.names[i]}")

@@ -27,7 +27,7 @@ from .linalg import mat_inverse
 from .maps import RationalMap, make_rational_map, maps_equal
 from .poly import Polynomial
 from .ratfunc import RationalFunction
-from .varieties import AffineVariety, ProductAmbient
+from .varieties import AffineVariety, ProductAmbient, format_point
 
 
 @dataclass
@@ -188,8 +188,7 @@ def certify_regular(split: ProductAmbient, fraction: RationalFunction,
         num, den = _slice_at(split, fraction, p)
         poly = _polynomial_form(Y, num, den)
         if poly is None:
-            shown = "(" + ", ".join(str(c) for c in p) + ")"
-            raise SliceNotRegular(j, f"the slice at sample {shown} is not regular")
+            raise SliceNotRegular(j, f"the slice at sample {format_point(p)} is not regular")
         slices.append(poly)
     transpose = [[matrix[i][j] for i in range(len(h))] for j in range(len(h))]
     coeffs = mat_inverse(transpose)
@@ -227,7 +226,6 @@ class SubgroupRegularity:
     """Successful upgrade of a rational action to a regular one."""
 
     polynomial_map: RationalMap  # polynomial coordinates on the product
-    certificates: list  # one SliceDecomposition per space coordinate
     sample_points: list  # the group points used
 
 
@@ -253,14 +251,12 @@ def regularity_from_subgroup(action: RationalAction, sample_points) -> SubgroupR
         for m, which in ((forward, "element"), (backward, "inverse")):
             for f in m.reps[0]:
                 if _polynomial_form(X, f.num, f.den) is None:
-                    shown = "(" + ", ".join(str(c) for c in p) + ")"
                     raise NotRegularOnSample(
-                        f"the {which} map at {shown} is not a regular automorphism"
+                        f"the {which} map at {format_point(p)} is not a regular automorphism"
                     )
     split = action.ambient
     prod = split.variety
     coords = []
-    certificates = []
     for j, f in enumerate(action.rho.reps[0]):
         F = RationalFunction(prod, f.num, f.den)
         if f.den.is_constant():
@@ -274,9 +270,8 @@ def regularity_from_subgroup(action: RationalAction, sample_points) -> SubgroupR
                 )
             den_right = f.den.restrict(split.right_indices)
         dec = certify_regular(split, F, den_right, samples=points, budget=len(points))
-        certificates.append(dec)
         coords.append(RationalFunction(prod, dec.regular_form))
     polynomial_map = make_rational_map(prod, X, [tuple(coords)])
     if not maps_equal(polynomial_map, action.rho):
         raise NonPolynomialResidue("certified coordinates do not reproduce the action")
-    return SubgroupRegularity(polynomial_map, certificates, points)
+    return SubgroupRegularity(polynomial_map, points)

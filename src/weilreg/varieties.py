@@ -46,10 +46,15 @@ class AffineVariety:
             return False
         return all(g.evaluate(point) == 0 for g in self.ideal.gens)
 
-    def require_point(self, point):
+    def require_point(self, point, error=PointNotOnVariety, name="variety"):
+        """The point as a tuple of Fractions; error, naming the variety as
+        name, if it has the wrong length or misses the defining ideal."""
+        point = tuple(Fraction(x) for x in point)
+        if len(point) != self.arity:
+            raise error(f"{format_point(point)} has {len(point)} coordinates; the {name} has {self.arity}")
         if not self.point_on(point):
-            raise PointNotOnVariety(f"{point} does not satisfy the defining ideal")
-        return tuple(Fraction(x) for x in point)
+            raise error(f"{format_point(point)} does not satisfy the {name}'s defining ideal")
+        return point
 
     def format(self, p: Polynomial) -> str:
         return format_polynomial(p, self.names)
@@ -57,6 +62,11 @@ class AffineVariety:
     def __repr__(self):
         gens = ", ".join(self.format(g) for g in self.ideal.gens) or "0"
         return f"AffineVariety({', '.join(self.names)} | {gens})"
+
+
+def format_point(point) -> str:
+    """A point as a parenthesised tuple of rationals, e.g. ``(1, -1/2)``."""
+    return "(" + ", ".join(str(Fraction(c)) for c in point) + ")"
 
 
 def affine_space(names) -> AffineVariety:
@@ -151,10 +161,6 @@ class OpenSubset:
     @classmethod
     def full(cls, host: AffineVariety) -> "OpenSubset":
         return cls(host, [Polynomial.one(host.arity)])
-
-    @classmethod
-    def principal_union(cls, host: AffineVariety, polys) -> "OpenSubset":
-        return cls(host, polys)
 
     @property
     def complement_ideal(self) -> Ideal:

@@ -127,7 +127,7 @@ def test_criterion_3_closed_graph_dichotomy():
     assert witness.contains(parse_polynomial("u+1", names))
     assert witness.contains(parse_polynomial("t", names))
     assert not witness.is_unit()  # the witness locus meets u=-1, t=0
-    host = OpenSubset.principal_union(X, [X.poly("u")])
+    host = OpenSubset(X, [X.poly("u")])
     closed_after, none_witness = is_graph_closed(rho1, host)
     assert closed_after and none_witness is None
 

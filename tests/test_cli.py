@@ -87,11 +87,11 @@ def test_text_format_and_verbose(tmp_path):
     assert "[ok] cmd xreg rho" in result.stderr
 
 
-def test_parallel_flag_matches_sequential():
-    a = run_cli("run", str(SESSIONS / "cremona.wr"))
-    b = run_cli("run", str(SESSIONS / "cremona.wr"), "--parallel")
-    da, db = json.loads(a.stdout), json.loads(b.stdout)
-    assert canonical_bytes(da) == canonical_bytes(db)
+def test_parallel_flag_is_a_usage_error():
+    result = run_cli("run", str(SESSIONS / "cremona.wr"), "--parallel")
+    assert result.returncode == 2
+    assert "unrecognized arguments: --parallel" in result.stderr
+    assert result.stdout == ""
 
 
 def test_step_budget_flag_produces_budget_errors(tmp_path):

@@ -31,7 +31,7 @@ from weilreg.actions import (
     tilde_biregular_locus,
 )
 from weilreg.ratfunc import RationalFunction
-from weilreg.varieties import OpenSubset, affine_space, variety
+from weilreg.varieties import OpenSubset, ProductAmbient, affine_space, variety
 
 
 # -- groups ------------------------------------------------------------------------
@@ -137,6 +137,20 @@ def test_mutated_denominator_rejected_with_nonzero_residue():
     assert err.value.residue not in (None, "0")
 
 
+def test_prose_failure_carries_no_residue():
+    G = additive_group("s")
+    X = affine_space(["u", "t"])
+    P = ProductAmbient(G.variety, X)
+    with pytest.raises(NotAnAction) as err:
+        make_rational_action(G, X, rational_map(P.variety, X, ("u/s", "t")))
+    assert err.value.law == "identity" and err.value.residue is None
+    assert "residue" not in str(err.value)
+    with pytest.raises(NotAnAction) as err:
+        make_rational_action(G, X, rational_map(P.variety, X, ("u+s", "u*t/(u+2*s)")))
+    assert str(err.value) == "action law violated: associativity (residue s*s'*u*t)"
+    assert err.value.residue == "s*s'*u*t"
+
+
 def test_non_homomorphism_finite_rejected():
     G = cyclic_group_2(("e", "g"))
     X = affine_space(["x", "y"])
@@ -225,7 +239,7 @@ def test_translation_regular_locus_is_everything(translation_action):
 
 def test_restrict_cremona_to_torus_makes_action_regular(cremona_action):
     X = cremona_action.space
-    torus_part = OpenSubset.principal_union(X, [X.poly("x*y")])
+    torus_part = OpenSubset(X, [X.poly("x*y")])
     restricted = restrict_to_open(cremona_action, torus_part)
     reg = g_regular_locus(restricted)
     # every point of the open host is regular: witnesses cover the host

@@ -336,7 +336,7 @@ def test_rho1_graph_not_closed_on_full_plane(rho1):
 
 
 def test_rho1_graph_closed_on_punctured_chart(chart, rho1):
-    host = OpenSubset.principal_union(chart, [chart.poly("u")])
+    host = OpenSubset(chart, [chart.poly("u")])
     closed, witness = is_graph_closed(rho1, host)
     assert closed and witness is None
 

@@ -7,14 +7,17 @@ both sides, cancel.  The shared function must give the very same
 representative, not merely an equal function.
 """
 
+import ast
 import random
+from pathlib import Path
 
 import pytest
 
 from oracles import random_polynomial
 from weilreg.errors import ZeroDenominator
 from weilreg.polygcd import simplify_fraction
-from weilreg.ratfunc import RationalFunction, compose_fraction, fraction_text, reduced_fraction
+import weilreg.ratfunc
+from weilreg.ratfunc import RationalFunction, compose_fraction, fraction_text, pullback, reduced_fraction
 from weilreg.varieties import affine_space, variety
 
 
@@ -111,3 +114,29 @@ def test_reduced_fraction_denominator_lies_outside_the_host_ideal(name):
         for n, d in ((num, den), (num * den, den * den)):
             result = reduced_fraction(host, n, d)
             assert not host.ideal.contains(result.den)
+
+
+def test_pullback_refuses_a_vanishing_composite_denominator():
+    torus, plane = HOSTS["torus"], HOSTS["plane"]
+    f = RationalFunction.parse(plane, "y/x")
+    one = torus.poly("1")
+    # x -> x*y - 1 sends the denominator x to zero on the torus
+    with pytest.raises(ZeroDenominator):
+        pullback(torus, f.num, f.den, [(torus.poly("x*y-1"), one), (torus.poly("y"), one)])
+    # x -> x*y keeps it; the pair comes back as composed, unreduced
+    images = [(torus.poly("x*y"), one), (torus.poly("y"), one)]
+    assert pullback(torus, f.num, f.den, images) == compose_fraction(f.num, f.den, images)
+
+
+def test_only_ratfunc_calls_compose_fraction():
+    src = Path(weilreg.ratfunc.__file__).resolve().parent
+    callers = set()
+    for path in src.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if name == "compose_fraction":
+                    callers.add(path.name)
+    # every other module composes through pullback, substitute or compose_poly
+    assert callers == {"ratfunc.py"}

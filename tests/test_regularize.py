@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from weilreg import Ideal, Polynomial, is_empty_variety, parse_polynomial
+from weilreg import GREVLEX, Ideal, Polynomial, eliminate, is_empty_variety, parse_polynomial, saturate
 from weilreg.actions import (
     g_regular_locus,
     make_rational_action,
@@ -18,7 +18,7 @@ import weilreg.ratfunc
 import weilreg.regularize
 from weilreg.atlas import Atlas, build_atlas, check_atlas
 from weilreg.errors import NotAnAction, ZeroDenominator
-from weilreg.groups import additive_group, cyclic_group_2, multiplicative_group, product_group
+from weilreg.groups import additive_group, cyclic_group_2, finite_group, multiplicative_group, product_group
 from weilreg.maps import (
     RationalMap,
     compose,
@@ -63,6 +63,17 @@ def half_cremona_action(plane):
     G = cyclic_group_2(("e", "s2"))
     s2 = rational_map(plane, plane, ("1/x", "y"))
     return make_rational_action(G, plane, {"e": identity_map(plane), "s2": s2})
+
+
+@pytest.fixture
+def z4_action(plane):
+    elements = ("e", "a", "b", "c")
+    G = finite_group(elements, {(g, h): elements[(i + j) % 4]
+                                for i, g in enumerate(elements) for j, h in enumerate(elements)})
+    maps = {"e": identity_map(plane)}
+    for g, rep in zip(elements[1:], (("y", "1/x"), ("1/x", "1/y"), ("1/y", "x"))):
+        maps[g] = rational_map(plane, plane, rep)
+    return make_rational_action(G, plane, maps)
 
 
 @pytest.fixture
@@ -125,6 +136,38 @@ def test_present_subalgebra_half_cremona(plane, half_cremona_action):
     model, psi, psi_inv = present_subalgebra(plane, gens)
     expected = Ideal(3, [parse_polynomial("u1*u3-1", model.names)])
     assert model.ideal == expected
+
+
+def reference_presentation_ideal(space, gens):
+    """The presentation ideal as present_subalgebra built it before it took
+    the closed image of the generator map: the relation ideal, saturated by
+    each distinct denominator in turn, with the space variables eliminated."""
+    n = space.arity
+    count = len(gens)
+    arity = n + count
+    emb = list(range(n))
+    rel_gens = [g.embed(arity, emb) for g in space.ideal.gens]
+    denominators = []
+    for j, f in enumerate(gens):
+        uj = Polynomial.variable(arity, n + j)
+        rel_gens.append(f.den.embed(arity, emb) * uj - f.num.embed(arity, emb))
+        d = f.den.primitive(GREVLEX)
+        if not d.is_constant() and d not in denominators:
+            denominators.append(d)
+    relations = Ideal(arity, rel_gens)
+    for d in denominators:
+        relations = saturate(relations, d.embed(arity, emb))
+    projected = eliminate(relations, set(range(n)))
+    return Ideal(count, [g.restrict(range(n, arity)) for g in projected.gens])
+
+
+@pytest.mark.parametrize("name", ["cremona_action", "swap_action", "half_cremona_action", "z4_action"])
+def test_closed_image_model_matches_the_relation_ideal_presentation(name, plane, request):
+    gens, _ = stable_generators(request.getfixturevalue(name))
+    model, _, _ = present_subalgebra(plane, gens)
+    reference = reference_presentation_ideal(plane, gens)
+    assert all(reference.contains(g) for g in model.ideal.gens)
+    assert all(model.ideal.contains(g) for g in reference.gens)
 
 
 # -- induced action ---------------------------------------------------------------------

@@ -201,6 +201,29 @@ def test_action_with_vanishing_specialisation_names_the_group_point():
     assert "denominators vanish identically at the group point" in record["payload"]["message"]
 
 
+def test_failure_messages_print_prose_as_a_reason_and_points_as_rationals():
+    text = (
+        "var s u t z w\n"
+        "variety X = affine(u, t)\n"
+        "group G = Ga(s)\n"
+        "group T = Gm(z, w)\n"
+        "action rho : G x X -> X = (u+s, u*t/(u+s))\n"
+        "action sc : T x X -> X = (z*u, t)\n"
+        "cmd regularize rho\n"
+        "action bad : G x X -> X = (u/s, t)\n"
+        "cmd closedgraph rho at (1, 2)\n"
+        "cmd closedgraph sc at (1/2, 3)\n"
+    )
+    records = run_session(parse_session(text))[-4:]
+    assert [(r["status"], r["payload"]["reason"], r["payload"]["message"]) for r in records] == [
+        ("fail", "NotAnAction", "action law violated: finite: stable generators exist for finite groups only"),
+        ("fail", "NotAnAction",
+         "action law violated: identity: denominators vanish identically at the group point (0)"),
+        ("error", "PointNotOnGroup", "(1, 2) has 2 coordinates; the group has 1"),
+        ("error", "PointNotOnGroup", "(1/2, 3) does not satisfy the group's defining ideal"),
+    ]
+
+
 def test_step_budget_is_scoped_to_the_session():
     sequential = run_session(parse_session(CREMONA), max_steps=1)
     assert ideals.STEP_BUDGET.get() == ideals.DEFAULT_MAX_STEPS == 200_000
