@@ -8,7 +8,7 @@ the locus of G-regular points.
 """
 
 from dataclasses import dataclass
-from .errors import EmptyLocus, NotAnAction, RoundTripFailure, ZeroDenominator
+from .errors import EmptyLocus, NotAnAction, NotApplicable, RoundTripFailure, ZeroDenominator
 from .groups import AlgebraicGroup
 from .ideals import Ideal
 from .maps import (
@@ -21,8 +21,9 @@ from .maps import (
     maps_equal,
     point_status,
 )
+from .orders import block_order
 from .poly import Polynomial
-from .ratfunc import RationalFunction, compose_poly, pullback
+from .ratfunc import RationalFunction, compose_poly, pullback, reduced_fraction
 from .varieties import AffineVariety, OpenSubset, ProductAmbient, format_point
 
 
@@ -64,15 +65,6 @@ class RationalAction:
         return f"RationalAction({kind}, on {self.space!r})"
 
 
-def _group_images_const(action: RationalAction, point):
-    """Fraction images substituting a constant group point into the product
-    ring coordinates: group block -> constants, space block -> variables."""
-    n = action.space.arity
-    images = [(Polynomial.constant(n, c), Polynomial.one(n)) for c in point]
-    images += [(Polynomial.variable(n, j), Polynomial.one(n)) for j in range(n)]
-    return images
-
-
 def specialize(action: RationalAction, g) -> RationalMap:
     """The birational map of one group element, with its inverse attached."""
     g = action.group.require_point(g)
@@ -94,17 +86,13 @@ def specialize(action: RationalAction, g) -> RationalMap:
 
 def _specialize_raw(action: RationalAction, point) -> RationalMap:
     X = action.space
-    images = _group_images_const(action, point)
-    last_error = None
     for rep in action.rho.reps:
         try:
-            coords = [f.substitute(images, X) for f in rep]
+            coords = [reduced_fraction(X, f.num.specialize(point), f.den.specialize(point)) for f in rep]
         except ZeroDenominator:
-            last_error = ZeroDenominator(
-                f"denominators vanish identically at the group point {format_point(point)}")
             continue
         return make_rational_map(X, X, [tuple(coords)])
-    raise last_error
+    raise ZeroDenominator(f"denominators vanish identically at the group point {format_point(point)}")
 
 
 def make_rational_action(group: AlgebraicGroup, space: AffineVariety, rho) -> RationalAction:
@@ -206,21 +194,18 @@ def lift_action(action: RationalAction, element=None):
     """
     if action.is_finite:
         if element is None:
-            raise NotAnAction("lift", "finite groups lift per element; pass one")
+            raise NotApplicable("finite groups lift per element; pass one")
         g = action.group.require_point(element)
         return specialize(action, g), specialize(action, action.group.inverse_element(g))
     if action._tilde is not None:
         return action._tilde
-    P = action.ambient.variety
-    G = action.group
-    r, n = G.arity, action.space.arity
-    arity = r + n
-    g_coords = tuple(RationalFunction.coordinate(P, i) for i in range(r))
+    amb = action.ambient
+    P, one = amb.variety, Polynomial.one(amb.arity)
+    g_coords = tuple(RationalFunction.coordinate(P, i) for i in amb.left_indices)
     forward = make_rational_map(P, P, [g_coords + tuple(
         RationalFunction(P, f.num, f.den) for f in action.rho.reps[0])])
-    inv_embedded = [p.embed(arity, list(range(r))) for p in G.inv]
-    images = [(p, Polynomial.one(arity)) for p in inv_embedded]
-    images += [(Polynomial.variable(arity, r + j), Polynomial.one(arity)) for j in range(n)]
+    images = [(amb.embed_left(p), one) for p in action.group.inv]
+    images += [(Polynomial.variable(amb.arity, j), one) for j in amb.right_indices]
     back_coords = [f.substitute(images, P) for f in action.rho.reps[0]]
     backward = make_rational_map(P, P, [g_coords + tuple(back_coords)])
     _pair_inverses(forward, backward, RoundTripFailure(
@@ -294,21 +279,18 @@ def g_regular_locus(action: RationalAction) -> GRegularLocus:
         result = GRegularLocus(locus, bad_ideals)
     else:
         if not action.group.variety.irreducible:
-            raise NotAnAction("components", "parametric G-regular loci need an irreducible group")
+            raise NotApplicable("parametric G-regular loci need an irreducible group")
         amb = action.ambient
-        r, n = action.group.arity, X.arity
         breg = tilde_biregular_locus(action)
         group_ideal = Ideal(amb.arity, [amb.embed_left(g) for g in action.group.variety.ideal.gens])
-        from .orders import block_order
-
-        order = block_order(range(r))
+        order = block_order(amb.left_indices)
         coeffs = []
         for w in breg.witnesses:
             nf = group_ideal.normal_form(w, order)
-            for _, c in nf.coefficients_wrt(range(r)):
-                coeffs.append(c.restrict(range(r, r + n)))
-        bad = Ideal(n, coeffs)
-        bad = Ideal(n, bad.groebner_basis())
+            for _, c in nf.coefficients_wrt(amb.left_indices):
+                coeffs.append(c.restrict(amb.right_indices))
+        bad = Ideal(X.arity, coeffs)
+        bad = Ideal(X.arity, bad.groebner_basis())
         locus = OpenSubset(X, bad.gens)
         locus = locus.intersect(action.domain)
         if locus.is_empty():

@@ -138,14 +138,10 @@ def _check_separated(atlas: Atlas) -> dict:
 
 def _shift_witness(action: RationalAction, w: Polynomial, point):
     """Substitute g -> (point^-1) * g into a witness over the product ring."""
-    group = action.group
-    r, n = group.arity, action.space.arity
-    arity = r + n
-    inv_point = group.invert_point(point)
-    consts = [Polynomial.constant(group.arity, c) for c in inv_point]
-    shift = [m.substitute(consts + [Polynomial.variable(r, i) for i in range(r)]) for m in group.mult]
-    images = [s.embed(arity, list(range(r))) for s in shift]
-    images += [Polynomial.variable(arity, r + j) for j in range(n)]
+    amb = action.ambient
+    inv_point = action.group.invert_point(point)
+    images = [amb.embed_left(m.specialize(inv_point)) for m in action.group.mult]
+    images += [Polynomial.variable(amb.arity, j) for j in amb.right_indices]
     return w.substitute(images)
 
 

@@ -83,6 +83,10 @@ class NotAnAction(WeilregError):
         self.residue = residue
 
 
+class NotApplicable(WeilregError):
+    """The operation does not apply to this kind of input: a precondition, not a verdict."""
+
+
 class PointNotOnGroup(WeilregError):
     """A group element sample does not satisfy the group's defining ideal."""
 

@@ -98,7 +98,7 @@ class AlgebraicGroup:
         consts = [Polynomial.constant(r, c) for c in self.identity]
         # m(e, g) = g and m(g, e) = g
         for i, mi in enumerate(self.mult):
-            left = mi.substitute(consts + coords)
+            left = mi.specialize(self.identity)
             right = mi.substitute(coords + consts)
             if not G.ideal.contains(left - coords[i]):
                 raise AxiomFailure(f"left identity law fails in coordinate {G.names[i]}")

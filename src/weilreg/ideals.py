@@ -61,11 +61,6 @@ def reduce_full(f: Polynomial, basis, order: MonomialOrder = GREVLEX) -> Polynom
     return f.divide(basis, order)[1]
 
 
-def divide_with_quotients(f: Polynomial, divisors, order: MonomialOrder = GREVLEX):
-    """Division with quotient tracking: f = sum(q_i * divisors_i) + remainder."""
-    return f.divide(divisors, order)
-
-
 # -- Buchberger ---------------------------------------------------------------
 
 

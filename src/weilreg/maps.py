@@ -8,7 +8,6 @@ add representatives to enlarge them.
 """
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import (
     NotBirational,
@@ -32,14 +31,12 @@ class GraphClosure:
     """Vanishing ideal of the closure of the set-theoretic graph, living in
     the product ambient source x target."""
 
-    names: tuple
+    ambient: ProductAmbient
     ideal: Ideal
-    n_source: int
-    n_target: int
 
     @property
-    def arity(self) -> int:
-        return self.n_source + self.n_target
+    def names(self) -> tuple:
+        return self.ambient.names
 
 
 @dataclass(frozen=True)
@@ -129,18 +126,17 @@ def graph_closure(phi: RationalMap) -> GraphClosure:
     if phi._graph is not None:
         return phi._graph
     amb = ProductAmbient(phi.source, phi.target)
-    n = phi.source.arity
     gens = list(amb.variety.ideal.gens)
-    for j, f in enumerate(phi.reps[0]):
-        gens.append(amb.embed_left(f.den) * Polynomial.variable(amb.arity, n + j) - amb.embed_left(f.num))
+    for j, f in zip(amb.right_indices, phi.reps[0]):
+        gens.append(amb.embed_left(f.den) * Polynomial.variable(amb.arity, j) - amb.embed_left(f.num))
     ideal = Ideal(amb.arity, gens)
-    product = Polynomial.one(n)
+    product = Polynomial.one(phi.source.arity)
     for d in {f.den.primitive(GREVLEX) for f in phi.reps[0]}:
         if not d.is_constant():
             product = product * d
     if not product.is_constant():
         ideal = saturate(ideal, amb.embed_left(product))
-    phi._graph = GraphClosure(amb.names, ideal, n, phi.target.arity)
+    phi._graph = GraphClosure(amb, ideal)
     return phi._graph
 
 
@@ -148,11 +144,11 @@ def closed_image(phi: RationalMap) -> AffineVariety:
     if phi._image is not None:
         return phi._image
     graph = graph_closure(phi)
-    n, m = graph.n_source, graph.n_target
-    projected = eliminate(graph.ideal, set(range(n)))
-    gens = [g.restrict(range(n, n + m)) for g in projected.gens]
+    amb = graph.ambient
+    projected = eliminate(graph.ideal, set(amb.left_indices))
+    gens = [g.restrict(amb.right_indices) for g in projected.gens]
     phi._image = AffineVariety(
-        phi.target.names, Ideal(m, gens), irreducible=phi.source.irreducible, check=False
+        phi.target.names, Ideal(amb.right.arity, gens), irreducible=phi.source.irreducible, check=False
     )
     return phi._image
 
@@ -237,23 +233,23 @@ def inverse(phi: RationalMap) -> RationalMap:
     if not phi.target.irreducible:
         raise NotBirational("inverse construction needs an irreducible target")
     graph = graph_closure(phi)
-    n, m = graph.n_source, graph.n_target
-    src_vars = set(range(n))
+    amb = graph.ambient
+    src_vars = set(amb.left_indices)
     basis = graph.ideal.groebner_basis(block_order(src_vars))
     tgt = phi.target
     coords = []
-    for k in range(n):
-        unit = tuple(1 if i == k else 0 for i in range(graph.arity))
-        zero_head = (0,) * graph.arity
+    zero_head = (0,) * amb.arity
+    for k in amb.left_indices:
+        unit = tuple(1 if i == k else 0 for i in range(amb.arity))
         candidate = None
         for g in basis:
             buckets = g.coefficients_wrt(src_vars)
             heads = [h for h, _ in buckets]
             if set(heads) == {unit, zero_head} or heads == [unit]:
                 a = dict(buckets)[unit]
-                c = dict(buckets).get(zero_head, Polynomial.zero(graph.arity))
-                a_t = a.restrict(range(n, n + m))
-                c_t = c.restrict(range(n, n + m))
+                c = dict(buckets).get(zero_head, Polynomial.zero(amb.arity))
+                a_t = a.restrict(amb.right_indices)
+                c_t = c.restrict(amb.right_indices)
                 try:
                     candidate = reduced_fraction(tgt, -c_t, a_t)
                 except ZeroDenominator:
@@ -318,15 +314,12 @@ def is_graph_closed(phi: RationalMap, host: OpenSubset = None):
     if not varieties_equal(phi.source, phi.target):
         raise NotComposable("closed-graph test applies to self-maps")
     graph = graph_closure(phi)
-    n, m = graph.n_source, graph.n_target
-    arity = graph.arity
-    src_emb = list(range(n))
-    tgt_emb = list(range(n, n + m))
+    amb = graph.ambient
     dom = definable_locus(phi)
-    bad = graph.ideal.plus([w.embed(arity, src_emb) for w in dom.witnesses])
+    bad = graph.ideal.plus([amb.embed_left(w) for w in dom.witnesses])
     for ws in host.witnesses:
         for wt in host.witnesses:
-            sat = saturate(bad, ws.embed(arity, src_emb) * wt.embed(arity, tgt_emb))
+            sat = saturate(bad, amb.embed_left(ws) * amb.embed_right(wt))
             if not sat.is_unit():
                 return False, sat
     return True, None
@@ -336,12 +329,8 @@ def is_graph_closed(phi: RationalMap, host: OpenSubset = None):
 
 
 def _fiber_ideal(phi: RationalMap, point):
-    graph = graph_closure(phi)
-    n, m = graph.n_source, graph.n_target
-    consts = [Polynomial.constant(m, Fraction(x)) for x in point]
-    vars_ = [Polynomial.variable(m, j) for j in range(m)]
-    gens = [g.substitute(consts + vars_) for g in graph.ideal.gens]
-    return Ideal(m, gens)
+    """The graph closure's fibre over a source point, as an ideal on the target."""
+    return Ideal(phi.target.arity, [g.specialize(point) for g in graph_closure(phi).ideal.gens])
 
 
 def _zero_dimensional(basis, m, order=GREVLEX):

@@ -283,6 +283,21 @@ class Polynomial:
             result = result + term
         return result
 
+    def specialize(self, values) -> "Polynomial":
+        """Set the leading len(values) variables to the given constants; the
+        result is a polynomial in the remaining variables."""
+        k = len(values)
+        if k > self.arity:
+            raise ArityMismatch(f"{k} values for arity {self.arity}")
+        res = {}
+        for exps, coeff in self.terms.items():
+            for v, e in zip(values, exps):
+                if e:
+                    coeff *= v ** e
+            rest = exps[k:]
+            res[rest] = res.get(rest, 0) + coeff
+        return Polynomial(self.arity - k, res)
+
     def embed(self, new_arity: int, var_map) -> "Polynomial":
         """Reindex variables: old index i becomes var_map[i] in the new ring."""
         res = {}

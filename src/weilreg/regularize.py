@@ -9,10 +9,10 @@ that the action preserves the presentation, obeys the table and matches the
 input action through the presentation morphism certify the result.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .actions import specialize
-from .errors import NotAnAction, RoundTripFailure
+from .errors import NotAnAction, NotApplicable, RoundTripFailure
 from .maps import RationalMap, _pair_inverses, closed_image, make_rational_map
 from .poly import Polynomial
 from .ratfunc import RationalFunction, pullback
@@ -28,7 +28,6 @@ class RegularModel:
     action_on_model: dict  # element -> tuple of coordinate Polynomials on the model
     to_space: RationalMap  # polynomial morphism model -> space
     from_space: RationalMap  # rational inverse space -> model
-    generators: list = field(default_factory=list)  # stable generators (functions on the space)
 
 
 def stable_generators(action):
@@ -41,10 +40,10 @@ def stable_generators(action):
     order.
     """
     if not action.is_finite:
-        raise NotAnAction("finite", "stable generators exist for finite groups only")
+        raise NotApplicable("stable generators exist for finite groups only")
     X = action.space
     if not X.irreducible:
-        raise NotAnAction("irreducible", "the space must be irreducible")
+        raise NotApplicable("the space must be irreducible")
     gens = []
     orbit = {}
     for g in action.group.elements:
@@ -156,4 +155,4 @@ def regularize_finite(action) -> RegularModel:
     model, psi, psi_inv = present_subalgebra(action.space, gens)
     endos = induced_regular_action(model, action, orbit)
     _verify_equivariance(model, action, psi, endos)
-    return RegularModel(model, endos, psi, psi_inv, gens)
+    return RegularModel(model, endos, psi, psi_inv)

@@ -17,12 +17,13 @@ from fractions import Fraction
 from .actions import RationalAction, specialize
 from .errors import (
     NonPolynomialResidue,
+    NotApplicable,
     NotFPower,
     NotRegularOnSample,
     SampleBudgetExhausted,
     SliceNotRegular,
 )
-from .ideals import divide_with_quotients, saturate
+from .ideals import saturate
 from .linalg import mat_inverse
 from .maps import RationalMap, make_rational_map, maps_equal
 from .poly import Polynomial
@@ -94,12 +95,11 @@ def decompose_tensor(split: ProductAmbient, fraction: RationalFunction,
         if k > 1000:
             raise NotFPower("no reasonable power of f absorbs the denominator")
     divisors = [den] + list(prod.ideal.groebner_basis())
-    quotients, remainder = divide_with_quotients(power, divisors)
+    quotients, remainder = power.divide(divisors)
     if not remainder.is_zero():
         raise NotFPower("internal: membership certificate did not divide out")
     cleared = prod.ideal.normal_form(quotients[0] * fraction.num)
     terms = []
-    n_left = len(split.left_indices)
     for head, coeff in cleared.coefficients_wrt(split.left_indices):
         h = Polynomial(split.left.arity, {tuple(head[i] for i in split.left_indices): Fraction(1)})
         terms.append((h, coeff.restrict(split.right_indices)))
@@ -144,16 +144,6 @@ def find_unimodular_samples(h, candidates, budget: int = 10_000, host: AffineVar
     return points, matrix
 
 
-def _slice_at(split: ProductAmbient, fraction: RationalFunction, point):
-    """Numerator and denominator of the slice F(point, .) on the second factor."""
-    m = split.right.arity
-    consts = [Polynomial.constant(m, c) for c in point]
-    coords = [Polynomial.variable(m, j) for j in range(m)]
-    num = fraction.num.substitute(consts + coords)
-    den = fraction.den.substitute(consts + coords)
-    return num, den
-
-
 def _polynomial_form(host: AffineVariety, num: Polynomial, den: Polynomial):
     """Polynomial p with num = p * den modulo the host ideal, or None."""
     if host.ideal.contains(den):
@@ -163,7 +153,7 @@ def _polynomial_form(host: AffineVariety, num: Polynomial, den: Polynomial):
     if not host.ideal.plus([den]).contains(num):
         return None
     divisors = [den] + list(host.ideal.groebner_basis())
-    quotients, remainder = divide_with_quotients(num, divisors)
+    quotients, remainder = num.divide(divisors)
     if not remainder.is_zero():
         return None
     return host.ideal.normal_form(quotients[0])
@@ -185,16 +175,13 @@ def certify_regular(split: ProductAmbient, fraction: RationalFunction,
     Y = split.right
     slices = []
     for j, p in enumerate(points):
-        num, den = _slice_at(split, fraction, p)
-        poly = _polynomial_form(Y, num, den)
+        poly = _polynomial_form(Y, fraction.num.specialize(p), fraction.den.specialize(p))
         if poly is None:
             raise SliceNotRegular(j, f"the slice at sample {format_point(p)} is not regular")
         slices.append(poly)
     transpose = [[matrix[i][j] for i in range(len(h))] for j in range(len(h))]
     coeffs = mat_inverse(transpose)
-    f_power = Polynomial.one(Y.arity)
-    for _ in range(dec.power):
-        f_power = f_power * denominator
+    f_power = denominator ** dec.power
     solved = []
     for i in range(len(h)):
         r_i = Polynomial.zero(Y.arity)
@@ -240,7 +227,7 @@ def regularity_from_subgroup(action: RationalAction, sample_points) -> SubgroupR
     group = action.group
     X = action.space
     if group.is_finite:
-        raise NotFPower(
+        raise NotApplicable(
             "sample certification applies to parametric actions; a finite action "
             "is regular exactly when every element map is polynomial"
         )

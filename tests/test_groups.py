@@ -7,6 +7,7 @@ from weilreg.errors import (
     AxiomFailure,
     EmptyLocus,
     NotAnAction,
+    NotApplicable,
     PointNotOnGroup,
     ZeroDenominator,
 )
@@ -24,6 +25,7 @@ from weilreg.actions import (
     element_biregular_locus,
     g_regular_locus,
     lift_action,
+    RationalAction,
     make_rational_action,
     restrict_to_open,
     restrict_to_regular_locus,
@@ -181,6 +183,19 @@ def test_finite_lift_is_the_element_map(cremona_action):
     forward, backward = lift_action(cremona_action, "sig")
     assert maps_equal(forward, backward)  # the involution is self-inverse
     assert maps_equal(forward, specialize(cremona_action, "sig"))
+
+
+def test_lift_of_a_finite_action_needs_an_element(cremona_action):
+    with pytest.raises(NotApplicable, match="pass one"):
+        lift_action(cremona_action)
+
+
+def test_parametric_regular_locus_needs_an_irreducible_group():
+    mu2 = variety(["z"], "z^2-1", irreducible=False)
+    z, z2 = Polynomial.variable(2, 0), Polynomial.variable(2, 1)
+    group = make_group(mu2, [z * z2], [Polynomial.variable(1, 0)], (1,))
+    with pytest.raises(NotApplicable, match="irreducible group"):
+        g_regular_locus(RationalAction(group, affine_space(["x"])))
 
 
 # -- specialize ------------------------------------------------------------------------------

@@ -7,7 +7,7 @@ from weilreg import GREVLEX, LEX, Polynomial, parse_polynomial, parse_fraction
 from weilreg.errors import ArityMismatch
 from weilreg.orders import block_order
 from weilreg.poly import format_polynomial
-from weilreg.ideals import divide_with_quotients, reduce_full
+from weilreg.ideals import reduce_full
 from weilreg.polygcd import divide_exact, poly_gcd, simplify_fraction, squarefree_part_degree
 
 from oracles import random_polynomial
@@ -161,7 +161,6 @@ def test_division_kernel_matches_the_reference_loop_and_its_contract():
         for q, g in zip(quotients, divisors):
             if g.is_zero():
                 assert q.is_zero()
-        assert divide_with_quotients(f, divisors, order) == (quotients, remainder)
         assert reduce_full(f, divisors, order) == remainder
 
 

@@ -209,14 +209,19 @@ def test_failure_messages_print_prose_as_a_reason_and_points_as_rationals():
         "group T = Gm(z, w)\n"
         "action rho : G x X -> X = (u+s, u*t/(u+s))\n"
         "action sc : T x X -> X = (z*u, t)\n"
+        "group Z2 = finite(e, g | g*g = e)\n"
+        "action sw : Z2 x X -> X = {g: (t, u)}\n"
         "cmd regularize rho\n"
+        "cmd certify sw samples=(g)\n"
         "action bad : G x X -> X = (u/s, t)\n"
         "cmd closedgraph rho at (1, 2)\n"
         "cmd closedgraph sc at (1/2, 3)\n"
     )
-    records = run_session(parse_session(text))[-4:]
+    records = run_session(parse_session(text))[-5:]
     assert [(r["status"], r["payload"]["reason"], r["payload"]["message"]) for r in records] == [
-        ("fail", "NotAnAction", "action law violated: finite: stable generators exist for finite groups only"),
+        ("error", "NotApplicable", "stable generators exist for finite groups only"),
+        ("error", "NotApplicable", "sample certification applies to parametric actions; a finite action "
+                                   "is regular exactly when every element map is polynomial"),
         ("fail", "NotAnAction",
          "action law violated: identity: denominators vanish identically at the group point (0)"),
         ("error", "PointNotOnGroup", "(1, 2) has 2 coordinates; the group has 1"),
