@@ -23,7 +23,7 @@ from .maps import (
 )
 from .orders import block_order
 from .poly import Polynomial
-from .ratfunc import RationalFunction, compose_poly, pullback, reduced_fraction
+from .ratfunc import FractionImages, RationalFunction, compose_poly, pullback, reduced_fraction
 from .varieties import AffineVariety, OpenSubset, ProductAmbient, format_point
 
 
@@ -130,25 +130,23 @@ def _validate_identity_law(action: RationalAction):
 
 def _validate_associativity_law(action: RationalAction):
     """rho(m(g, g'), x) = rho(g, rho(g', x)) on G x G x X."""
-    G, X = action.group, action.space
-    r, n = G.arity, X.arity
-    big = ProductAmbient(G.variety, action.ambient.variety)
-    arity = 2 * r + n
+    G, amb = action.group, action.ambient
+    big = ProductAmbient(G.variety, amb.variety)  # (g, (g', x))
     big_ideal = big.variety.ideal
     rho = action.rho.reps[0]
-
-    def var(i):
-        return (Polynomial.variable(arity, i), Polynomial.one(arity))
-
-    inner_images = [var(r + i) for i in range(r)] + [var(2 * r + j) for j in range(n)]
+    one = Polynomial.one(big.arity)
+    # the coordinates of G x X, and those of its two factors, as the right factor of big
+    inner_vars = [big.embed_right(Polynomial.variable(amb.arity, i)) for i in range(amb.arity)]
+    g2_vars = [inner_vars[i] for i in amb.left_indices]
+    x_vars = [inner_vars[j] for j in amb.right_indices]
+    g_vars = [Polynomial.variable(big.arity, i) for i in big.left_indices]
+    inner_images = FractionImages((v, one) for v in inner_vars)
     try:
         inner = [pullback(big.variety, f.num, f.den, inner_images) for f in rho]
     except ZeroDenominator:
         raise NotAnAction("associativity", "inner substitution has identically zero denominator")
-    lhs_images = [var(i) for i in range(r)] + inner
-    mult_embedded = [m.embed(arity, list(range(2 * r))) for m in G.mult]
-    rhs_images = [(m, Polynomial.one(arity)) for m in mult_embedded]
-    rhs_images += [var(2 * r + j) for j in range(n)]
+    lhs_images = FractionImages([(v, one) for v in g_vars] + inner)
+    rhs_images = FractionImages((v, one) for v in [m.substitute(g_vars + g2_vars) for m in G.mult] + x_vars)
     for f in rho:
         try:
             lnum, lden = pullback(big.variety, f.num, f.den, lhs_images)
@@ -204,8 +202,8 @@ def lift_action(action: RationalAction, element=None):
     g_coords = tuple(RationalFunction.coordinate(P, i) for i in amb.left_indices)
     forward = make_rational_map(P, P, [g_coords + tuple(
         RationalFunction(P, f.num, f.den) for f in action.rho.reps[0])])
-    images = [(amb.embed_left(p), one) for p in action.group.inv]
-    images += [(Polynomial.variable(amb.arity, j), one) for j in amb.right_indices]
+    images = FractionImages([(amb.embed_left(p), one) for p in action.group.inv]
+                            + [(Polynomial.variable(amb.arity, j), one) for j in amb.right_indices])
     back_coords = [f.substitute(images, P) for f in action.rho.reps[0]]
     backward = make_rational_map(P, P, [g_coords + tuple(back_coords)])
     _pair_inverses(forward, backward, RoundTripFailure(
@@ -222,7 +220,7 @@ def tilde_biregular_locus(action: RationalAction) -> OpenSubset:
     if not action.is_restricted:
         return base
     amb = action.ambient
-    images = [f.fraction_pair() for f in action.rho.reps[0]]
+    images = action.rho.images()
     witnesses = []
     for w in base.witnesses:
         for v in action.domain.witnesses:
@@ -236,7 +234,7 @@ def element_biregular_locus(action: RationalAction, g) -> OpenSubset:
     base = biregular_locus(m)
     if not action.is_restricted:
         return base
-    images = [f.fraction_pair() for f in m.reps[0]]
+    images = m.images()
     witnesses = []
     for w in base.witnesses:
         for v in action.domain.witnesses:

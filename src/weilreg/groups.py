@@ -110,11 +110,11 @@ class AlgebraicGroup:
             val = mi.substitute(inv_then_g)
             if not G.ideal.contains(val - Polynomial.constant(r, self.identity[i])):
                 raise AxiomFailure(f"inverse law fails in coordinate {G.names[i]}")
-        # associativity on G x G x G
+        # associativity on G x (G x G)
         GGG = ProductAmbient(G, GG.variety)
-        a_vars = [Polynomial.variable(3 * r, i) for i in range(r)]
-        b_vars = [Polynomial.variable(3 * r, r + i) for i in range(r)]
-        c_vars = [Polynomial.variable(3 * r, 2 * r + i) for i in range(r)]
+        a_vars = [GGG.embed_left(x) for x in coords]
+        b_vars = [GGG.embed_right(GG.embed_left(x)) for x in coords]
+        c_vars = [GGG.embed_right(GG.embed_right(x)) for x in coords]
         ab = [mi.substitute(a_vars + b_vars) for mi in self.mult]
         bc = [mi.substitute(b_vars + c_vars) for mi in self.mult]
         for i, mi in enumerate(self.mult):

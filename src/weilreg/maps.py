@@ -22,7 +22,7 @@ from .ideals import Ideal, eliminate, saturate
 from .orders import GREVLEX, block_order
 from .poly import Polynomial
 from .polygcd import squarefree_part_degree
-from .ratfunc import RationalFunction, compose_poly, pullback, reduced_fraction
+from .ratfunc import FractionImages, RationalFunction, compose_poly, pullback, reduced_fraction
 from .varieties import AffineVariety, OpenSubset, ProductAmbient, varieties_equal
 
 
@@ -53,7 +53,7 @@ class PointStatus:
 class RationalMap:
     """Rational map given by one or more tuples of coordinate fractions."""
 
-    __slots__ = ("source", "target", "reps", "_graph", "_image", "_dominant", "_inverse")
+    __slots__ = ("source", "target", "reps", "_graph", "_image", "_dominant", "_inverse", "_images")
 
     def __init__(self, source, target, reps):
         self.source = source
@@ -63,6 +63,14 @@ class RationalMap:
         self._image = None
         self._dominant = None
         self._inverse = None
+        self._images = [None] * len(self.reps)
+
+    def images(self, r: int = 0) -> FractionImages:
+        """The fraction images of representative r, whose table every
+        composition through this map shares."""
+        if self._images[r] is None:
+            self._images[r] = FractionImages(f.fraction_pair() for f in self.reps[r])
+        return self._images[r]
 
     def __repr__(self):
         body = ", ".join(repr(f) for f in self.reps[0])
@@ -87,10 +95,10 @@ def make_rational_map(source: AffineVariety, target: AffineVariety, reps) -> Rat
             if f.host.names != source.names:
                 raise ValueError("representative coordinates must live on the source")
         packed.append(rep)
-    for rep in packed:
-        images = [f.fraction_pair() for f in rep]
+    phi = RationalMap(source, target, packed)
+    for r in range(len(packed)):
         for gen in target.ideal.gens:
-            if not source.ideal.contains(compose_poly(gen, images)[0]):
+            if not source.ideal.contains(compose_poly(gen, phi.images(r))[0]):
                 raise NotIntoTarget(
                     f"pullback of target relation {target.format(gen)} does not vanish on the source"
                 )
@@ -101,7 +109,7 @@ def make_rational_map(source: AffineVariety, target: AffineVariety, reps) -> Rat
                     raise RepresentativeMismatch(
                         f"representatives {a} and {b} disagree in coordinate {j}"
                     )
-    return RationalMap(source, target, packed)
+    return phi
 
 
 def rational_map(source: AffineVariety, target: AffineVariety, *rep_texts) -> RationalMap:
@@ -171,8 +179,8 @@ def compose(phi: RationalMap, psi: RationalMap) -> RationalMap:
         raise NotDominant("cannot compose through a non-dominant map")
     src = phi.source
     last_error = None
-    for rep_phi in phi.reps:
-        images = [f.fraction_pair() for f in rep_phi]
+    for r in range(len(phi.reps)):
+        images = phi.images(r)
         for rep_psi in psi.reps:
             try:
                 coords = [f.substitute(images, src) for f in rep_psi]
@@ -198,7 +206,7 @@ def maps_equal(phi: RationalMap, psi: RationalMap) -> bool:
 def _roundtrip_is_identity(phi: RationalMap, psi: RationalMap) -> bool:
     """psi o phi = id on phi's source, by direct substitution."""
     src = phi.source
-    images = [f.fraction_pair() for f in phi.reps[0]]
+    images = phi.images()
     for k, f in enumerate(psi.reps[0]):
         try:
             num, den = pullback(src, f.num, f.den, images)
@@ -212,9 +220,16 @@ def _roundtrip_is_identity(phi: RationalMap, psi: RationalMap) -> bool:
 def _pair_inverses(a: RationalMap, b: RationalMap, error: Exception) -> None:
     """Record a and b as mutually inverse birational maps once both round
     trips are proved by exact substitution; raise error, recording nothing,
-    if either fails.  An involution (b is a) has one round trip to prove.
-    The only place a map is paired with its inverse."""
-    if not (_roundtrip_is_identity(a, b) and (b is a or _roundtrip_is_identity(b, a))):
+    if either fails.  The only place a map is paired with its inverse.
+
+    b o a = id is always proved.  a o b = id follows from it, and is not
+    substituted, when b is a or when a is already proved dominant: then
+    a o b o a = a, and pulling back along a dominant a is injective on k(Y),
+    so a o b = id.  The same argument shows that a's denominators stay
+    nonzero after substituting b: D(b) pulls back along a to D, which is
+    nonzero on the source.  (A dominant map from an irreducible source has
+    an irreducible target, so k(Y) is a field.)"""
+    if not (_roundtrip_is_identity(a, b) and (b is a or a._dominant or _roundtrip_is_identity(b, a))):
         raise error
     a._inverse, b._inverse = b, a
     a._dominant = b._dominant = True
@@ -290,8 +305,8 @@ def biregular_locus(phi: RationalMap) -> OpenSubset:
     on which the map restricts to an open immersion."""
     psi = inverse(phi)
     witnesses = []
-    for rep in phi.reps:
-        images = [f.fraction_pair() for f in rep]
+    for r, rep in enumerate(phi.reps):
+        images = phi.images(r)
         q = _denominator_product(rep, phi.source.arity)
         for rep_inv in psi.reps:
             q_inv = _denominator_product(rep_inv, psi.source.arity)

@@ -30,7 +30,9 @@ engine instead: lcm(f, g) generates the intersection (f) & (g), and the gcd
 is f*g / lcm.  The Groebner step budget bounds that fallback.
 
 Results are integer-primitive with a positive grevlex leading coefficient,
-which makes the gcd over Q unique.
+which makes the gcd over Q unique.  `poly_gcd` also hands out the two
+cofactors, the quotients that certified h, so a caller that cancels the gcd
+does not divide by it again.
 """
 
 from fractions import Fraction
@@ -89,6 +91,11 @@ def _quotient(f: dict, g: dict):
     return q
 
 
+def _shift_down(f: dict, low) -> dict:
+    """f divided by the monomial x^low, which divides each of its terms."""
+    return {tuple(map(sub, e, low)): c for e, c in f.items()}
+
+
 def _evaluate(f: dict, var: int, xi: int) -> dict:
     """f with variable var set to xi."""
     out = {}
@@ -121,15 +128,16 @@ def _interpolate(h: dict, var: int, xi: int) -> dict:
 
 
 def _heu_gcd(f: dict, g: dict):
-    """The gcd of nonzero integer term dicts f and g in Z[x], or None when
-    GCDHEU found no candidate that divides both."""
+    """(h, f/h, g/h) for h the gcd of nonzero integer term dicts f and g in
+    Z[x], or None when GCDHEU found no candidate that divides both."""
     c = gcd(*f.values(), *g.values())
     if c != 1:
         f = {e: v // c for e, v in f.items()}
         g = {e: v // c for e, v in g.items()}
     if len(f) == 1 or len(g) == 1:
         # a monomial's divisors are monomials: x^low divides every term of both
-        return {tuple(map(min, *f, *g)): c}
+        low = tuple(map(min, *f, *g))
+        return {low: c}, _shift_down(f, low), _shift_down(g, low)
     var = max(i for e in f for i, k in enumerate(e) if k)
     xi = 2 * min(max(map(abs, f.values())), max(map(abs, g.values()))) + 29
     for _ in range(HEU_TRIES):
@@ -138,9 +146,11 @@ def _heu_gcd(f: dict, g: dict):
             image = _heu_gcd(ff, gg)
             if image is None:
                 return None
-            h = _interpolate(image, var, xi)
-            if _quotient(f, h) is not None and _quotient(g, h) is not None:
-                return {e: v * c for e, v in h.items()}
+            h = _interpolate(image[0], var, xi)
+            qf = _quotient(f, h)
+            qg = None if qf is None else _quotient(g, h)
+            if qg is not None:
+                return {e: v * c for e, v in h.items()}, qf, qg
         xi = xi * 73794 * isqrt(isqrt(xi)) // 27011  # about 2.7 * xi^(5/4), sympy's schedule
     return None
 
@@ -185,32 +195,41 @@ def derivative(f: Polynomial, var: int) -> Polynomial:
     return Polynomial(f.arity, res)
 
 
-def poly_gcd(f: Polynomial, g: Polynomial) -> Polynomial:
-    """Gcd normalised to be integer-primitive with positive leading coefficient.
+def poly_gcd(f: Polynomial, g: Polynomial):
+    """(h, f/h, g/h) for h the gcd, normalised to be integer-primitive with
+    positive leading coefficient.
 
-    gcd(0, 0) = 0; constants have gcd 1 (we work over a field).
+    gcd(0, 0) = 0, with zero cofactors; constants have gcd 1 (we work over a
+    field).  The cofactors are the quotients that certified h; when h is 1
+    they are f and g themselves.
     """
     if f.is_zero() and g.is_zero():
-        return Polynomial.zero(f.arity)
-    if f.is_zero():
-        return g.primitive()
-    if g.is_zero():
-        return f.primitive()
-    found = _heu_gcd(f.integer_primitive()[1], g.integer_primitive()[1])
+        return f, f, g
+    if f.is_zero() or g.is_zero():
+        h = (g if f.is_zero() else f).primitive()
+        return h, divide_exact(f, h), divide_exact(g, h)
+    cf, F = f.integer_primitive()
+    cg, G = g.integer_primitive()
+    found = _heu_gcd(F, G)
     if found is None:
-        return _lcm_gcd(f, g)
-    h = Polynomial._of(f.arity, {e: Fraction(c) for e, c in found.items()})
-    return -h if h.leading_term(GREVLEX)[1] < 0 else h
+        h = _lcm_gcd(f, g)
+        return h, divide_exact(f, h), divide_exact(g, h)
+    h, qf, qg = found
+    if len(h) == 1 and h.get((0,) * f.arity) == 1:
+        return Polynomial.one(f.arity), f, g
+    if h[max(h, key=GREVLEX.key)] < 0:
+        h = {e: -v for e, v in h.items()}
+        cf, cg = -cf, -cg
+    return (Polynomial._of(f.arity, {e: Fraction(v) for e, v in h.items()}),
+            Polynomial._of(f.arity, {e: cf * v for e, v in qf.items()}),
+            Polynomial._of(g.arity, {e: cg * v for e, v in qg.items()}))
 
 
 def simplify_fraction(num: Polynomial, den: Polynomial):
     """Cancel the gcd and scale so the denominator is monic (grevlex)."""
     if num.is_zero():
         return num, Polynomial.one(den.arity)
-    g = poly_gcd(num, den)
-    if not g.is_constant():
-        num = divide_exact(num, g)
-        den = divide_exact(den, g)
+    _, num, den = poly_gcd(num, den)
     lc = den.leading_term(GREVLEX)[1]
     if lc != 1:
         scale = Fraction(1) / lc
@@ -224,12 +243,12 @@ def squarefree_part(f: Polynomial) -> Polynomial:
     with positive leading coefficient; D(squarefree_part(f)) = D(f)."""
     if f.is_zero() or f.is_constant():
         return f.primitive()
-    g = f
+    # f = g * prod of the first cofactors along the chain of gcds
+    g, quotient = f, Polynomial.one(f.arity)
     for var in sorted(f.variables_present()):
-        g = poly_gcd(g, derivative(f, var))
-    if g.is_constant():
-        return f.primitive()
-    return divide_exact(f, g).primitive()
+        g, cofactor, _ = poly_gcd(g, derivative(f, var))
+        quotient = quotient * cofactor
+    return quotient.primitive()
 
 
 def squarefree_part_degree(f: Polynomial, var: int) -> int:
@@ -238,5 +257,4 @@ def squarefree_part_degree(f: Polynomial, var: int) -> int:
     d = f.degree_in(var)
     if d <= 0:
         return 0
-    g = poly_gcd(f, derivative(f, var))
-    return d - g.degree_in(var)
+    return d - poly_gcd(f, derivative(f, var))[0].degree_in(var)

@@ -4,42 +4,112 @@ substitution machinery used to compose coordinate expressions.
 Numerator and denominator are kept exactly as supplied; use ``simplified``
 where a canonical representative is wanted.  Equality is cross-multiplication
 modulo the host ideal, so un-simplified representatives compare correctly.
+
+Every composition substitutes one tuple of fraction images, held as a
+`FractionImages`.  It owns a table of the images of the homogenised
+monomials, filled as compositions ask for them, so repeated compositions
+through the same images reuse the products.  A table lives as long as its
+owner: `maps.RationalMap.images` keeps one per representative of a map, and
+a law check keeps one per image list for the length of the check.  Nothing
+is cached beyond them.
 """
 
 from fractions import Fraction
+from operator import add, sub
 
-from .errors import ZeroDenominator
+from .errors import ArityMismatch, ZeroDenominator
 from .exprparse import parse_fraction
 from .poly import Polynomial, format_polynomial
 from .polygcd import simplify_fraction
 from .varieties import AffineVariety
 
 
-def compose_poly(p: Polynomial, images):
-    """Substitute fraction pairs images[i] = (num_i, den_i) into p.
+class FractionImages:
+    """Fraction images (num_i, den_i) of the variables x_i, with their table.
+
+    A monomial of a polynomial homogenised as c*x^e*w^(deg-e) is keyed by its
+    exponent vector (e, deg-e); its image is prod num_i^e_i * den_i^(deg-e)_i,
+    computed once as the image of the same vector with its last nonzero
+    exponent lowered by one, times the num_i or den_i of that exponent.  Table
+    entries are term dicts whose integral coefficients are plain ints, so
+    products and sums of integral coefficients skip `Fraction` arithmetic.
+    """
+
+    __slots__ = ("arity", "_bases", "_monomials")
+
+    def __init__(self, pairs):
+        pairs = list(pairs)
+        if not pairs:
+            raise ValueError("no images supplied")
+        self.arity = pairs[0][0].arity
+        bases = [num for num, _ in pairs] + [den for _, den in pairs]
+        self._bases = [{e: _plain(c) for e, c in b.terms.items()} for b in bases]
+        n = len(bases)
+        self._monomials = {(0,) * n: {(0,) * self.arity: 1}}
+        for i, base in enumerate(self._bases):
+            self._monomials[(0,) * i + (1,) + (0,) * (n - 1 - i)] = base
+
+    def __len__(self):
+        return len(self._bases) // 2
+
+    def monomial(self, key) -> dict:
+        """The image of the homogenised monomial key, as a term dict."""
+        image = self._monomials.get(key)
+        steps = []
+        while image is None:  # walk down to an image in the table
+            last = max(i for i, e in enumerate(key) if e)
+            steps.append((key, last))
+            key = key[:last] + (key[last] - 1,) + key[last + 1:]
+            image = self._monomials.get(key)
+        for key, last in reversed(steps):
+            image = self._monomials[key] = _multiply(image, self._bases[last])
+        return image
+
+
+def _plain(c: Fraction):
+    """c as an int when it is integral."""
+    return c.numerator if c.denominator == 1 else c
+
+
+def _multiply(f: dict, g: dict) -> dict:
+    """Product of two term dicts."""
+    out = {}
+    for e1, c1 in f.items():
+        for e2, c2 in g.items():
+            e = tuple(map(add, e1, e2))
+            out[e] = out.get(e, 0) + c1 * c2
+    return {e: c for e, c in out.items() if c}
+
+
+def compose_poly(p: Polynomial, images: FractionImages):
+    """Substitute the fraction images (num_i, den_i) into p.
 
     Returns a fraction pair over the images' ring: num_i and den_i are
     substituted for x_i and w_i in p homogenised as c*x^e*w^(deg-e), and in
-    the denominator prod w_i^deg_i.
+    the denominator prod w_i^deg_i.  The numerator is the sum of the table's
+    monomial images scaled by p's coefficients; both come back over Fraction.
     """
-    if not images:
-        raise ValueError("no images supplied")
+    if len(images) != p.arity:
+        raise ArityMismatch("one image per variable required")
     degs = tuple(max(p.degree_in(i), 0) for i in range(p.arity))
-    homogenised = Polynomial(2 * p.arity, {
-        exps + tuple(d - e for d, e in zip(degs, exps)): c for exps, c in p.terms.items()})
-    kernel = [num for num, _ in images] + [den for _, den in images]
-    monomial = Polynomial(2 * p.arity, {(0,) * p.arity + degs: 1})
-    return homogenised.substitute(kernel), monomial.substitute(kernel)
+    num = {}
+    for exps, coeff in p.terms.items():
+        coeff = _plain(coeff)
+        for e, c in images.monomial(exps + tuple(map(sub, degs, exps))).items():
+            num[e] = num.get(e, 0) + coeff * c
+    den = images.monomial((0,) * p.arity + degs)
+    return (Polynomial._of(images.arity, {e: Fraction(c) for e, c in num.items() if c}),
+            Polynomial._of(images.arity, {e: Fraction(c) for e, c in den.items()}))
 
 
-def compose_fraction(num: Polynomial, den: Polynomial, images):
+def compose_fraction(num: Polynomial, den: Polynomial, images: FractionImages):
     """(num/den) after substituting fraction images for the variables."""
     n_num, d_num = compose_poly(num, images)
     n_den, d_den = compose_poly(den, images)
     return n_num * d_den, d_num * n_den
 
 
-def pullback(host: AffineVariety, num: Polynomial, den: Polynomial, images):
+def pullback(host: AffineVariety, num: Polynomial, den: Polynomial, images: FractionImages):
     """(num/den) composed with the fraction images, as an unreduced fraction
     pair on host; ZeroDenominator if the composite denominator lies in the
     host ideal.  `RationalFunction.substitute` is the reduced counterpart."""
@@ -116,7 +186,7 @@ class RationalFunction:
             raise ZeroDenominator(f"denominator vanishes at {point}")
         return self.num.evaluate(point) / d
 
-    def substitute(self, images, new_host: AffineVariety) -> "RationalFunction":
+    def substitute(self, images: FractionImages, new_host: AffineVariety) -> "RationalFunction":
         """Compose with fraction images of this host's coordinates, producing
         a function on new_host."""
         return reduced_fraction(new_host, *compose_fraction(self.num, self.den, images))

@@ -136,7 +136,7 @@ def _verify_equivariance(model, action, psi, endos):
     """psi(mu_g(y)) = rho_g(psi(y)) for every group element."""
     X = action.space
     J = model.ideal
-    psi_images = [f.fraction_pair() for f in psi.reps[0]]
+    psi_images = psi.images()
     for g, coords in endos.items():
         rho_g = specialize(action, g)
         for i in range(X.arity):

@@ -208,6 +208,17 @@ def test_specialize_blowup_at_one(blowup_action):
     assert rho1._inverse is not None
 
 
+def test_a_specialize_pair_proves_both_round_trips(blowup_action, monkeypatch):
+    # nothing proves the specialisations dominant, so neither round trip is skipped
+    import weilreg.maps
+
+    trips = []
+    real = weilreg.maps._roundtrip_is_identity
+    monkeypatch.setattr(weilreg.maps, "_roundtrip_is_identity", lambda a, b: trips.append((a, b)) or real(a, b))
+    rho1 = specialize(blowup_action, (1,))
+    assert [(a, b) for a, b in trips] == [(rho1, rho1._inverse), (rho1._inverse, rho1)]
+
+
 def test_specialize_at_identity_is_identity(blowup_action, cremona_action):
     X = blowup_action.space
     assert maps_equal(specialize(blowup_action, (0,)), identity_map(X))

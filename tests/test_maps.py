@@ -1,4 +1,6 @@
 import ast
+import itertools
+import random
 from fractions import Fraction
 from pathlib import Path
 
@@ -17,6 +19,7 @@ from weilreg.errors import (
 import weilreg.maps
 from weilreg.maps import (
     _pair_inverses,
+    _roundtrip_is_identity,
     biregular_locus,
     closed_image,
     compose,
@@ -26,11 +29,13 @@ from weilreg.maps import (
     inverse,
     is_dominant,
     is_graph_closed,
+    make_rational_map,
     maps_equal,
     point_status,
     rational_map,
 )
 from weilreg.ratfunc import RationalFunction
+from weilreg.sessions import parse_session, run_session
 from weilreg.varieties import OpenSubset, affine_space, variety
 
 
@@ -250,6 +255,83 @@ def test_an_involution_pairs_with_itself_after_one_round_trip(monkeypatch):
     with pytest.raises(RoundTripFailure):
         _pair_inverses(doubling, doubling, RoundTripFailure("not an involution"))
     assert doubling._inverse is None
+
+
+# Triangular Moebius maps v_i -> (A v_i + B)/(C v_i + D), A..D polynomials in
+# the earlier variables of the given degrees (-1: absent), outputs permuted:
+# the fifteen shapes of the benchmark's `mapcalc` workload.
+MOEBIUS_SHAPES = (
+    ((0, 0, -1, 0), (0, 0, 1, 0)),
+    ((0, 0, -1, 0), (1, 0, 0, 1)),
+    ((0, 0, 0, 0), (-1, 0, 1, 0)),
+    ((0, 0, 0, 0), (-1, 0, 1, 1)),
+    ((0, 0, 0, 0), (2, 1, 0, 0)),
+    ((0, 0, 0, 0), (1, 0, 0, 1)),
+    ((0, 0, 0, 0), (2, 2, 0, 1)),
+    ((0, 0, 0, 0), (-1, 2, 1, 2)),
+    ((0, 0, 0, 0), (1, 1, -1, 0), (0, 0, 0, 0)),
+    ((0, 0, 0, 0), (0, 0, 0, 0), (0, 0, 0, 0)),
+    ((0, 0, 0, 0), (0, 0, -1, 0), (1, 1, -1, 0)),
+    ((0, 0, -1, 0), (1, 0, -1, 1), (1, 1, -1, 0)),
+    ((0, 0, 0, 0), (0, 0, 0, 0), (1, 1, -1, 0)),
+    ((0, 0, -1, 0), (1, 1, -1, 0), (1, 0, 0, 1)),
+    ((0, 0, 0, 0), (1, 1, -1, 1), (1, 1, -1, 0)),
+)
+
+
+def _moebius_map(rng, shape):
+    n = len(shape)
+    X = affine_space(["x", "y", "z"][:n])
+    coords = []
+    for i, degrees in enumerate(shape):
+        while True:
+            a, b, c, d = (Polynomial(n, {
+                e + (0,) * (n - i): rng.choice((-3, -2, -1, 1, 2, 3))
+                for e in itertools.product(range(max(k, 0) + 1), repeat=i) if sum(e) <= k})
+                for k in degrees)
+            if not (a * d - b * c).is_zero():
+                break
+        v = Polynomial.variable(n, i)
+        coords.append(RationalFunction(X, a * v + b, c * v + d))
+    rng.shuffle(coords)
+    return make_rational_map(X, X, [coords])
+
+
+def _counting_round_trips(monkeypatch):
+    trips = []
+    real = weilreg.maps._roundtrip_is_identity
+    monkeypatch.setattr(weilreg.maps, "_roundtrip_is_identity", lambda a, b: trips.append(1) or real(a, b))
+    return trips
+
+
+@pytest.mark.parametrize("shape", MOEBIUS_SHAPES)
+def test_inverse_proves_one_round_trip_and_both_hold(shape, monkeypatch):
+    phi = _moebius_map(random.Random(repr(shape)), shape)
+    trips = _counting_round_trips(monkeypatch)
+    psi = inverse(phi)
+    assert len(trips) == 1
+    monkeypatch.undo()
+    assert _roundtrip_is_identity(phi, psi) and _roundtrip_is_identity(psi, phi)
+
+
+def test_every_golden_inverse_pair_round_trips_both_ways(monkeypatch):
+    pairs = []
+    real = weilreg.maps._pair_inverses
+
+    def recording(a, b, error):
+        dominant = a._dominant
+        real(a, b, error)
+        if b is not a:
+            pairs.append((a, b, dominant))
+
+    monkeypatch.setattr(weilreg.maps, "_pair_inverses", recording)
+    for path in sorted((Path(__file__).resolve().parents[1] / "sessions").glob("*.wr")):
+        run_session(parse_session(path.read_text(encoding="utf-8")), path.stem)
+    monkeypatch.undo()
+    assert pairs
+    for a, b, dominant in pairs:
+        assert dominant  # so only b o a was substituted
+        assert _roundtrip_is_identity(a, b) and _roundtrip_is_identity(b, a)
 
 
 def _inverse_assignments(node, func=None):

@@ -186,9 +186,10 @@ def test_divide_exact_on_products_and_non_multiples():
 def test_poly_gcd_basic():
     f = P("x^2 - y^2") * P("x + z")
     g = P("x + y") * P("x + z")
-    assert poly_gcd(f, g) == P("x+y") * P("x+z")
-    assert poly_gcd(P("x"), P("y")) == Polynomial.one(3)
-    assert poly_gcd(Polynomial.zero(3), P("2*x")) == P("x")
+    assert poly_gcd(f, g) == (P("x+y") * P("x+z"), P("x - y"), Polynomial.one(3))
+    assert poly_gcd(P("x"), P("y")) == (Polynomial.one(3), P("x"), P("y"))
+    assert poly_gcd(Polynomial.zero(3), P("2*x")) == (P("x"), Polynomial.zero(3), P("2"))
+    assert poly_gcd(Polynomial.zero(3), Polynomial.zero(3)) == (Polynomial.zero(3),) * 3
 
 
 def test_simplify_fraction_cancels_and_normalises():

@@ -17,7 +17,14 @@ from weilreg import GREVLEX, Polynomial
 from weilreg import polygcd
 from weilreg.errors import BudgetExceeded
 from weilreg.ideals import STEP_BUDGET
-from weilreg.polygcd import divide_exact, poly_gcd, squarefree_part, squarefree_part_degree
+from weilreg.polygcd import (
+    derivative,
+    divide_exact,
+    poly_gcd,
+    simplify_fraction,
+    squarefree_part,
+    squarefree_part_degree,
+)
 
 from oracles import random_polynomial
 
@@ -112,7 +119,7 @@ def gcd_pairs(seed, count=60, max_terms=None):
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_gcd_equals_the_pseudo_remainder_reference(seed):
     for f, g in gcd_pairs(seed):
-        assert poly_gcd(f, g) == prs_gcd(f, g), (f, g)
+        assert poly_gcd(f, g)[0] == prs_gcd(f, g), (f, g)
 
 
 def test_fallback_gives_the_same_gcd(monkeypatch):
@@ -121,7 +128,7 @@ def test_fallback_gives_the_same_gcd(monkeypatch):
     fallback = polygcd._lcm_gcd
     monkeypatch.setattr(polygcd, "_lcm_gcd", lambda f, g: calls.append(1) or fallback(f, g))
     for f, g in gcd_pairs(4, count=20):
-        assert poly_gcd(f, g) == prs_gcd(f, g), (f, g)
+        assert poly_gcd(f, g)[0] == prs_gcd(f, g), (f, g)
     assert calls  # the heuristic made no try, so the fallback ran
 
 
@@ -155,14 +162,53 @@ def test_fallback_is_bounded_by_the_step_budget(monkeypatch):
 
 def test_exact_division_returns_the_cofactor_or_none():
     for f, g in gcd_pairs(5, count=20):
-        h = poly_gcd(f, g)
+        h, *cofactors = poly_gcd(f, g)
         if h.is_zero():
             continue
-        for p in (f, g):
+        for p, cofactor in zip((f, g), cofactors):
             q = divide_exact(p, h)
-            assert q is not None and q * h == p
+            assert q is not None and q * h == p and q == cofactor
             if h.total_degree() > 0:
                 assert divide_exact(p + Polynomial.one(p.arity), h) is None
+
+
+# simplify_fraction and squarefree_part as they were before poly_gcd handed out
+# its cofactors: each divided by the gcd a second time
+
+
+def reference_simplify_fraction(num, den):
+    if num.is_zero():
+        return num, Polynomial.one(den.arity)
+    g = poly_gcd(num, den)[0]
+    if not g.is_constant():
+        num = divide_exact(num, g)
+        den = divide_exact(den, g)
+    lc = den.leading_term(GREVLEX)[1]
+    if lc != 1:
+        scale = Fraction(1) / lc
+        num = num.scale(scale)
+        den = den.scale(scale)
+    return num, den
+
+
+def reference_squarefree_part(f):
+    if f.is_zero() or f.is_constant():
+        return f.primitive()
+    g = f
+    for var in sorted(f.variables_present()):
+        g = poly_gcd(g, derivative(f, var))[0]
+    if g.is_constant():
+        return f.primitive()
+    return divide_exact(f, g).primitive()
+
+
+@pytest.mark.parametrize("seed", [8, 9])
+def test_cofactors_give_the_same_fractions_and_squarefree_parts(seed):
+    for f, g in gcd_pairs(seed, count=30):
+        if not g.is_zero():
+            assert simplify_fraction(f, g) == reference_simplify_fraction(f, g), (f, g)
+        for p in (f, f * f * g, g * g):
+            assert squarefree_part(p) == reference_squarefree_part(p), p
 
 
 # -- sympy ----------------------------------------------------------------------------
@@ -175,7 +221,7 @@ def test_gcd_and_squarefree_part_agree_with_sympy():
     for f, g in gcd_pairs(6, count=20):
         xs = sympy.symbols(f"x0:{f.arity}")
         theirs = sympy.gcd(to_sympy(f, xs), to_sympy(g, xs))
-        assert poly_gcd(f, g) == from_sympy(theirs, xs).primitive(), (f, g)
+        assert poly_gcd(f, g)[0] == from_sympy(theirs, xs).primitive(), (f, g)
         square = f * f * g
         if not square.is_zero():
             assert squarefree_part(square) == from_sympy(sympy.sqf_part(to_sympy(square, xs)), xs).primitive()

@@ -17,7 +17,14 @@ from oracles import random_polynomial
 from weilreg.errors import ZeroDenominator
 from weilreg.polygcd import simplify_fraction
 import weilreg.ratfunc
-from weilreg.ratfunc import RationalFunction, compose_fraction, fraction_text, pullback, reduced_fraction
+from weilreg.ratfunc import (
+    FractionImages,
+    RationalFunction,
+    compose_fraction,
+    fraction_text,
+    pullback,
+    reduced_fraction,
+)
 from weilreg.varieties import affine_space, variety
 
 
@@ -73,8 +80,8 @@ def test_substitute_matches_inline_pipeline(name):
     while checked < 40:
         f = RationalFunction(source, random_polynomial(rng, 2, 2, max_terms=3, coeff_bound=3),
                              _nonvanishing(rng, source, 2))
-        images = [(random_polynomial(rng, 2, 2, max_terms=3, coeff_bound=3),
-                   _nonvanishing(rng, host, 1)) for _ in range(2)]
+        images = FractionImages((random_polynomial(rng, 2, 2, max_terms=3, coeff_bound=3),
+                                 _nonvanishing(rng, host, 1)) for _ in range(2))
         try:
             want = reference_substitute(f, images, host)
         except ZeroDenominator:
@@ -95,7 +102,7 @@ def test_denominator_vanishing_on_the_host_raises_in_both_versions():
             reduced_fraction(torus, one, den)
     # 1/x pulled back along x -> x*y - 1 lands on a denominator zero on the torus
     f = RationalFunction.parse(plane, "1/x")
-    images = [(torus.poly("x*y-1"), torus.poly("1")), (torus.poly("y"), torus.poly("1"))]
+    images = FractionImages([(torus.poly("x*y-1"), torus.poly("1")), (torus.poly("y"), torus.poly("1"))])
     with pytest.raises(ZeroDenominator):
         reference_substitute(f, images, torus)
     with pytest.raises(ZeroDenominator):
@@ -122,9 +129,9 @@ def test_pullback_refuses_a_vanishing_composite_denominator():
     one = torus.poly("1")
     # x -> x*y - 1 sends the denominator x to zero on the torus
     with pytest.raises(ZeroDenominator):
-        pullback(torus, f.num, f.den, [(torus.poly("x*y-1"), one), (torus.poly("y"), one)])
+        pullback(torus, f.num, f.den, FractionImages([(torus.poly("x*y-1"), one), (torus.poly("y"), one)]))
     # x -> x*y keeps it; the pair comes back as composed, unreduced
-    images = [(torus.poly("x*y"), one), (torus.poly("y"), one)]
+    images = FractionImages([(torus.poly("x*y"), one), (torus.poly("y"), one)])
     assert pullback(torus, f.num, f.den, images) == compose_fraction(f.num, f.den, images)
 
 
