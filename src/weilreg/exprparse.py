@@ -129,19 +129,27 @@ class FractionExprParser:
         self.names = list(names)
         self.index = {name: i for i, name in enumerate(self.names)}
         self.arity = len(self.names)
+        self.one = Polynomial.one(self.arity)
 
     # fraction pair helpers
+    def _times(self, p, q):
+        """p*q, without multiplying when a factor is the polynomial 1."""
+        if q == self.one:
+            return p
+        return q if p == self.one else p * q
+
     def _add(self, a, b, sign=1):
-        return (a[0] * b[1] + sign * b[0] * a[1], a[1] * b[1])
+        left, right = self._times(a[0], b[1]), self._times(b[0], a[1])
+        return (left + right if sign > 0 else left - right, self._times(a[1], b[1]))
 
     def _mul(self, a, b):
-        return (a[0] * b[0], a[1] * b[1])
+        return (self._times(a[0], b[0]), self._times(a[1], b[1]))
 
     def _div(self, a, b):
         tok = self.stream.peek()
         if b[0].is_zero():
             raise SessionSyntaxError("division by zero", tok.line, tok.column)
-        return (a[0] * b[1], a[1] * b[0])
+        return (self._times(a[0], b[1]), self._times(a[1], b[0]))
 
     def parse(self):
         # fractions are kept exactly as written; cancellation is the caller's
@@ -186,12 +194,12 @@ class FractionExprParser:
         tok = self.stream.peek()
         if tok.kind == "INT":
             self.stream.next()
-            return (Polynomial.constant(self.arity, int(tok.text)), Polynomial.one(self.arity))
+            return (Polynomial.constant(self.arity, int(tok.text)), self.one)
         if tok.kind == "IDENT":
             if tok.text not in self.index:
                 raise SessionSyntaxError(f"unknown variable {tok.text!r}", tok.line, tok.column)
             self.stream.next()
-            return (Polynomial.variable(self.arity, self.index[tok.text]), Polynomial.one(self.arity))
+            return (Polynomial.variable(self.arity, self.index[tok.text]), self.one)
         if tok.kind == "(":
             self.stream.next()
             value = self.expr()
@@ -217,5 +225,6 @@ def parse_polynomial(text: str, names) -> Polynomial:
     num, den = parse_fraction(text, names)
     if not den.is_constant():
         raise SessionSyntaxError("expected a polynomial, found a fraction", 1, 1)
-    return num.scale(Fraction(1) / den.constant_value())
+    c = den.constant_value()
+    return num if c == 1 else num.scale(Fraction(1) / c)
 

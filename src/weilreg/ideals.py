@@ -14,7 +14,8 @@ polynomials with positive leads, and every reduction runs on the
 fraction-free kernel of `poly`.  An S-polynomial is the integer combination
 (lc_g/d)*x^m_f*f - (lc_f/d)*x^m_g*g with d = gcd(lc_f, lc_g), and a nonzero
 remainder is made primitive.  Minimalisation and inter-reduction stay on
-integers too; one monic Fraction basis is emitted at the end.  A
+integers too; the monic basis emitted at the end has c // lc for c/lc
+wherever lc divides c, as `poly` stores integral coefficients.  A
 fraction-free remainder is a positive multiple of the remainder over Q, with
 the same primitive part, so every lead, every pair, the step count and the
 reduced basis are those of the same algorithm run over Q.
@@ -109,7 +110,8 @@ def _reduced_basis(records, order, arity):
                 minimal[i] = _record(r, first)
                 changed = True
     minimal.sort(key=lambda rec: key(rec[0]), reverse=True)
-    return tuple(Polynomial._of(arity, {lead: Fraction(1), **{e: Fraction(c, lc) for e, c in tail}})
+    return tuple(Polynomial._of(arity, {lead: 1, **{e: Fraction(c, lc) if c % lc else c // lc
+                                                    for e, c in tail}})
                  for lead, lc, tail in minimal)
 
 

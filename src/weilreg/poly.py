@@ -1,16 +1,19 @@
 """Exact multivariate polynomials over arbitrary-precision rationals.
 
 A polynomial is immutable: an arity plus a mapping from exponent tuples to
-nonzero Fraction coefficients.  Term order is a view concern; sorted term
-lists are produced on demand for a given MonomialOrder.
+nonzero rational coefficients, each an int when integral and otherwise a
+Fraction with denominator > 1 (`_coefficient`).  Integral arithmetic is thus
+int arithmetic; a division of coefficients needs a Fraction operand, since
+int / int is a float.  Term order is a view concern; sorted term lists are
+produced on demand for a given MonomialOrder.
 
 Multivariate division has one kernel, `_reduce_terms`, which is
-fraction-free and works on integer term dicts: `Fraction` stays at the
-`Polynomial` interface.  `divide`, and so every normal form, runs it on the
-integer-primitive parts of its arguments and scales the results back
-exactly; Buchberger in `ideals` calls it directly.  The kernel finds the
-largest remaining term with a min-heap of negated order keys; entries whose
-term was cancelled are skipped when they surface (lazy deletion).
+fraction-free and works on integer term dicts.  `divide`, and so every
+normal form, runs it on the integer-primitive parts of its arguments and
+scales the results back exactly; Buchberger in `ideals` calls it directly.
+The kernel finds the largest remaining term with a min-heap of negated order
+keys; entries whose term was cancelled are skipped when they surface (lazy
+deletion).
 """
 
 from fractions import Fraction
@@ -28,31 +31,23 @@ class Polynomial:
 
     def __init__(self, arity: int, terms=None):
         self.arity = arity
-        clean = {}
-        if terms:
-            for exps, coeff in (terms.items() if isinstance(terms, dict) else terms):
-                if not isinstance(coeff, Fraction):
-                    coeff = Fraction(coeff)
-                if coeff == 0:
-                    continue
+        sums = {}
+        for exps, coeff in (terms.items() if isinstance(terms, dict) else terms or ()):
+            if coeff:
                 exps = tuple(exps)
                 if len(exps) != arity:
                     raise ArityMismatch(f"exponent vector {exps} has wrong length for arity {arity}")
-                prev = clean.get(exps)
-                if prev is not None:
-                    coeff = prev + coeff
-                    if coeff == 0:
-                        del clean[exps]
-                        continue
-                clean[exps] = coeff
-        self.terms = clean
+                if not isinstance(coeff, (int, Fraction)):
+                    coeff = Fraction(coeff)
+                sums[exps] = sums[exps] + coeff if exps in sums else coeff
+        self.terms = {e: _coefficient(c) for e, c in sums.items() if c}
         self._hash = None
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
     def _of(cls, arity: int, terms: dict) -> "Polynomial":
-        """Wrap a clean term dict (right-length tuple keys, nonzero Fractions) without copying."""
+        """Wrap a clean term dict (right-length tuple keys, `_coefficient`s) without copying."""
         out = cls.__new__(cls)
         out.arity, out.terms, out._hash = arity, terms, None
         return out
@@ -63,12 +58,12 @@ class Polynomial:
 
     @classmethod
     def constant(cls, arity: int, value) -> "Polynomial":
-        return cls(arity, {(0,) * arity: Fraction(value)})
+        return cls(arity, {(0,) * arity: value})
 
     @classmethod
     def variable(cls, arity: int, index: int) -> "Polynomial":
         exps = tuple(1 if i == index else 0 for i in range(arity))
-        return cls(arity, {exps: Fraction(1)})
+        return cls._of(arity, {exps: 1})
 
     @classmethod
     def one(cls, arity: int) -> "Polynomial":
@@ -88,7 +83,7 @@ class Polynomial:
         [(exps, coeff)] = self.terms.items()
         if any(exps):
             raise ValueError("not a constant polynomial")
-        return coeff
+        return Fraction(coeff)
 
     def total_degree(self) -> int:
         if not self.terms:
@@ -136,7 +131,7 @@ class Polynomial:
             if acc is None:
                 res[exps] = coeff
             elif acc := acc + coeff:
-                res[exps] = acc
+                res[exps] = _coefficient(acc)
             else:
                 del res[exps]
         return Polynomial._of(self.arity, res)
@@ -156,7 +151,7 @@ class Polynomial:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            return self.scale(Fraction(other))
+            return self.scale(other)
         self._check(other)
         res = {}
         for e1, c1 in self.terms.items():
@@ -169,30 +164,32 @@ class Polynomial:
                     res[exps] = acc
                 else:
                     del res[exps]
+        for exps, c in res.items():
+            if type(c) is not int and c.denominator == 1:
+                res[exps] = c.numerator
         return Polynomial._of(self.arity, res)
 
     __rmul__ = __mul__
 
-    def scale(self, factor: Fraction) -> "Polynomial":
+    def scale(self, factor) -> "Polynomial":
         if factor == 0:
             return Polynomial.zero(self.arity)
-        return Polynomial._of(self.arity, {e: c * factor for e, c in self.terms.items()})
+        return Polynomial._of(self.arity, _scaled(self.terms, factor))
 
-    def mul_term(self, exps, coeff: Fraction) -> "Polynomial":
-        shifted = {tuple(map(add, e, exps)): c * coeff for e, c in self.terms.items()}
+    def mul_term(self, exps, coeff) -> "Polynomial":
+        shifted = {tuple(map(add, e, exps)): _coefficient(c * coeff) for e, c in self.terms.items()}
         return Polynomial._of(self.arity, shifted)
 
     def __pow__(self, n: int):
         if n < 0:
             raise ValueError("negative power of a polynomial")
-        result = Polynomial.one(self.arity)
-        base = self
+        result, base = None, self
         while n:
             if n & 1:
-                result = result * base
+                result = base if result is None else result * base
             base = base * base if n > 1 else base
             n >>= 1
-        return result
+        return Polynomial.one(self.arity) if result is None else result
 
     # -- division ----------------------------------------------------------
 
@@ -217,10 +214,9 @@ class Polynomial:
         factor = content / scale
         out = [{} for _ in divisors]
         for (i, divisor_content, _), q in zip(active, quotients):
-            q_factor = factor / divisor_content
-            out[i] = {e: q_factor * c for e, c in q.items()}
+            out[i] = _scaled(q, factor / divisor_content)
         return ([Polynomial._of(self.arity, q) for q in out],
-                Polynomial._of(self.arity, {e: factor * c for e, c in remainder.items()}))
+                Polynomial._of(self.arity, _scaled(remainder, factor)))
 
     # -- normalisation -----------------------------------------------------
 
@@ -240,12 +236,12 @@ class Polynomial:
             return self
         sign = -1 if self.leading_term(order)[1] < 0 else 1
         terms = self.integer_primitive()[1]
-        return Polynomial._of(self.arity, {e: Fraction(sign * c) for e, c in terms.items()})
+        return Polynomial._of(self.arity, terms if sign > 0 else {e: -c for e, c in terms.items()})
 
     def monic(self, order: MonomialOrder = GREVLEX) -> "Polynomial":
         if not self.terms:
             return self
-        return self.scale(1 / self.leading_term(order)[1])
+        return self.scale(Fraction(1) / self.leading_term(order)[1])
 
     # -- evaluation and substitution ----------------------------------------
 
@@ -365,7 +361,18 @@ class Polynomial:
         return format_polynomial(self, names)
 
 
-# -- the fraction-free division kernel -------------------------------------------
+# -- coefficients and the fraction-free division kernel ---------------------------
+
+
+def _coefficient(c):
+    """A nonzero rational as a coefficient is stored: an int when it is
+    integral, else a Fraction (whose denominator is then > 1)."""
+    return c if type(c) is int or c.denominator != 1 else c.numerator
+
+
+def _scaled(terms: dict, factor) -> dict:
+    """The term dict times a nonzero rational factor."""
+    return {e: _coefficient(c * factor) for e, c in terms.items()}
 
 
 def _record(terms: dict, lead) -> tuple:

@@ -42,7 +42,7 @@ from operator import add, ge, neg, sub
 
 from .ideals import Ideal, intersect
 from .orders import GREVLEX
-from .poly import Polynomial
+from .poly import Polynomial, _scaled
 
 # evaluation points tried before the Groebner fallback runs
 HEU_TRIES = 6
@@ -179,8 +179,7 @@ def divide_exact(f: Polynomial, g: Polynomial):
     q = _quotient(F, G)
     if q is None:
         return None
-    scale = cf / cg
-    return Polynomial._of(f.arity, {e: scale * c for e, c in q.items()})
+    return Polynomial._of(f.arity, _scaled(q, cf / cg))
 
 
 def derivative(f: Polynomial, var: int) -> Polynomial:
@@ -220,9 +219,9 @@ def poly_gcd(f: Polynomial, g: Polynomial):
     if h[max(h, key=GREVLEX.key)] < 0:
         h = {e: -v for e, v in h.items()}
         cf, cg = -cf, -cg
-    return (Polynomial._of(f.arity, {e: Fraction(v) for e, v in h.items()}),
-            Polynomial._of(f.arity, {e: cf * v for e, v in qf.items()}),
-            Polynomial._of(g.arity, {e: cg * v for e, v in qg.items()}))
+    return (Polynomial._of(f.arity, h),
+            Polynomial._of(f.arity, _scaled(qf, cf)),
+            Polynomial._of(g.arity, _scaled(qg, cg)))
 
 
 def simplify_fraction(num: Polynomial, den: Polynomial):

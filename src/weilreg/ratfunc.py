@@ -15,11 +15,11 @@ is cached beyond them.
 """
 
 from fractions import Fraction
-from operator import add, sub
+from operator import sub
 
 from .errors import ArityMismatch, ZeroDenominator
 from .exprparse import parse_fraction
-from .poly import Polynomial, format_polynomial
+from .poly import Polynomial, _coefficient, format_polynomial
 from .polygcd import simplify_fraction
 from .varieties import AffineVariety
 
@@ -30,9 +30,7 @@ class FractionImages:
     A monomial of a polynomial homogenised as c*x^e*w^(deg-e) is keyed by its
     exponent vector (e, deg-e); its image is prod num_i^e_i * den_i^(deg-e)_i,
     computed once as the image of the same vector with its last nonzero
-    exponent lowered by one, times the num_i or den_i of that exponent.  Table
-    entries are term dicts whose integral coefficients are plain ints, so
-    products and sums of integral coefficients skip `Fraction` arithmetic.
+    exponent lowered by one, times the num_i or den_i of that exponent.
     """
 
     __slots__ = ("arity", "_bases", "_monomials")
@@ -43,17 +41,17 @@ class FractionImages:
             raise ValueError("no images supplied")
         self.arity = pairs[0][0].arity
         bases = [num for num, _ in pairs] + [den for _, den in pairs]
-        self._bases = [{e: _plain(c) for e, c in b.terms.items()} for b in bases]
+        self._bases = bases
         n = len(bases)
-        self._monomials = {(0,) * n: {(0,) * self.arity: 1}}
-        for i, base in enumerate(self._bases):
+        self._monomials = {(0,) * n: Polynomial.one(self.arity)}
+        for i, base in enumerate(bases):
             self._monomials[(0,) * i + (1,) + (0,) * (n - 1 - i)] = base
 
     def __len__(self):
         return len(self._bases) // 2
 
-    def monomial(self, key) -> dict:
-        """The image of the homogenised monomial key, as a term dict."""
+    def monomial(self, key) -> Polynomial:
+        """The image of the homogenised monomial key."""
         image = self._monomials.get(key)
         steps = []
         while image is None:  # walk down to an image in the table
@@ -62,23 +60,8 @@ class FractionImages:
             key = key[:last] + (key[last] - 1,) + key[last + 1:]
             image = self._monomials.get(key)
         for key, last in reversed(steps):
-            image = self._monomials[key] = _multiply(image, self._bases[last])
+            image = self._monomials[key] = image * self._bases[last]
         return image
-
-
-def _plain(c: Fraction):
-    """c as an int when it is integral."""
-    return c.numerator if c.denominator == 1 else c
-
-
-def _multiply(f: dict, g: dict) -> dict:
-    """Product of two term dicts."""
-    out = {}
-    for e1, c1 in f.items():
-        for e2, c2 in g.items():
-            e = tuple(map(add, e1, e2))
-            out[e] = out.get(e, 0) + c1 * c2
-    return {e: c for e, c in out.items() if c}
 
 
 def compose_poly(p: Polynomial, images: FractionImages):
@@ -87,19 +70,18 @@ def compose_poly(p: Polynomial, images: FractionImages):
     Returns a fraction pair over the images' ring: num_i and den_i are
     substituted for x_i and w_i in p homogenised as c*x^e*w^(deg-e), and in
     the denominator prod w_i^deg_i.  The numerator is the sum of the table's
-    monomial images scaled by p's coefficients; both come back over Fraction.
+    monomial images scaled by p's coefficients; the denominator is a table
+    entry.
     """
     if len(images) != p.arity:
         raise ArityMismatch("one image per variable required")
     degs = tuple(max(p.degree_in(i), 0) for i in range(p.arity))
     num = {}
     for exps, coeff in p.terms.items():
-        coeff = _plain(coeff)
-        for e, c in images.monomial(exps + tuple(map(sub, degs, exps))).items():
+        for e, c in images.monomial(exps + tuple(map(sub, degs, exps))).terms.items():
             num[e] = num.get(e, 0) + coeff * c
-    den = images.monomial((0,) * p.arity + degs)
-    return (Polynomial._of(images.arity, {e: Fraction(c) for e, c in num.items() if c}),
-            Polynomial._of(images.arity, {e: Fraction(c) for e, c in den.items()}))
+    return (Polynomial._of(images.arity, {e: _coefficient(c) for e, c in num.items() if c}),
+            images.monomial((0,) * p.arity + degs))
 
 
 def compose_fraction(num: Polynomial, den: Polynomial, images: FractionImages):

@@ -566,7 +566,8 @@ def _polynomial(stmt, text, names, what):
     num, den = parse_fraction(text, names)
     if not den.is_constant():
         raise SessionSyntaxError(f"{what} must be polynomial", stmt.line, stmt.column)
-    return num.scale(Fraction(1) / den.constant_value())
+    c = den.constant_value()
+    return num if c == 1 else num.scale(Fraction(1) / c)
 
 
 def _no_repeats(stmt, items, what="element"):

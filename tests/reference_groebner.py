@@ -63,7 +63,7 @@ def reference_divide(self, divisors, order: MonomialOrder = GREVLEX):
             remainder[exps] = coeff
             continue
         shift = tuple(map(sub, exps, lead))
-        q = coeff / lc
+        q = Fraction(coeff) / lc
         quotients[i][shift] = q
         # every new term lies below exps, so no term popped so far comes back
         for e, c in tail:

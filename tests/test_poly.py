@@ -19,7 +19,9 @@ def P(text, names=("x", "y", "z")):
 
 def test_construction_merges_and_drops_zero_terms():
     p = Polynomial(2, [((1, 0), 2), ((1, 0), -2), ((0, 1), 3)])
-    assert p.terms == {(0, 1): Fraction(3)}
+    assert p.terms == {(0, 1): 3} and type(p.terms[(0, 1)]) is int
+    q = Polynomial(2, [((0, 1), Fraction(6, 4)), ((0, 1), Fraction(1, 2))])
+    assert q.terms == {(0, 1): 2} and type(q.terms[(0, 1)]) is int
 
 
 def test_scalars_are_lowest_terms_with_positive_denominator():
@@ -124,7 +126,7 @@ def reference_division(f, divisors, order):
             lexps, lcoeff = lead
             diff = tuple(a - b for a, b in zip(exps, lexps))
             if all(d >= 0 for d in diff):
-                c = coeff / lcoeff
+                c = Fraction(coeff) / lcoeff
                 quotients[i] = quotients[i] + Polynomial(f.arity, {diff: c})
                 p = p - divisors[i].mul_term(diff, c)
                 break

@@ -341,3 +341,28 @@ def test_determinism_byte_identical_reports():
     a = strip_timing(parse_report(emit_report(run_session(parse_session(CREMONA)))))
     b = strip_timing(parse_report(emit_report(run_session(parse_session(CREMONA)))))
     assert json.dumps(a) == json.dumps(b)
+
+
+# integral values written as ratios of integers
+RATIOS = """\
+var s r x y
+variety X = affine(x, y)
+variety L = affine(x, y)/(6/3*x - y)
+group A = Ga(s)
+group B = Ga(r)
+group G = A x B
+action tr : G x X -> X = (x+s, y+r)
+cmd closedgraph tr at (4/2, -6/3)
+cmd atlas tr S=((0, 0), (4/2, -6/3))
+"""
+
+
+def test_integral_ratios_are_reported_as_integers():
+    records = run_session(parse_session(RATIOS))
+    report = emit_report(records)
+    by_command = {r["command"]: r for r in records}
+    assert by_command["variety L = affine(x, y)/(6/3*x-y)"]["payload"]["ideal"] == ["2*x-y"]
+    assert by_command["cmd closedgraph tr at (2, -2)"]["status"] == "ok"
+    assert by_command["cmd atlas tr S=((0, 0), (2, -2))"]["payload"]["points"] == [["0", "0"], ["2", "-2"]]
+    assert all(r["status"] == "ok" for r in records)
+    assert "." not in report  # no float such as 2.0 anywhere
