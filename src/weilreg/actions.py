@@ -216,30 +216,24 @@ def tilde_biregular_locus(action: RationalAction) -> OpenSubset:
     """Biregular locus of the lifted map on the product, with the restriction
     witnesses (x in the domain, g.x in the domain) multiplied in."""
     forward, _ = lift_action(action)
-    base = biregular_locus(forward)
-    if not action.is_restricted:
-        return base
-    amb = action.ambient
-    images = action.rho.images()
-    witnesses = []
-    for w in base.witnesses:
-        for v in action.domain.witnesses:
-            witnesses.append(w * amb.embed_right(v) * compose_poly(v, images)[0])
-    return OpenSubset(amb.variety, witnesses)
+    return _restrict_locus(action, biregular_locus(forward), action.rho, action.ambient.embed_right)
 
 
 def element_biregular_locus(action: RationalAction, g) -> OpenSubset:
     """Biregular locus of one element's map, restricted to the action domain."""
     m = specialize(action, g)
-    base = biregular_locus(m)
+    return _restrict_locus(action, biregular_locus(m), m, lambda v: v)
+
+
+def _restrict_locus(action: RationalAction, base: OpenSubset, phi: RationalMap, embed) -> OpenSubset:
+    """base restricted to the action domain: w * v * (v o phi) for each base
+    witness w and domain witness v, where phi is the action map on base's
+    host and `embed` takes v into that host's ring."""
     if not action.is_restricted:
         return base
-    images = m.images()
-    witnesses = []
-    for w in base.witnesses:
-        for v in action.domain.witnesses:
-            witnesses.append(w * v * compose_poly(v, images)[0])
-    return OpenSubset(action.space, witnesses)
+    images = phi.images()
+    return OpenSubset(base.host, [w * embed(v) * compose_poly(v, images)[0]
+                                  for w in base.witnesses for v in action.domain.witnesses])
 
 
 def action_point_defined(action: RationalAction, g, x):

@@ -9,9 +9,10 @@ closedness of the transition graphs, and the finite covering of the group
 by shifted biregularity loci.
 
 Transition (i, j) is the element map of g_j^-1 * g_i, so k charts give k^2
-transitions over at most 2k - 1 group elements, and equal elements share one
-map object.  Each check is therefore evaluated once per group element (the
-cocycle check once per element pair) and reported per chart pair.
+transitions, stored in chart-pair order, over at most 2k - 1 group elements,
+and equal elements share one map object.  Each check caches its verdicts by the transition map objects,
+which hash by identity: it is evaluated once per map (the cocycle check once
+per triple of maps) and reported per chart pair.
 
 Symmetry is certified by the exact round trip in both directions that
 `specialize` made when it paired the maps of g and g^-1: `inverse` returns
@@ -76,39 +77,36 @@ def build_atlas(action: RationalAction, points=None) -> Atlas:
 
 
 def _check_symmetry(atlas: Atlas) -> dict:
-    """tau_ji = tau_ij^-1, once per element pair (g_ij, g_ji): tau_ji is compared
+    """tau_ji = tau_ij^-1, once per map pair (tau_ij, tau_ji): tau_ji is compared
     with the partner certified by the exact round trip when the pair was formed."""
     failures = []
     verdicts = {}
-    m = len(atlas.points)
-    for i in range(m):
-        for j in range(m):
-            if i == j:
-                continue
-            key = (atlas.elements[(i, j)], atlas.elements[(j, i)])
-            if key not in verdicts:
-                verdicts[key] = maps_equal(inverse(atlas.transitions[(i, j)]), atlas.transitions[(j, i)])
-            if not verdicts[key]:
-                failures.append([i, j])
+    for (i, j), tau in atlas.transitions.items():
+        if i == j:
+            continue
+        key = (tau, atlas.transitions[(j, i)])
+        if key not in verdicts:
+            verdicts[key] = maps_equal(inverse(tau), key[1])
+        if not verdicts[key]:
+            failures.append([i, j])
     return {"passed": not failures, "failures": failures}
 
 
 def _check_cocycle(atlas: Atlas) -> dict:
-    """tau_jk o tau_ij = tau_ik, decided once per element triple (which the
-    element pair (g_ij, g_jk) determines); None records a ZeroDenominator skip."""
+    """tau_jk o tau_ij = tau_ik, decided once per map triple (tau_ij, tau_jk,
+    tau_ik); None records a ZeroDenominator skip."""
     failures = []
     skipped = []
     verdicts = {}
-    elements = atlas.elements
+    transitions = atlas.transitions
     m = len(atlas.points)
     for i in range(m):
         for j in range(m):
             for k in range(m):
-                key = (elements[(i, j)], elements[(j, k)], elements[(i, k)])
+                key = (transitions[(i, j)], transitions[(j, k)], transitions[(i, k)])
                 if key not in verdicts:
                     try:
-                        composite = compose(atlas.transitions[(i, j)], atlas.transitions[(j, k)])
-                        verdicts[key] = maps_equal(composite, atlas.transitions[(i, k)])
+                        verdicts[key] = maps_equal(compose(key[0], key[1]), key[2])
                     except ZeroDenominator:
                         verdicts[key] = None
                 if verdicts[key] is None:
@@ -119,20 +117,17 @@ def _check_cocycle(atlas: Atlas) -> dict:
 
 
 def _check_separated(atlas: Atlas) -> dict:
-    """One closed-graph test per transition element."""
+    """One closed-graph test per transition map."""
     failures = {}
     verdicts = {}
-    m = len(atlas.points)
-    for i in range(m):
-        for j in range(m):
-            if i == j:
-                continue
-            g = atlas.elements[(i, j)]
-            if g not in verdicts:
-                verdicts[g] = is_graph_closed(atlas.transitions[(i, j)], atlas.action.domain)
-            closed, witness = verdicts[g]
-            if not closed:
-                failures[(i, j)] = witness
+    for (i, j), tau in atlas.transitions.items():
+        if i == j:
+            continue
+        if tau not in verdicts:
+            verdicts[tau] = is_graph_closed(tau, atlas.action.domain)
+        closed, witness = verdicts[tau]
+        if not closed:
+            failures[(i, j)] = witness
     return {"passed": not failures, "witnesses": failures}
 
 

@@ -115,12 +115,10 @@ def _reduced_basis(records, order, arity):
                  for lead, lc, tail in minimal)
 
 
-def buchberger(generators, order: MonomialOrder = GREVLEX, max_steps=None):
-    """Reduced Groebner basis of the ideal the generators span.
-
-    `max_steps` caps the S-pairs processed; by default the cap is the
-    current context's `STEP_BUDGET`."""
-    limit = STEP_BUDGET.get() if max_steps is None else max_steps
+def buchberger(generators, order: MonomialOrder = GREVLEX):
+    """Reduced Groebner basis of the ideal the generators span; the current
+    context's `STEP_BUDGET` caps the S-pairs processed."""
+    limit = STEP_BUDGET.get()
     key = order.key
     # each distinct generator, primitive with a positive lead, as its terms
     # (key, coefficient, exponents) in descending order; sorting these is
@@ -203,10 +201,10 @@ class Ideal:
     def zero(cls, arity: int) -> "Ideal":
         return cls(arity, ())
 
-    def groebner_basis(self, order: MonomialOrder = GREVLEX, max_steps=None):
+    def groebner_basis(self, order: MonomialOrder = GREVLEX):
         cached = self._bases.get(order)
         if cached is None:
-            cached = buchberger(self.gens, order, max_steps)
+            cached = buchberger(self.gens, order)
             self._bases[order] = cached
         return cached
 

@@ -9,8 +9,9 @@ produced on demand for a given MonomialOrder.
 
 Multivariate division has one kernel, `_reduce_terms`, which is
 fraction-free and works on integer term dicts.  `divide`, and so every
-normal form, runs it on the integer-primitive parts of its arguments and
-scales the results back exactly; Buchberger in `ideals` calls it directly.
+normal form and exact division, runs it on the integer-primitive parts of
+its arguments and scales the results back exactly; Buchberger in `ideals`
+and GCDHEU's certificate in `polygcd` call it directly.
 The kernel finds the largest remaining term with a min-heap of negated order
 keys; entries whose term was cancelled are skipped when they surface (lazy
 deletion).

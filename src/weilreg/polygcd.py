@@ -1,9 +1,11 @@
 """Multivariate polynomial gcd and exact division over the rationals.
 
-Both work on integer term dicts (exponent tuple -> nonzero int): a
+The gcd works on integer term dicts (exponent tuple -> nonzero int): a
 polynomial over Q is a positive rational times an integer-primitive one, and
 by Gauss's lemma gcds and exact quotients of integer-primitive polynomials
-are the same over Z as over Q.
+are the same over Z as over Q.  Every exact division is one run of the
+division kernel `poly._reduce_terms`: through `Polynomial.divide` in
+`divide_exact`, directly in GCDHEU's certificate (`_quotient`).
 
 `poly_gcd` runs the heuristic gcd GCDHEU (Char, Geddes and Gonnet, *GCDHEU:
 heuristic polynomial GCD algorithm based on integer GCD computation*, JSC
@@ -36,13 +38,12 @@ does not divide by it again.
 """
 
 from fractions import Fraction
-from heapq import heapify, heappop, heappush
 from math import gcd, isqrt
-from operator import add, ge, neg, sub
+from operator import sub
 
 from .ideals import Ideal, intersect
-from .orders import GREVLEX
-from .poly import Polynomial, _scaled
+from .orders import GREVLEX, LEX
+from .poly import Polynomial, _record, _reduce_terms, _scaled
 
 # evaluation points tried before the Groebner fallback runs
 HEU_TRIES = 6
@@ -53,42 +54,11 @@ HEU_TRIES = 6
 
 def _quotient(f: dict, g: dict):
     """f/g for nonzero integer term dicts when g divides f in Z[x], else None.
-
-    Divides the largest remaining term (lexicographic order, which is plain
-    tuple order) by g's leading term, with the lazy-deletion heap of the
-    division kernel `poly._reduce_terms`.  Exact division in Z[x] never
-    rescales and stops at the first term that does not divide, so it keeps
-    this loop rather than the kernel's rescaling one."""
-    lead = max(g)
-    lc = g[lead]
-    tail = [(e, c) for e, c in g.items() if e != lead]
-    p = dict(f)
-    heap = [(tuple(map(neg, e)), e) for e in p]
-    heapify(heap)
+    Then every kernel step divides exactly and never rescales; a scale other
+    than 1 means g divides f over Q only (as 2x divides x)."""
     q = {}
-    while heap:
-        exps = heappop(heap)[1]
-        coeff = p.pop(exps, None)
-        if coeff is None:  # cancelled after it was queued
-            continue
-        k, r = divmod(coeff, lc)
-        if r or not all(map(ge, exps, lead)):
-            return None
-        shift = tuple(map(sub, exps, lead))
-        q[shift] = k
-        for e, c in tail:
-            e = tuple(map(add, e, shift))
-            old = p.get(e)
-            if old is None:
-                p[e] = -c * k
-                heappush(heap, (tuple(map(neg, e)), e))
-            else:
-                old -= c * k
-                if old:
-                    p[e] = old
-                else:
-                    del p[e]
-    return q
+    remainder, scale = _reduce_terms(dict(f), [_record(g, max(g))], LEX, [q])
+    return None if remainder or scale != 1 else q
 
 
 def _shift_down(f: dict, low) -> dict:
@@ -172,14 +142,8 @@ def divide_exact(f: Polynomial, g: Polynomial):
     """Quotient f/g when g divides f exactly, else None."""
     if g.is_zero():
         raise ZeroDivisionError("division by the zero polynomial")
-    if f.is_zero():
-        return f
-    cf, F = f.integer_primitive()
-    cg, G = g.integer_primitive()
-    q = _quotient(F, G)
-    if q is None:
-        return None
-    return Polynomial._of(f.arity, _scaled(q, cf / cg))
+    (q,), r = f.divide([g])
+    return None if r else q
 
 
 def derivative(f: Polynomial, var: int) -> Polynomial:

@@ -1,12 +1,14 @@
 """Independent oracles for property tests: these deliberately avoid the
-Groebner engine so that agreement is a real cross-check.
+Groebner engine and the division kernel of `poly`, so that agreement is a
+real cross-check.
 """
 
 import random
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
+from operator import add, ge, neg, sub
 
 from weilreg.poly import Polynomial
-from weilreg.polygcd import divide_exact
 
 
 def random_polynomial(rng: random.Random, arity: int, max_deg: int, max_terms: int = 5,
@@ -18,6 +20,58 @@ def random_polynomial(rng: random.Random, arity: int, max_deg: int, max_terms: i
             continue
         terms[exps] = Fraction(rng.randrange(-coeff_bound, coeff_bound + 1))
     return Polynomial(arity, terms)
+
+
+def quotient(f: dict, g: dict):
+    """f/g for nonzero integer term dicts when g divides f in Z[x], else None.
+
+    The exact division loop `polygcd._quotient` ran before it became one call
+    of the division kernel, kept verbatim: the largest remaining term
+    (lexicographic order, plain tuple order) is divided by g's leading term,
+    and the loop stops at the first term that does not divide."""
+    lead = max(g)
+    lc = g[lead]
+    tail = [(e, c) for e, c in g.items() if e != lead]
+    p = dict(f)
+    heap = [(tuple(map(neg, e)), e) for e in p]
+    heapify(heap)
+    q = {}
+    while heap:
+        exps = heappop(heap)[1]
+        coeff = p.pop(exps, None)
+        if coeff is None:  # cancelled after it was queued
+            continue
+        k, r = divmod(coeff, lc)
+        if r or not all(map(ge, exps, lead)):
+            return None
+        shift = tuple(map(sub, exps, lead))
+        q[shift] = k
+        for e, c in tail:
+            e = tuple(map(add, e, shift))
+            old = p.get(e)
+            if old is None:
+                p[e] = -c * k
+                heappush(heap, (tuple(map(neg, e)), e))
+            else:
+                old -= c * k
+                if old:
+                    p[e] = old
+                else:
+                    del p[e]
+    return q
+
+
+def divide_exact(f: Polynomial, g: Polynomial):
+    """Quotient f/g when g divides f exactly over Q, else None, by `quotient`
+    on the integer-primitive parts (Gauss's lemma)."""
+    if g.is_zero():
+        raise ZeroDivisionError("division by the zero polynomial")
+    if f.is_zero():
+        return f
+    cf, F = f.integer_primitive()
+    cg, G = g.integer_primitive()
+    q = quotient(F, G)
+    return None if q is None else Polynomial(f.arity, q).scale(cf / cg)
 
 
 def coefficients_in(f: Polynomial, var: int):

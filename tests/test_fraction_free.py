@@ -16,7 +16,7 @@ import reference_groebner as ref
 from oracles import random_polynomial
 from weilreg import GREVLEX, LEX, Ideal, Polynomial, block_order, parse_polynomial
 from weilreg.errors import BudgetExceeded
-from weilreg.ideals import buchberger, reduce_full, reset_step_tally, step_tally
+from weilreg.ideals import STEP_BUDGET, buchberger, reduce_full, reset_step_tally, step_tally
 from weilreg.poly import _record, _reduce_terms
 
 
@@ -44,14 +44,18 @@ def _ideal_instances(count, seed):
 
 
 def _run(engine, gens, order, max_steps):
-    """(basis or the budget error's (steps, limit), S-pairs counted)."""
+    """(basis or the budget error's (steps, limit), S-pairs counted), with
+    the step budget set to max_steps."""
     reset = reset_step_tally if engine is buchberger else ref.reset_step_tally
     tally = step_tally if engine is buchberger else ref.step_tally
     reset()
+    token = STEP_BUDGET.set(max_steps)
     try:
-        out = engine(gens, order, max_steps)
+        out = engine(gens, order)
     except BudgetExceeded as exc:
         out = ("budget", exc.steps, exc.limit)
+    finally:
+        STEP_BUDGET.reset(token)
     return out, tally()
 
 
@@ -124,10 +128,13 @@ def test_division_by_large_non_unit_leading_coefficients():
 
 def test_normal_forms_match_the_fraction_loop():
     for gens, order in _ideal_instances(30, seed=31337):
+        token = STEP_BUDGET.set(400)
         try:
-            basis = Ideal(gens[0].arity, gens).groebner_basis(order, max_steps=400)
+            basis = Ideal(gens[0].arity, gens).groebner_basis(order)
         except BudgetExceeded:
             continue
+        finally:
+            STEP_BUDGET.reset(token)
         rng = random.Random(len(basis))
         for _ in range(3):
             probe = random_polynomial(rng, gens[0].arity, 5, max_terms=8, coeff_bound=50)

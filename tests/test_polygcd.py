@@ -2,9 +2,9 @@
 
 The reference is the primitive pseudo-remainder gcd that `polygcd` used
 before GCDHEU, kept here verbatim except that its exact divisions run
-through `Polynomial.divide`, so that none of its steps uses the integer
-kernel it checks.  sympy, an independent implementation, is a second oracle
-where it is installed.
+through the verbatim division loop `oracles.divide_exact`, so that none of
+its steps uses the division kernel that `polygcd` now runs on.  sympy, an
+independent implementation, is a second oracle where it is installed.
 """
 
 import random
@@ -26,15 +26,10 @@ from weilreg.polygcd import (
     squarefree_part_degree,
 )
 
-from oracles import random_polynomial
+from oracles import divide_exact as oracle_divide_exact, random_polynomial
 
 
 # -- the pseudo-remainder reference -------------------------------------------------
-
-
-def _divide_exact(f, g):
-    (q,), r = f.divide((g,), GREVLEX)
-    return q if r.is_zero() else None
 
 
 def _univariate_parts(f, var):
@@ -87,13 +82,13 @@ def prs_gcd(f, g):
     cf = _content_wrt(f, var)
     cg = _content_wrt(g, var)
     cont = prs_gcd(cf, cg)
-    a = _divide_exact(f, cf)
-    b = _divide_exact(g, cg)
+    a = oracle_divide_exact(f, cf)
+    b = oracle_divide_exact(g, cg)
     while not b.is_zero():
         r = _pseudo_rem(a, b, var)
         if not r.is_zero():
             rc = _content_wrt(r, var)
-            r = _divide_exact(r, rc)
+            r = oracle_divide_exact(r, rc)
         a, b = b, r
     return (cont * a).primitive()
 
