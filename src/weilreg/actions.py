@@ -134,19 +134,19 @@ def _validate_associativity_law(action: RationalAction):
     big = ProductAmbient(G.variety, amb.variety)  # (g, (g', x))
     big_ideal = big.variety.ideal
     rho = action.rho.reps[0]
-    one = Polynomial.one(big.arity)
     # the coordinates of G x X, and those of its two factors, as the right factor of big
     inner_vars = [big.embed_right(Polynomial.variable(amb.arity, i)) for i in range(amb.arity)]
     g2_vars = [inner_vars[i] for i in amb.left_indices]
     x_vars = [inner_vars[j] for j in amb.right_indices]
     g_vars = [Polynomial.variable(big.arity, i) for i in big.left_indices]
-    inner_images = FractionImages((v, one) for v in inner_vars)
+    inner_images = FractionImages(inner_vars)
     try:
         inner = [pullback(big.variety, f.num, f.den, inner_images) for f in rho]
     except ZeroDenominator:
         raise NotAnAction("associativity", "inner substitution has identically zero denominator")
-    lhs_images = FractionImages([(v, one) for v in g_vars] + inner)
-    rhs_images = FractionImages((v, one) for v in [m.substitute(g_vars + g2_vars) for m in G.mult] + x_vars)
+    lhs_images = FractionImages(g_vars + inner)
+    product_images = FractionImages(g_vars + g2_vars)
+    rhs_images = FractionImages([compose_poly(m, product_images)[0] for m in G.mult] + x_vars)
     for f in rho:
         try:
             lnum, lden = pullback(big.variety, f.num, f.den, lhs_images)
@@ -198,12 +198,12 @@ def lift_action(action: RationalAction, element=None):
     if action._tilde is not None:
         return action._tilde
     amb = action.ambient
-    P, one = amb.variety, Polynomial.one(amb.arity)
+    P = amb.variety
     g_coords = tuple(RationalFunction.coordinate(P, i) for i in amb.left_indices)
     forward = make_rational_map(P, P, [g_coords + tuple(
         RationalFunction(P, f.num, f.den) for f in action.rho.reps[0])])
-    images = FractionImages([(amb.embed_left(p), one) for p in action.group.inv]
-                            + [(Polynomial.variable(amb.arity, j), one) for j in amb.right_indices])
+    images = FractionImages([amb.embed_left(p) for p in action.group.inv]
+                            + [Polynomial.variable(amb.arity, j) for j in amb.right_indices])
     back_coords = [f.substitute(images, P) for f in action.rho.reps[0]]
     backward = make_rational_map(P, P, [g_coords + tuple(back_coords)])
     _pair_inverses(forward, backward, RoundTripFailure(

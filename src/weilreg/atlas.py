@@ -31,6 +31,7 @@ from .errors import PointNotOnGroup, ZeroDenominator
 from .ideals import Ideal, saturate
 from .maps import compose, inverse, is_graph_closed, maps_equal
 from .poly import Polynomial
+from .ratfunc import FractionImages, compose_poly
 
 
 @dataclass
@@ -131,15 +132,6 @@ def _check_separated(atlas: Atlas) -> dict:
     return {"passed": not failures, "witnesses": failures}
 
 
-def _shift_witness(action: RationalAction, w: Polynomial, point):
-    """Substitute g -> (point^-1) * g into a witness over the product ring."""
-    amb = action.ambient
-    inv_point = action.group.invert_point(point)
-    images = [amb.embed_left(m.specialize(inv_point)) for m in action.group.mult]
-    images += [Polynomial.variable(amb.arity, j) for j in amb.right_indices]
-    return w.substitute(images)
-
-
 def _check_covering(atlas: Atlas) -> dict:
     """The shifted complements of the biregularity locus must have empty
     common intersection over the (possibly restricted) host."""
@@ -160,9 +152,11 @@ def _check_covering(atlas: Atlas) -> dict:
     amb = action.ambient
     breg = tilde_biregular_locus(action)
     gens = []
-    for point in atlas.points:
-        for w in breg.witnesses:
-            gens.append(_shift_witness(action, w, point))
+    for point in atlas.points:  # g -> (point^-1) * g in the witnesses over the product ring
+        inv_point = action.group.invert_point(point)
+        shift = FractionImages([amb.embed_left(m.specialize(inv_point)) for m in action.group.mult]
+                               + [Polynomial.variable(amb.arity, j) for j in amb.right_indices])
+        gens.extend(compose_poly(w, shift)[0] for w in breg.witnesses)
     gens += list(amb.variety.ideal.gens)
     covering_ideal = Ideal(amb.arity, gens)
     passed = True

@@ -10,6 +10,7 @@ from fractions import Fraction
 
 from .errors import AxiomFailure, PointNotOnGroup
 from .poly import Polynomial
+from .ratfunc import FractionImages, compose_poly
 from .varieties import ProductAmbient, affine_space, variety
 
 
@@ -88,26 +89,27 @@ class AlgebraicGroup:
         if not G.point_on(self.identity):
             raise AxiomFailure("identity point does not lie on the group variety")
         GG = ProductAmbient(G, G)
+        mult, inv = FractionImages(self.mult), FractionImages(self.inv)
         # closure under multiplication and inversion
         for gen in G.ideal.gens:
-            if not GG.variety.ideal.contains(gen.substitute(list(self.mult))):
+            if not GG.variety.ideal.contains(compose_poly(gen, mult)[0]):
                 raise AxiomFailure(f"multiplication does not land in the group: relation {G.format(gen)}")
-            if not G.ideal.contains(gen.substitute(list(self.inv))):
+            if not G.ideal.contains(compose_poly(gen, inv)[0]):
                 raise AxiomFailure(f"inversion does not land in the group: relation {G.format(gen)}")
         coords = [Polynomial.variable(r, i) for i in range(r)]
-        consts = [Polynomial.constant(r, c) for c in self.identity]
+        right_identity = FractionImages(coords + [Polynomial.constant(r, c) for c in self.identity])
         # m(e, g) = g and m(g, e) = g
         for i, mi in enumerate(self.mult):
             left = mi.specialize(self.identity)
-            right = mi.substitute(coords + consts)
+            right = compose_poly(mi, right_identity)[0]
             if not G.ideal.contains(left - coords[i]):
                 raise AxiomFailure(f"left identity law fails in coordinate {G.names[i]}")
             if not G.ideal.contains(right - coords[i]):
                 raise AxiomFailure(f"right identity law fails in coordinate {G.names[i]}")
         # m(inv(g), g) = e
-        inv_then_g = [p for p in self.inv] + coords
+        inv_then_g = FractionImages(list(self.inv) + coords)
         for i, mi in enumerate(self.mult):
-            val = mi.substitute(inv_then_g)
+            val = compose_poly(mi, inv_then_g)[0]
             if not G.ideal.contains(val - Polynomial.constant(r, self.identity[i])):
                 raise AxiomFailure(f"inverse law fails in coordinate {G.names[i]}")
         # associativity on G x (G x G)
@@ -115,11 +117,13 @@ class AlgebraicGroup:
         a_vars = [GGG.embed_left(x) for x in coords]
         b_vars = [GGG.embed_right(GG.embed_left(x)) for x in coords]
         c_vars = [GGG.embed_right(GG.embed_right(x)) for x in coords]
-        ab = [mi.substitute(a_vars + b_vars) for mi in self.mult]
-        bc = [mi.substitute(b_vars + c_vars) for mi in self.mult]
+        ab_images, bc_images = FractionImages(a_vars + b_vars), FractionImages(b_vars + c_vars)
+        ab = [compose_poly(mi, ab_images)[0] for mi in self.mult]
+        bc = [compose_poly(mi, bc_images)[0] for mi in self.mult]
+        lhs_images, rhs_images = FractionImages(ab + c_vars), FractionImages(a_vars + bc)
         for i, mi in enumerate(self.mult):
-            lhs = mi.substitute(ab + c_vars)
-            rhs = mi.substitute(a_vars + bc)
+            lhs = compose_poly(mi, lhs_images)[0]
+            rhs = compose_poly(mi, rhs_images)[0]
             if not GGG.variety.ideal.contains(lhs - rhs):
                 raise AxiomFailure(f"associativity fails in coordinate {G.names[i]}")
 
@@ -200,6 +204,5 @@ def product_group(a: AlgebraicGroup, b: AlgebraicGroup) -> AlgebraicGroup:
     b_pair = list(range(ra, r)) + list(range(r + ra, 2 * r))
     mult = [mi.embed(2 * r, a_pair) for mi in a.mult]
     mult += [mi.embed(2 * r, b_pair) for mi in b.mult]
-    inv = [p.embed(r, list(range(ra))) for p in a.inv]
-    inv += [p.embed(r, list(range(ra, r))) for p in b.inv]
+    inv = [amb.embed_left(p) for p in a.inv] + [amb.embed_right(p) for p in b.inv]
     return make_group(amb.variety, mult, inv, a.identity + b.identity)

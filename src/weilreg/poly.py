@@ -5,7 +5,9 @@ nonzero rational coefficients, each an int when integral and otherwise a
 Fraction with denominator > 1 (`_coefficient`).  Integral arithmetic is thus
 int arithmetic; a division of coefficients needs a Fraction operand, since
 int / int is a float.  Term order is a view concern; sorted term lists are
-produced on demand for a given MonomialOrder.
+produced on demand for a given MonomialOrder.  Points and constants are
+put in with `evaluate` and `specialize`; substituting polynomials for the
+variables is `ratfunc.compose_poly`, on one image table per image list.
 
 Multivariate division has one kernel, `_reduce_terms`, which is
 fraction-free and works on integer term dicts.  `divide`, and so every
@@ -244,7 +246,7 @@ class Polynomial:
             return self
         return self.scale(Fraction(1) / self.leading_term(order)[1])
 
-    # -- evaluation and substitution ----------------------------------------
+    # -- evaluation and specialisation --------------------------------------
 
     def evaluate(self, point) -> Fraction:
         if len(point) != self.arity:
@@ -257,28 +259,6 @@ class Polynomial:
                     val *= Fraction(x) ** e
             total += val
         return total
-
-    def substitute(self, images) -> "Polynomial":
-        """Substitute polynomial images[i] for variable i.  All images must
-        share one arity, which becomes the result arity."""
-        if len(images) != self.arity:
-            raise ArityMismatch("one image per variable required")
-        if not images:
-            return Polynomial(0, dict(self.terms))
-        target_arity = images[0].arity
-        result = Polynomial.zero(target_arity)
-        powers = [{} for _ in images]
-        for exps, coeff in sorted(self.terms.items()):
-            term = Polynomial.constant(target_arity, coeff)
-            for i, e in enumerate(exps):
-                if not e:
-                    continue
-                cache = powers[i]
-                if e not in cache:
-                    cache[e] = images[i] ** e
-                term = term * cache[e]
-            result = result + term
-        return result
 
     def specialize(self, values) -> "Polynomial":
         """Set the leading len(values) variables to the given constants; the

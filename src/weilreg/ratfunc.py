@@ -5,13 +5,15 @@ Numerator and denominator are kept exactly as supplied; use ``simplified``
 where a canonical representative is wanted.  Equality is cross-multiplication
 modulo the host ideal, so un-simplified representatives compare correctly.
 
-Every composition substitutes one tuple of fraction images, held as a
-`FractionImages`.  It owns a table of the images of the homogenised
-monomials, filled as compositions ask for them, so repeated compositions
-through the same images reuse the products.  A table lives as long as its
-owner: `maps.RationalMap.images` keeps one per representative of a map, and
-a law check keeps one per image list for the length of the check.  Nothing
-is cached beyond them.
+Every substitution, of polynomials or of fractions, runs on one tuple of
+images held as a `FractionImages`: a polynomial image q is the fraction q/1,
+and substituting polynomials into p is the numerator of `compose_poly`.  It
+owns a table of the images of the homogenised monomials, filled as
+compositions ask for them, so repeated compositions through the same images
+reuse the products.  A table lives as long as its owner:
+`maps.RationalMap.images` keeps one per representative of a map, and a law
+check keeps one per image list for the length of the check.  Nothing is
+cached beyond them.
 """
 
 from fractions import Fraction
@@ -26,6 +28,7 @@ from .varieties import AffineVariety
 
 class FractionImages:
     """Fraction images (num_i, den_i) of the variables x_i, with their table.
+    An image given as a polynomial q is the fraction q/1.
 
     A monomial of a polynomial homogenised as c*x^e*w^(deg-e) is keyed by its
     exponent vector (e, deg-e); its image is prod num_i^e_i * den_i^(deg-e)_i,
@@ -36,7 +39,7 @@ class FractionImages:
     __slots__ = ("arity", "_bases", "_monomials")
 
     def __init__(self, pairs):
-        pairs = list(pairs)
+        pairs = [q if isinstance(q, tuple) else (q, Polynomial.one(q.arity)) for q in pairs]
         if not pairs:
             raise ValueError("no images supplied")
         self.arity = pairs[0][0].arity

@@ -15,7 +15,7 @@ from .actions import specialize
 from .errors import NotAnAction, NotApplicable, RoundTripFailure
 from .maps import RationalMap, _pair_inverses, closed_image, make_rational_map
 from .poly import Polynomial
-from .ratfunc import RationalFunction, pullback
+from .ratfunc import FractionImages, RationalFunction, compose_poly, pullback
 from .varieties import AffineVariety, affine_space
 
 
@@ -119,14 +119,15 @@ def induced_regular_action(model: AffineVariety, action, orbit) -> dict:
 def _verify_induced_action(model, action, endos):
     group = action.group
     J = model.ideal
-    for g, coords in endos.items():
+    tables = {g: FractionImages(coords) for g, coords in endos.items()}
+    for g, images in tables.items():
         for rel in J.gens:
-            if not J.contains(rel.substitute(list(coords))):
+            if not J.contains(compose_poly(rel, images)[0]):
                 raise NotAnAction("model", f"the action of {g} does not preserve the presentation")
     for g in group.elements:
         for h in group.elements:
             gh = group.table[(g, h)]
-            composed = [p.substitute(list(endos[h])) for p in endos[g]]
+            composed = [compose_poly(p, tables[h])[0] for p in endos[g]]
             for a, b in zip(composed, endos[gh]):
                 if not J.contains(a - b):
                     raise NotAnAction("model", f"group table violated at ({g},{h})")
@@ -139,12 +140,13 @@ def _verify_equivariance(model, action, psi, endos):
     psi_images = psi.images()
     for g, coords in endos.items():
         rho_g = specialize(action, g)
+        images = FractionImages(coords)
         for i in range(X.arity):
             lhs = psi.reps[0][i]
-            lhs_after = (lhs.num.substitute(list(coords)), lhs.den.substitute(list(coords)))
+            lnum, lden = compose_poly(lhs.num, images)[0], compose_poly(lhs.den, images)[0]
             f = rho_g.reps[0][i]
             rnum, rden = pullback(model, f.num, f.den, psi_images)
-            cross = lhs_after[0] * rden - rnum * lhs_after[1]
+            cross = lnum * rden - rnum * lden
             if not J.contains(cross):
                 raise NotAnAction("equivariance", f"fails for {g} in coordinate {X.names[i]}")
 

@@ -13,6 +13,7 @@ elements.
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import product
 
 from .actions import RationalAction, specialize
 from .errors import (
@@ -55,7 +56,7 @@ def integer_points(dim: int, limit: int = 10_000):
         else:
             block = sorted(
                 p
-                for p in _box(dim, radius)
+                for p in product(range(-radius, radius + 1), repeat=dim)
                 if max(abs(c) for c in p) == radius
             )
         for p in block:
@@ -66,19 +67,12 @@ def integer_points(dim: int, limit: int = 10_000):
         radius += 1
 
 
-def _box(dim, radius):
-    if dim == 0:
-        yield ()
-        return
-    for c in range(-radius, radius + 1):
-        for rest in _box(dim - 1, radius):
-            yield (c,) + rest
-
-
 def decompose_tensor(split: ProductAmbient, fraction: RationalFunction,
                      denominator: Polynomial) -> SliceDecomposition:
     """Minimal power k with f^k * F polynomial, plus the collected tensor
     terms of the polynomial form (terms only; samples come later)."""
+    if denominator.is_zero():
+        raise NotApplicable("the hypersurface f must be nonzero")
     prod = split.variety
     den = fraction.den
     f_emb = split.embed_right(denominator)

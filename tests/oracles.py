@@ -1,6 +1,6 @@
 """Independent oracles for property tests: these deliberately avoid the
-Groebner engine and the division kernel of `poly`, so that agreement is a
-real cross-check.
+Groebner engine, the division kernel of `poly` and the image table of
+`ratfunc`, so that agreement is a real cross-check.
 """
 
 import random
@@ -8,6 +8,7 @@ from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from operator import add, ge, neg, sub
 
+from weilreg.errors import ArityMismatch
 from weilreg.poly import Polynomial
 
 
@@ -20,6 +21,33 @@ def random_polynomial(rng: random.Random, arity: int, max_deg: int, max_terms: i
             continue
         terms[exps] = Fraction(rng.randrange(-coeff_bound, coeff_bound + 1))
     return Polynomial(arity, terms)
+
+
+def substitute(p: Polynomial, images) -> Polynomial:
+    """Substitute polynomial images[i] for variable i of p.
+
+    `Polynomial.substitute` as it was before every substitution ran on
+    `ratfunc.FractionImages`, kept verbatim: one term at a time, with a
+    power cache per call.  All images must share one arity, which becomes
+    the result arity."""
+    if len(images) != p.arity:
+        raise ArityMismatch("one image per variable required")
+    if not images:
+        return Polynomial(0, dict(p.terms))
+    target_arity = images[0].arity
+    result = Polynomial.zero(target_arity)
+    powers = [{} for _ in images]
+    for exps, coeff in sorted(p.terms.items()):
+        term = Polynomial.constant(target_arity, coeff)
+        for i, e in enumerate(exps):
+            if not e:
+                continue
+            cache = powers[i]
+            if e not in cache:
+                cache[e] = images[i] ** e
+            term = term * cache[e]
+        result = result + term
+    return result
 
 
 def quotient(f: dict, g: dict):

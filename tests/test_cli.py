@@ -152,14 +152,16 @@ def test_bad_step_budget_env_var_is_a_typed_input_error():
 def test_bad_session_input_exits_one_without_a_traceback(tmp_path):
     session = tmp_path / "typed.wr"
     session.write_text(
-        "var x y s\nvariety X = affine(x, y)\ngroup G = Ga(s)\n"
-        "action rho : G x X -> X = (x+s, y)\n"
-        "map m : X -> X = (x)\ncmd atlas rho S=(foo)\ncmd checkaction rho\n",
+        "var x y s v\nvariety X = affine(x, y)\nvariety V = affine(v)\ngroup G = Ga(s)\n"
+        "action rho : G x X -> X = (x+s, y)\nmap F : X -> V = (x/y)\n"
+        "map m : X -> X = (x)\ncmd atlas rho S=(foo)\ncmd certify F wrt (x) f=(0) samples=(1, 2)\n"
+        "cmd checkaction rho\n",
         encoding="utf-8",
     )
     result = run_cli("run", str(session))
     assert result.returncode == 1
     assert "Traceback" not in result.stderr
     records = json.loads(result.stdout)["records"]
-    assert [r["status"] for r in records[-3:]] == ["error", "error", "ok"]
-    assert [r["payload"].get("reason") for r in records[-3:-1]] == ["SessionSyntaxError", "PointNotOnGroup"]
+    assert [r["status"] for r in records[-4:]] == ["error", "error", "error", "ok"]
+    assert [r["payload"].get("reason") for r in records[-4:-1]] == [
+        "SessionSyntaxError", "PointNotOnGroup", "NotApplicable"]

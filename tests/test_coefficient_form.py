@@ -61,7 +61,7 @@ OPERATIONS = {
     "primitive": lambda f, g, c: f.primitive(),
     "monic": lambda f, g, c: f.monic(LEX),
     "specialize": lambda f, g, c: f.specialize([c]),
-    "substitute": lambda f, g, c: f.substitute([g.scale(c)] * f.arity),
+    "substitute": lambda f, g, c: compose_poly(f, FractionImages([g.scale(c)] * f.arity))[0],
     "embed": lambda f, g, c: f.embed(f.arity + 1, list(range(1, f.arity + 1))),
     "restrict": lambda f, g, c: f.embed(f.arity + 1, list(range(f.arity))).restrict(range(f.arity)),
     "poly_gcd": lambda f, g, c: poly_gcd(f, g),

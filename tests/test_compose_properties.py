@@ -2,9 +2,11 @@
 table (derandomized: see conftest.py).
 
 The oracle is `compose_poly` as it was before the table, verbatim: it
-homogenises p and substitutes the images with `Polynomial.substitute`, with
-no state kept between calls.  A table filled by earlier calls, in any order,
-must give the very same numerator and denominator.
+homogenises p and substitutes the images with `oracles.substitute`, the
+polynomial substitution loop that predates the table, with no state kept
+between calls.  A table filled by earlier calls, in any order, must give
+the very same numerator and denominator.  An image given as a polynomial
+is the fraction over 1.
 """
 
 import pytest
@@ -16,6 +18,8 @@ from weilreg import Polynomial  # noqa: E402
 from weilreg.maps import make_rational_map  # noqa: E402
 from weilreg.ratfunc import FractionImages, RationalFunction, compose_poly  # noqa: E402
 from weilreg.varieties import affine_space  # noqa: E402
+
+from oracles import substitute  # noqa: E402
 
 
 def reference_compose_poly(p: Polynomial, images):
@@ -32,7 +36,7 @@ def reference_compose_poly(p: Polynomial, images):
         exps + tuple(d - e for d, e in zip(degs, exps)): c for exps, c in p.terms.items()})
     kernel = [num for num, _ in images] + [den for _, den in images]
     monomial = Polynomial(2 * p.arity, {(0,) * p.arity + degs: 1})
-    return homogenised.substitute(kernel), monomial.substitute(kernel)
+    return substitute(homogenised, kernel), substitute(monomial, kernel)
 
 
 COEFFS = st.fractions(min_value=-9, max_value=9, max_denominator=4)
@@ -65,6 +69,34 @@ def test_a_shared_table_composes_like_the_reference(case):
         want = reference_compose_poly(ps[i], pairs)
         assert got == want
         assert all(q.arity == pairs[0][0].arity for q in got)
+
+
+@st.composite
+def polynomial_images_and_calls(draw):
+    """Images of 1-3 variables in a ring of arity 1-3, either all polynomials
+    or a mix of polynomials and fraction pairs, polynomials to compose, and a
+    call order over them with repeats."""
+    n, m = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    image = polynomials(m, 2, 3)
+    if draw(st.booleans()):
+        image = st.one_of(image, st.tuples(image, polynomials(m, 2, 3, nonzero=True)))
+    images = [draw(image) for _ in range(n)]
+    ps = draw(st.lists(polynomials(n, 2), min_size=1, max_size=4))
+    order = draw(st.lists(st.integers(0, len(ps) - 1), min_size=1, max_size=10))
+    return Polynomial.one(m), images, ps, order
+
+
+@settings(max_examples=50)
+@given(polynomial_images_and_calls())
+def test_a_polynomial_image_is_the_fraction_over_one(case):
+    one, images, ps, order = case
+    pairs = [q if isinstance(q, tuple) else (q, one) for q in images]
+    table = FractionImages(images)
+    for i in order:
+        got = compose_poly(ps[i], table)
+        assert got == reference_compose_poly(ps[i], pairs)
+        if not any(isinstance(q, tuple) for q in images):
+            assert got == (substitute(ps[i], images), one)
 
 
 @st.composite

@@ -1,4 +1,7 @@
-"""Hypothesis properties of `Polynomial.specialize` (derandomized: see conftest.py)."""
+"""Hypothesis properties of `Polynomial.specialize` (derandomized: see conftest.py).
+
+Substitution of constants is checked against `oracles.substitute`, the
+term-by-term substitution loop that does not use the image table."""
 
 from fractions import Fraction
 
@@ -8,6 +11,8 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, strategies as st  # noqa: E402
 
 from weilreg import Polynomial  # noqa: E402
+
+from oracles import substitute  # noqa: E402
 
 
 @st.composite
@@ -26,7 +31,7 @@ def test_specialize_is_substitution_of_constants_for_the_leading_variables(case)
     rest = p.arity - len(values)
     images = [Polynomial.constant(rest, v) for v in values]
     images += [Polynomial.variable(rest, j) for j in range(rest)]
-    assert p.specialize(values) == p.substitute(images)
+    assert p.specialize(values) == substitute(p, images)
 
 
 @given(polynomial_and_point())

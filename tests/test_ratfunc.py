@@ -15,6 +15,7 @@ import pytest
 
 from oracles import random_polynomial
 from weilreg.errors import ZeroDenominator
+from weilreg.poly import Polynomial
 from weilreg.polygcd import simplify_fraction
 import weilreg.ratfunc
 from weilreg.ratfunc import (
@@ -145,5 +146,20 @@ def test_only_ratfunc_calls_compose_fraction():
                 name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
                 if name == "compose_fraction":
                     callers.add(path.name)
-    # every other module composes through pullback, substitute or compose_poly
+    # every other module composes through pullback, RationalFunction.substitute
+    # or compose_poly, each on a FractionImages table
     assert callers == {"ratfunc.py"}
+
+
+def test_the_only_substitute_is_rational_function_substitute():
+    src = Path(weilreg.ratfunc.__file__).resolve().parent
+    owners = set()
+    for path in src.glob("*.py"):
+        tree = ast.parse(path.read_text())
+        for node in ast.walk(tree):
+            for child in ast.iter_child_nodes(node):
+                if isinstance(child, ast.FunctionDef) and child.name == "substitute":
+                    owners.add((path.name, getattr(node, "name", None)))
+    # polynomial substitution is compose_poly on a FractionImages table
+    assert not hasattr(Polynomial, "substitute")
+    assert owners == {("ratfunc.py", "RationalFunction")}

@@ -29,7 +29,7 @@ from weilreg.maps import (
     point_status,
     rational_map,
 )
-from weilreg.ratfunc import RationalFunction
+from weilreg.ratfunc import FractionImages, RationalFunction, compose_poly
 from weilreg.regularize import (
     induced_regular_action,
     present_subalgebra,
@@ -180,7 +180,7 @@ def test_induced_action_cremona_swaps_pairs(plane, cremona_action):
     u = [Polynomial.variable(4, i) for i in range(4)]
     assert endos["sig"] == (u[2], u[3], u[0], u[1])
     assert endos["e"] == (u[0], u[1], u[2], u[3])
-    sig_of_rel = parse_polynomial("u1*u3-1", model.names).substitute(list(endos["sig"]))
+    sig_of_rel, _ = compose_poly(parse_polynomial("u1*u3-1", model.names), FractionImages(endos["sig"]))
     assert model.ideal.contains(sig_of_rel)
 
 

@@ -255,6 +255,9 @@ TYPED_ERRORS = {
         "SessionSyntaxError", "1 coordinate(s) given"),
     "certify on a map without wrt": (
         "map F : X -> V = (x*y)\ncmd certify F samples=(0, 1)", "SessionSyntaxError", "wrt (...) f=(...)"),
+    "certify with a zero hypersurface": (
+        "map F : X -> V = (x/y)\ncmd certify F wrt (x) f=(0) samples=(1, 2)",
+        "NotApplicable", "the hypersurface f must be nonzero"),
     "named atlas point of a parametric group": ("cmd atlas rho S=(foo)", "PointNotOnGroup", "'foo'"),
     "named sample of a parametric group": (
         "action sc : M x V -> V = (z*v)\ncmd certify sc samples=(foo)", "PointNotOnGroup", "'foo'"),
