@@ -4,8 +4,8 @@ weilreg run <session-file> [--format json|text] [--out <path>]
             [--max-groebner-steps N] [--verbose]
 
 Exit code is 0 iff no record has status "error"; the WEILREG_MAX_STEPS
-environment variable supplies the default step budget, which must not be
-negative.  Commands run one after another.
+environment variable supplies the default per-statement S-pair budget, which
+must not be negative.  Commands run one after another.
 """
 
 import argparse
@@ -25,7 +25,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--format", choices=("json", "text"), default="json")
     run.add_argument("--out", default=None, help="write the report here instead of stdout")
     run.add_argument("--max-groebner-steps", type=int, default=None,
-                     help="cap on processed S-pairs per basis computation")
+                     help="cap on processed S-pairs per statement")
     run.add_argument("--verbose", action="store_true",
                      help="echo each record's status to stderr as it completes")
     return parser

@@ -4,10 +4,11 @@ The engine is plain Buchberger with the product and chain criteria and
 normal-strategy pair selection, producing the reduced (hence canonical)
 Groebner basis.  Pending pairs sit in a heap keyed by the order key of their
 lcm, then by their indices: each pair is keyed once, when it is created, and
-pops in exactly the order a scan for the minimum would pick.  A cap on
-processed S-pairs, read from the `STEP_BUDGET` context variable, turns
-intractable instances into a BudgetExceeded error instead of a hang; a caller
-sets it for its own context without touching any process-wide value.
+pops in exactly the order a scan for the minimum would pick.  Every S-pair
+goes on the `WorkLedger` open in the current context, which raises
+BudgetExceeded once its total passes its limit, so a budget bounds all the
+bases a caller runs under one ledger instead of one basis; without an open
+ledger each basis gets a fresh one capped at `DEFAULT_MAX_STEPS`.
 
 The basis is held as integer divisor records (lead, lc, tail) of primitive
 polynomials with positive leads, and every reduction runs on the
@@ -21,7 +22,6 @@ the same primitive part, so every lead, every pair, the step count and the
 reduced basis are those of the same algorithm run over Q.
 """
 
-import threading
 from contextvars import ContextVar
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
@@ -34,22 +34,26 @@ from .poly import Polynomial, _primitive_terms, _record, _reduce_terms
 
 DEFAULT_MAX_STEPS = 200_000
 
-STEP_BUDGET = ContextVar("STEP_BUDGET", default=DEFAULT_MAX_STEPS)
 
-_tls = threading.local()
+class WorkLedger:
+    """S-pairs processed while the ledger is open, and their limit; `with
+    WorkLedger(limit) as ledger:` opens it for the current context only."""
+
+    __slots__ = ("steps", "limit", "_token")
+
+    def __init__(self, limit: int = DEFAULT_MAX_STEPS):
+        self.steps = 0
+        self.limit = limit
+
+    def __enter__(self):
+        self._token = _LEDGER.set(self)
+        return self
+
+    def __exit__(self, *exc):
+        _LEDGER.reset(self._token)
 
 
-def _bump_steps(n: int = 1):
-    _tls.count = getattr(_tls, "count", 0) + n
-
-
-def step_tally() -> int:
-    """S-pairs processed in this thread since the last reset."""
-    return getattr(_tls, "count", 0)
-
-
-def reset_step_tally():
-    _tls.count = 0
+_LEDGER = ContextVar("weilreg_work_ledger", default=None)
 
 
 # -- polynomial reduction ----------------------------------------------------
@@ -116,9 +120,9 @@ def _reduced_basis(records, order, arity):
 
 
 def buchberger(generators, order: MonomialOrder = GREVLEX):
-    """Reduced Groebner basis of the ideal the generators span; the current
-    context's `STEP_BUDGET` caps the S-pairs processed."""
-    limit = STEP_BUDGET.get()
+    """Reduced Groebner basis of the ideal the generators span; each S-pair
+    processed goes on the current context's `WorkLedger`."""
+    ledger = _LEDGER.get() or WorkLedger()
     key = order.key
     # each distinct generator, primitive with a positive lead, as its terms
     # (key, coefficient, exponents) in descending order; sorting these is
@@ -143,15 +147,13 @@ def buchberger(generators, order: MonomialOrder = GREVLEX):
     pairs = [pair(i, j) for j in range(len(basis)) for i in range(j)]
     heapify(pairs)
     done = set()
-    steps = 0
 
     while pairs:
         _, i, j, lcm = heappop(pairs)
         done.add((i, j))
-        steps += 1
-        _bump_steps()
-        if steps > limit:
-            raise BudgetExceeded(steps, limit)
+        ledger.steps += 1
+        if ledger.steps > ledger.limit:
+            raise BudgetExceeded(ledger.steps, ledger.limit)
         # product criterion: disjoint leading monomials
         if all(a + b == l for a, b, l in zip(leads[i], leads[j], lcm)):
             continue

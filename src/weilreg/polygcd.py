@@ -29,7 +29,7 @@ gcd.  The exact divisions are therefore the certificate: a candidate that
 fails them is never returned.  The evaluation is retried at larger xi, and
 when `HEU_TRIES` tries fail `_lcm_gcd` computes the gcd on the Groebner
 engine instead: lcm(f, g) generates the intersection (f) & (g), and the gcd
-is f*g / lcm.  The Groebner step budget bounds that fallback.
+is f*g / lcm.  The open `WorkLedger`'s step budget bounds that fallback.
 
 Results are integer-primitive with a positive grevlex leading coefficient,
 which makes the gcd over Q unique.  `poly_gcd` also hands out the two
@@ -130,7 +130,7 @@ def _heu_gcd(f: dict, g: dict):
 
 def _lcm_gcd(f: Polynomial, g: Polynomial) -> Polynomial:
     """Gcd of two nonzero polynomials as f*g over their lcm, the sole
-    generator of the reduced basis of (f) & (g); bounded by `STEP_BUDGET`."""
+    generator of the reduced basis of (f) & (g); bounded by the open ledger."""
     (lcm,) = intersect(Ideal(f.arity, [f]), Ideal(g.arity, [g])).gens
     return divide_exact(f * g, lcm).primitive()
 

@@ -590,9 +590,10 @@ class _Session:
     """The objects a running session has bound; `run_<verb>` runs one
     statement and returns its payload, or a (status, payload) pair."""
 
-    def __init__(self):
+    def __init__(self, max_steps: int):
         self.objects = {}  # name -> (kind, object)
         self.failed = set()  # names whose declaration failed
+        self.max_steps = max_steps  # S-pairs one statement may process
 
     def lookup(self, name):
         if name in self.failed:
@@ -608,23 +609,23 @@ class _Session:
         self.objects[stmt.name] = (stmt.KEYWORD, obj)
 
     def execute(self, stmt: Statement) -> dict:
-        ideals.reset_step_tally()
         started = time.perf_counter()
-        try:
-            result = getattr(self, "run_" + stmt.verb)(stmt)
-            status, payload = result if isinstance(result, tuple) else ("ok", result)
-        except WeilregError as err:
-            status = "fail" if isinstance(err, _FAIL_ERRORS) else "error"
-            payload = {"reason": type(err).__name__, "message": str(err)}
-            if isinstance(stmt, Declaration):
-                self.failed.add(stmt.name)
+        with ideals.WorkLedger(self.max_steps) as ledger:
+            try:
+                result = getattr(self, "run_" + stmt.verb)(stmt)
+                status, payload = result if isinstance(result, tuple) else ("ok", result)
+            except WeilregError as err:
+                status = "fail" if isinstance(err, _FAIL_ERRORS) else "error"
+                payload = {"reason": type(err).__name__, "message": str(err)}
+                if isinstance(stmt, Declaration):
+                    self.failed.add(stmt.name)
         millis = int((time.perf_counter() - started) * 1000)
         return {
             "command": str(stmt),
             "status": status,
             "payload": payload,
             "millis": millis,
-            "groebner_steps": ideals.step_tally(),
+            "groebner_steps": ledger.steps,
         }
 
     # declarations -----------------------------------------------------------
@@ -862,14 +863,10 @@ def _on_host(action, stmt):
 
 def run_session(ast: SessionAST, session_name: str = "", max_steps=None):
     """Execute every statement, producing one record each; failures are
-    recorded and never abort the session."""
-    budget = None if max_steps is None else ideals.STEP_BUDGET.set(int(max_steps))
-    session = _Session()
-    try:
-        return [session.execute(stmt) for stmt in ast.statements]
-    finally:
-        if budget is not None:
-            ideals.STEP_BUDGET.reset(budget)
+    recorded and never abort the session.  `max_steps` caps the S-pairs of
+    each statement."""
+    session = _Session(ideals.DEFAULT_MAX_STEPS if max_steps is None else int(max_steps))
+    return [session.execute(stmt) for stmt in ast.statements]
 
 
 # -- reports ------------------------------------------------------------------------------

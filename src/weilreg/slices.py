@@ -100,7 +100,7 @@ def decompose_tensor(split: ProductAmbient, fraction: RationalFunction,
     return SliceDecomposition(split, fraction, denominator, k, terms)
 
 
-def find_unimodular_samples(h, candidates, budget: int = 10_000, host: AffineVariety = None):
+def find_unimodular_samples(h, candidates, host: AffineVariety = None):
     """Points making the evaluation matrix (h_i(x_j)) exactly invertible.
 
     Scans the candidate enumeration in order, keeping each point whose
@@ -110,12 +110,8 @@ def find_unimodular_samples(h, candidates, budget: int = 10_000, host: AffineVar
     n = len(h)
     points = []
     reduced = []  # row-echelon basis of accepted evaluation vectors
-    consumed = 0
     for candidate in candidates:
         if len(points) == n:
-            break
-        consumed += 1
-        if consumed > budget:
             break
         point = tuple(Fraction(c) for c in candidate)
         if host is not None and not host.point_on(point):
@@ -154,7 +150,7 @@ def _polynomial_form(host: AffineVariety, num: Polynomial, den: Polynomial):
 
 
 def certify_regular(split: ProductAmbient, fraction: RationalFunction,
-                    denominator: Polynomial, samples=None, budget: int = 10_000) -> SliceDecomposition:
+                    denominator: Polynomial, samples=None) -> SliceDecomposition:
     """Produce the regular (polynomial) form of the fraction, certified
     through exactly solved slice combinations.
 
@@ -165,7 +161,7 @@ def certify_regular(split: ProductAmbient, fraction: RationalFunction,
     h = [t[0] for t in dec.terms]
     f_parts = [t[1] for t in dec.terms]
     candidates = samples if samples is not None else integer_points(split.left.arity)
-    points, matrix = find_unimodular_samples(h, candidates, budget, host=split.left)
+    points, matrix = find_unimodular_samples(h, candidates, host=split.left)
     Y = split.right
     slices = []
     for j, p in enumerate(points):
@@ -250,7 +246,7 @@ def regularity_from_subgroup(action: RationalAction, sample_points) -> SubgroupR
                     "a parameter-independent open set is required"
                 )
             den_right = f.den.restrict(split.right_indices)
-        dec = certify_regular(split, F, den_right, samples=points, budget=len(points))
+        dec = certify_regular(split, F, den_right, samples=points)
         coords.append(RationalFunction(prod, dec.regular_form))
     polynomial_map = make_rational_map(prod, X, [tuple(coords)])
     if not maps_equal(polynomial_map, action.rho):

@@ -3,8 +3,10 @@ as a reference: division, S-polynomials, Buchberger and the reduced basis, all
 over `Fraction` coefficients.
 
 Only the bindings differ: `reference_divide` is the old body of
-`Polynomial.divide`, `reduce_full` calls it, and S-pairs are counted in this
-module's own tally so that a test can compare it with `ideals.step_tally()`.
+`Polynomial.divide`, `reduce_full` calls it, and the S-pair budget is an
+argument and S-pairs are counted in this module's own tally, so that the
+reference reads nothing from `ideals` and a test can compare its count with a
+`WorkLedger`'s.
 """
 
 from fractions import Fraction
@@ -12,7 +14,6 @@ from heapq import heapify, heappop, heappush
 from operator import add, ge, neg, sub
 
 from weilreg.errors import BudgetExceeded
-from weilreg.ideals import STEP_BUDGET
 from weilreg.orders import GREVLEX, MonomialOrder
 from weilreg.poly import Polynomial
 
@@ -126,12 +127,9 @@ def _reduced_basis(basis, order):
     return tuple(minimal)
 
 
-def buchberger(generators, order: MonomialOrder = GREVLEX, max_steps=None):
-    """Reduced Groebner basis of the ideal the generators span.
-
-    `max_steps` caps the S-pairs processed; by default the cap is the
-    current context's `STEP_BUDGET`."""
-    limit = STEP_BUDGET.get() if max_steps is None else max_steps
+def buchberger(generators, order: MonomialOrder = GREVLEX, max_steps=200_000):
+    """Reduced Groebner basis of the ideal the generators span; `max_steps`
+    caps the S-pairs processed."""
     gens = [g.primitive(order) for g in generators if not g.is_zero()]
     seen = set()
     basis = []
@@ -159,8 +157,8 @@ def buchberger(generators, order: MonomialOrder = GREVLEX, max_steps=None):
         done.add((i, j))
         steps += 1
         _bump_steps()
-        if steps > limit:
-            raise BudgetExceeded(steps, limit)
+        if steps > max_steps:
+            raise BudgetExceeded(steps, max_steps)
         # product criterion: disjoint leading monomials
         if all(a + b == l for a, b, l in zip(leads[i], leads[j], lcm)):
             continue

@@ -16,7 +16,7 @@ import reference_groebner as ref
 from oracles import random_polynomial
 from weilreg import GREVLEX, LEX, Ideal, Polynomial, block_order, parse_polynomial
 from weilreg.errors import BudgetExceeded
-from weilreg.ideals import STEP_BUDGET, buchberger, reduce_full, reset_step_tally, step_tally
+from weilreg.ideals import WorkLedger, buchberger, reduce_full
 from weilreg.poly import _record, _reduce_terms
 
 
@@ -45,18 +45,22 @@ def _ideal_instances(count, seed):
 
 def _run(engine, gens, order, max_steps):
     """(basis or the budget error's (steps, limit), S-pairs counted), with
-    the step budget set to max_steps."""
-    reset = reset_step_tally if engine is buchberger else ref.reset_step_tally
-    tally = step_tally if engine is buchberger else ref.step_tally
-    reset()
-    token = STEP_BUDGET.set(max_steps)
+    the step budget set to max_steps: the engine runs inside a fresh
+    `WorkLedger`, the reference takes the budget as an argument and keeps
+    its own tally."""
+    if engine is buchberger:
+        with WorkLedger(max_steps) as ledger:
+            try:
+                out = buchberger(gens, order)
+            except BudgetExceeded as exc:
+                out = ("budget", exc.steps, exc.limit)
+        return out, ledger.steps
+    ref.reset_step_tally()
     try:
-        out = engine(gens, order)
+        out = ref.buchberger(gens, order, max_steps)
     except BudgetExceeded as exc:
         out = ("budget", exc.steps, exc.limit)
-    finally:
-        STEP_BUDGET.reset(token)
-    return out, tally()
+    return out, ref.step_tally()
 
 
 def test_reduced_bases_and_step_counts_match_the_fraction_engine():
@@ -128,13 +132,11 @@ def test_division_by_large_non_unit_leading_coefficients():
 
 def test_normal_forms_match_the_fraction_loop():
     for gens, order in _ideal_instances(30, seed=31337):
-        token = STEP_BUDGET.set(400)
         try:
-            basis = Ideal(gens[0].arity, gens).groebner_basis(order)
+            with WorkLedger(400):
+                basis = Ideal(gens[0].arity, gens).groebner_basis(order)
         except BudgetExceeded:
             continue
-        finally:
-            STEP_BUDGET.reset(token)
         rng = random.Random(len(basis))
         for _ in range(3):
             probe = random_polynomial(rng, gens[0].arity, 5, max_terms=8, coeff_bound=50)

@@ -16,7 +16,7 @@ from weilreg import (
     saturate,
 )
 from weilreg.errors import BudgetExceeded
-from weilreg.ideals import STEP_BUDGET, buchberger, reduce_full
+from weilreg.ideals import WorkLedger, buchberger, reduce_full
 
 
 def P(text, names):
@@ -99,12 +99,8 @@ def test_determinism_bit_identical_across_runs():
 
 def test_budget_exceeded_is_distinct_error():
     gens = [P(g, ["x", "y", "z"]) for g in ("x^3*y^2 - z^4", "x*z^3 - y^3", "y^4*z - x^2")]
-    token = STEP_BUDGET.set(1)
-    try:
-        with pytest.raises(BudgetExceeded):
-            buchberger(gens, GREVLEX)
-    finally:
-        STEP_BUDGET.reset(token)
+    with WorkLedger(1), pytest.raises(BudgetExceeded):
+        buchberger(gens, GREVLEX)
 
 
 # -- eliminate -------------------------------------------------------------------

@@ -16,7 +16,7 @@ import pytest
 from weilreg import GREVLEX, Polynomial
 from weilreg import polygcd
 from weilreg.errors import BudgetExceeded
-from weilreg.ideals import STEP_BUDGET
+from weilreg.ideals import WorkLedger
 from weilreg.polygcd import (
     derivative,
     divide_exact,
@@ -147,12 +147,8 @@ def test_fallback_gives_the_heuristic_gcd_of_a_large_pair_quickly(monkeypatch):
 def test_fallback_is_bounded_by_the_step_budget(monkeypatch):
     f, g = _large_pair()
     monkeypatch.setattr(polygcd, "HEU_TRIES", 0)
-    token = STEP_BUDGET.set(1)
-    try:
-        with pytest.raises(BudgetExceeded):
-            poly_gcd(f, g)
-    finally:
-        STEP_BUDGET.reset(token)
+    with WorkLedger(1), pytest.raises(BudgetExceeded):
+        poly_gcd(f, g)
 
 
 def test_exact_division_returns_the_cofactor_or_none():

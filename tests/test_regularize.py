@@ -485,9 +485,9 @@ def test_symmetry_check_reads_the_certified_pairing(case, blowup_action, cremona
     else:
         atlas = build_atlas(restrict_to_regular_locus(cremona_action))
     closures = _spy(monkeypatch, "graph_closure", module=weilreg.maps)
-    weilreg.ideals.reset_step_tally()
-    assert weilreg.atlas._check_symmetry(atlas)["passed"]
-    assert weilreg.ideals.step_tally() == 0
+    with weilreg.ideals.WorkLedger() as ledger:
+        assert weilreg.atlas._check_symmetry(atlas)["passed"]
+    assert ledger.steps == 0
     assert not closures
 
 

@@ -1,6 +1,8 @@
+import ast as python_ast
 import json
 import random
 import string
+import threading
 from pathlib import Path
 
 import pytest
@@ -21,6 +23,9 @@ from weilreg.sessions import (
     run_session,
     strip_timing,
 )
+
+ROOT = Path(__file__).resolve().parent.parent
+GOLDEN_SESSIONS = sorted(p.stem for p in (ROOT / "tests" / "golden").glob("*.json"))
 
 CREMONA = """\
 var x y
@@ -64,7 +69,7 @@ cmd closedgraph tr at (-1/2, (3)) xreg
 cmd atlas one S=(e, (1, 2), -3)
 """
 
-SESSION_FILES = sorted((Path(__file__).resolve().parent.parent / "sessions").glob("*.wr"))
+SESSION_FILES = sorted((ROOT / "sessions").glob("*.wr"))
 
 
 # -- parsing ------------------------------------------------------------------------
@@ -231,10 +236,70 @@ def test_failure_messages_print_prose_as_a_reason_and_points_as_rationals():
 
 def test_step_budget_is_scoped_to_the_session():
     sequential = run_session(parse_session(CREMONA), max_steps=1)
-    assert ideals.STEP_BUDGET.get() == ideals.DEFAULT_MAX_STEPS == 200_000
+    # no ledger outlives the session: library calls get the default budget again
+    assert ideals._LEDGER.get() is None and ideals.DEFAULT_MAX_STEPS == 200_000
     exceeded = [r["command"] for r in sequential if r["payload"].get("reason") == "BudgetExceeded"]
     assert exceeded == ["cmd breg s", "cmd regularize inv2"]
     assert all(r["status"] == "ok" for r in run_session(parse_session(CREMONA)))
+
+
+def _session_file(name):
+    return (ROOT / "sessions" / f"{name}.wr").read_text()
+
+
+def _zeroed(records, name):
+    return strip_timing(parse_report(emit_report(records, session=name)))
+
+
+def test_step_budget_bounds_a_whole_statement():
+    # `cmd regularize inv2` runs 52 S-pairs over several bases, the largest 45 of them
+    session = parse_session(_session_file("cremona"))
+    records = run_session(session, max_steps=51)
+    exceeded = [r for r in records if r["status"] != "ok"]
+    assert [(r["command"], r["status"], r["payload"]["reason"]) for r in exceeded] == [
+        ("cmd regularize inv2", "error", "BudgetExceeded")]
+    assert exceeded[0]["payload"]["message"] == "groebner step budget exceeded: 52 > 51"
+    assert all(r["status"] == "ok" for r in run_session(session, max_steps=52))
+
+
+@pytest.mark.parametrize("name", GOLDEN_SESSIONS)
+def test_budget_of_the_largest_statement_reproduces_the_golden_report(name):
+    golden = json.loads((ROOT / "tests" / "golden" / f"{name}.json").read_text())
+    largest = max(r["groebner_steps"] for r in golden["records"])
+    records = run_session(parse_session(_session_file(name)), max_steps=largest)
+    assert _zeroed(records, name) == golden
+
+
+def test_concurrent_sessions_keep_their_own_budgets():
+    session = parse_session(_session_file("cremona"))
+    budgets = (1, None)
+    serial = [_zeroed(run_session(session, max_steps=b), "cremona") for b in budgets]
+    assert serial[0] != serial[1]
+    barrier = threading.Barrier(len(budgets))
+    concurrent = [None] * len(budgets)
+
+    def worker(i):
+        barrier.wait()
+        concurrent[i] = _zeroed(run_session(session, max_steps=budgets[i]), "cremona")
+
+    threads = [threading.Thread(target=worker, args=(i,)) for i in range(len(budgets))]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join()
+    assert concurrent == serial
+
+
+def test_no_module_imports_threading():
+    for path in sorted((ROOT / "src" / "weilreg").glob("*.py")):
+        for node in python_ast.walk(python_ast.parse(path.read_text(), str(path))):
+            if isinstance(node, python_ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, python_ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            assert not any(n.split(".")[0] == "threading" for n in names), path.name
 
 
 TYPED_HEAD = """\

@@ -94,7 +94,7 @@ def test_find_samples_quadratic():
 def test_find_samples_budget_exhausted():
     h = [ap("a"), ap("1")]
     with pytest.raises(SampleBudgetExhausted):
-        find_unimodular_samples(h, [(0,)], budget=1)
+        find_unimodular_samples(h, [(0,)])
 
 
 def test_integer_points_deterministic_order():
