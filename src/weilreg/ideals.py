@@ -262,16 +262,20 @@ def eliminate(ideal: Ideal, variables) -> Ideal:
     return Ideal(ideal.arity, kept)
 
 
+def _rabinowitsch(ideal: Ideal, f: Polynomial) -> Ideal:
+    """I + (t*f - 1) with t a new last variable: the ideal of the principal
+    open D(f) of V(I), embedded in one more dimension."""
+    n = ideal.arity
+    t = Polynomial.variable(n + 1, n)
+    return Ideal(n + 1, [g.embed(n + 1, range(n)) for g in ideal.gens] + [t * f.embed(n + 1, range(n)) - 1])
+
+
 def saturate(ideal: Ideal, f: Polynomial) -> Ideal:
     """I : f^infinity by the auxiliary-variable method."""
     if f.is_zero():
         raise ZeroDivisionError("cannot saturate by the zero polynomial")
     n = ideal.arity
-    emb = list(range(n))
-    big = [g.embed(n + 1, emb) for g in ideal.gens]
-    t = Polynomial.variable(n + 1, n)
-    big.append(t * f.embed(n + 1, emb) - 1)
-    out = eliminate(Ideal(n + 1, big), {n})
+    out = eliminate(_rabinowitsch(ideal, f), {n})
     return Ideal(n, [g.restrict(range(n)) for g in out.gens])
 
 
@@ -290,11 +294,4 @@ def intersect(a: Ideal, b: Ideal) -> Ideal:
 
 def radical_membership(f: Polynomial, ideal: Ideal) -> bool:
     """f in the radical of the ideal, by the auxiliary-variable trick."""
-    if f.is_zero():
-        return True
-    n = ideal.arity
-    emb = list(range(n))
-    gens = [g.embed(n + 1, emb) for g in ideal.gens]
-    t = Polynomial.variable(n + 1, n)
-    gens.append(Polynomial.one(n + 1) - t * f.embed(n + 1, emb))
-    return is_empty_variety(Ideal(n + 1, gens))
+    return f.is_zero() or is_empty_variety(_rabinowitsch(ideal, f))

@@ -9,11 +9,15 @@ functions.  When every slice is regular, the solved components are regular
 and reassemble into a polynomial equal to F; the same engine upgrades a
 rational group action to a regular one from a sample of regularly-acting
 elements.
+
+Every "is p/den the polynomial q on the prime host" decision is one normal
+form on the principal open D(den), whose coordinate ring is
+k[x, t]/(I, t*den - 1): `_over` reads q off NF(t*p) with t eliminated first.
 """
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import product
+from itertools import count, islice, product
 
 from .actions import RationalAction, specialize
 from .errors import (
@@ -24,9 +28,10 @@ from .errors import (
     SampleBudgetExhausted,
     SliceNotRegular,
 )
-from .ideals import saturate
+from .ideals import _rabinowitsch, saturate
 from .linalg import mat_inverse
 from .maps import RationalMap, make_rational_map, maps_equal
+from .orders import block_order
 from .poly import Polynomial
 from .ratfunc import RationalFunction
 from .varieties import AffineVariety, ProductAmbient, format_point
@@ -48,23 +53,9 @@ class SliceDecomposition:
 
 def integer_points(dim: int, limit: int = 10_000):
     """Integer tuples in growing boxes, deterministically ordered."""
-    count = 0
-    radius = 0
-    while True:
-        if radius == 0:
-            block = [(0,) * dim]
-        else:
-            block = sorted(
-                p
-                for p in product(range(-radius, radius + 1), repeat=dim)
-                if max(abs(c) for c in p) == radius
-            )
-        for p in block:
-            yield tuple(Fraction(c) for c in p)
-            count += 1
-            if count >= limit:
-                return
-        radius += 1
+    shells = (sorted(p for p in product(range(-r, r + 1), repeat=dim) if max(map(abs, p)) == r)
+              for r in count())
+    return islice((tuple(map(Fraction, p)) for shell in shells for p in shell), limit)
 
 
 def decompose_tensor(split: ProductAmbient, fraction: RationalFunction,
@@ -74,25 +65,19 @@ def decompose_tensor(split: ProductAmbient, fraction: RationalFunction,
     if denominator.is_zero():
         raise NotApplicable("the hypersurface f must be nonzero")
     prod = split.variety
-    den = fraction.den
     f_emb = split.embed_right(denominator)
-    with_den = prod.ideal.plus([den])
-    if not saturate(with_den, f_emb).is_unit():
+    # f vanishes wherever den does, so some f^k lies in I + (den) and the loop ends
+    if not saturate(prod.ideal.plus([fraction.den]), f_emb).is_unit():
         raise NotFPower("the denominator is not supported on the given hypersurface")
+    over = _over(prod, fraction.den)
     k = 0
     power = Polynomial.one(prod.arity)
-    while True:
-        if with_den.contains(power):
-            break
+    while over(power) is None:  # f^k in I + (den) iff f^k/den is regular
         k += 1
         power = power * f_emb
         if k > 1000:
             raise NotFPower("no reasonable power of f absorbs the denominator")
-    divisors = [den] + list(prod.ideal.groebner_basis())
-    quotients, remainder = power.divide(divisors)
-    if not remainder.is_zero():
-        raise NotFPower("internal: membership certificate did not divide out")
-    cleared = prod.ideal.normal_form(quotients[0] * fraction.num)
+    cleared = over(power * fraction.num)
     terms = []
     for head, coeff in cleared.coefficients_wrt(split.left_indices):
         h = Polynomial(split.left.arity, {tuple(head[i] for i in split.left_indices): Fraction(1)})
@@ -101,7 +86,13 @@ def decompose_tensor(split: ProductAmbient, fraction: RationalFunction,
 
 
 def find_unimodular_samples(h, candidates, host: AffineVariety = None):
-    """Points making the evaluation matrix (h_i(x_j)) exactly invertible.
+    """Points making the evaluation matrix (h_i(x_j)) exactly invertible."""
+    points, rows = _independent_points(h, candidates, host)
+    return points, [list(column) for column in zip(*rows)]
+
+
+def _independent_points(h, candidates, host):
+    """Sample points and their evaluation rows (h_i(x_j))_i.
 
     Scans the candidate enumeration in order, keeping each point whose
     evaluation vector increases the rank; deterministic for a deterministic
@@ -109,6 +100,7 @@ def find_unimodular_samples(h, candidates, host: AffineVariety = None):
     """
     n = len(h)
     points = []
+    rows = []
     reduced = []  # row-echelon basis of accepted evaluation vectors
     for candidate in candidates:
         if len(points) == n:
@@ -126,12 +118,34 @@ def find_unimodular_samples(h, candidates, host: AffineVariety = None):
         if any(x != 0 for x in residual):
             reduced.append(residual)
             points.append(point)
+            rows.append(vector)
     if len(points) < n:
         raise SampleBudgetExhausted(
             f"only {len(points)} of {n} independent sample points found; enlarge the candidate set"
         )
-    matrix = [[hi.evaluate(p) for p in points] for hi in h]
-    return points, matrix
+    return points, rows
+
+
+def _over(host: AffineVariety, den: Polynomial):
+    """The reader p -> p/den as a polynomial on the host, or None.
+
+    It returns NF_K(t*p) for K = I + (t*den - 1), under the block order
+    eliminating t, or None when t survives.  For a prime I with den not in I,
+    the t-free part of K's reduced block basis is the reduced grevlex basis of
+    K meet k[x] = I : den^infinity = I, so an answer is the host's own normal
+    form of p/den.  When den lies in I, K is the unit ideal and every answer
+    reads 0, so callers rule that case out first.
+    """
+    n = host.arity
+    localised = _rabinowitsch(host.ideal, den)
+    order = block_order({n})
+    t = Polynomial.variable(n + 1, n)
+
+    def read(p: Polynomial):
+        q = localised.normal_form(t * p.embed(n + 1, range(n)), order)
+        return None if n in q.variables_present() else q.restrict(range(n))
+
+    return read
 
 
 def _polynomial_form(host: AffineVariety, num: Polynomial, den: Polynomial):
@@ -140,13 +154,7 @@ def _polynomial_form(host: AffineVariety, num: Polynomial, den: Polynomial):
         return None
     if den.is_constant():
         return host.ideal.normal_form(num.scale(Fraction(1) / den.constant_value()))
-    if not host.ideal.plus([den]).contains(num):
-        return None
-    divisors = [den] + list(host.ideal.groebner_basis())
-    quotients, remainder = num.divide(divisors)
-    if not remainder.is_zero():
-        return None
-    return host.ideal.normal_form(quotients[0])
+    return _over(host, den)(num)
 
 
 def certify_regular(split: ProductAmbient, fraction: RationalFunction,
@@ -161,7 +169,7 @@ def certify_regular(split: ProductAmbient, fraction: RationalFunction,
     h = [t[0] for t in dec.terms]
     f_parts = [t[1] for t in dec.terms]
     candidates = samples if samples is not None else integer_points(split.left.arity)
-    points, matrix = find_unimodular_samples(h, candidates, host=split.left)
+    points, rows = _independent_points(h, candidates, split.left)
     Y = split.right
     slices = []
     for j, p in enumerate(points):
@@ -169,29 +177,24 @@ def certify_regular(split: ProductAmbient, fraction: RationalFunction,
         if poly is None:
             raise SliceNotRegular(j, f"the slice at sample {format_point(p)} is not regular")
         slices.append(poly)
-    transpose = [[matrix[i][j] for i in range(len(h))] for j in range(len(h))]
-    coeffs = mat_inverse(transpose)
+    coeffs = mat_inverse(rows)
     f_power = denominator ** dec.power
     solved = []
     for i in range(len(h)):
-        r_i = Polynomial.zero(Y.arity)
-        for j in range(len(points)):
-            r_i = r_i + slices[j].scale(coeffs[i][j])
-        r_i = Y.ideal.normal_form(r_i)
+        r_i = Y.ideal.normal_form(sum(map(Polynomial.scale, slices, coeffs[i]), Polynomial.zero(Y.arity)))
         if not Y.ideal.contains(f_parts[i] - r_i * f_power):
             raise NonPolynomialResidue(
                 f"component {i}: {f_parts[i]} over f^{dec.power} is not regular"
             )
         solved.append(r_i)
-    total = Polynomial.zero(split.arity)
-    for hi, ri in zip(h, solved):
-        total = total + split.embed_left(hi) * split.embed_right(ri)
+    total = sum((split.embed_left(hi) * split.embed_right(ri) for hi, ri in zip(h, solved)),
+                Polynomial.zero(split.arity))
     total = split.variety.ideal.normal_form(total)
     cross = total * fraction.den - fraction.num
     if not split.variety.ideal.contains(cross):
         raise NonPolynomialResidue("reassembled polynomial does not equal the fraction")
     dec.samples = points
-    dec.matrix = matrix
+    dec.matrix = [list(column) for column in zip(*rows)]
     dec.solve_coefficients = coeffs
     dec.slice_polynomials = slices
     dec.regular_form = total
@@ -234,19 +237,14 @@ def regularity_from_subgroup(action: RationalAction, sample_points) -> SubgroupR
     split = action.ambient
     prod = split.variety
     coords = []
-    for j, f in enumerate(action.rho.reps[0]):
+    for f in action.rho.reps[0]:
+        if not f.den.variables_present() <= set(split.right_indices):
+            raise NotApplicable(
+                "the denominator mixes group parameters into the space factor; "
+                "a parameter-independent open set is required"
+            )
         F = RationalFunction(prod, f.num, f.den)
-        if f.den.is_constant():
-            den_right = Polynomial.one(X.arity)
-        else:
-            present = f.den.variables_present()
-            if not present <= set(split.right_indices):
-                raise NotFPower(
-                    "the denominator mixes group parameters into the space factor; "
-                    "a parameter-independent open set is required"
-                )
-            den_right = f.den.restrict(split.right_indices)
-        dec = certify_regular(split, F, den_right, samples=points)
+        dec = certify_regular(split, F, f.den.restrict(split.right_indices), samples=points)
         coords.append(RationalFunction(prod, dec.regular_form))
     polynomial_map = make_rational_map(prod, X, [tuple(coords)])
     if not maps_equal(polynomial_map, action.rho):

@@ -1,6 +1,8 @@
 """Independent oracles for property tests: these deliberately avoid the
 Groebner engine, the division kernel of `poly` and the image table of
-`ratfunc`, so that agreement is a real cross-check.
+`ratfunc`, so that agreement is a real cross-check.  `polynomial_form` is the
+exception: it keeps an older regularity test, whose answers the localisation
+reader of `slices` must reproduce wherever that test gives one.
 """
 
 import random
@@ -163,3 +165,23 @@ def sylvester_resultant(f: Polynomial, g: Polynomial, var: int) -> Polynomial:
             row[shift + i] = c
         rows.append(row)
     return poly_matrix_determinant(rows)
+
+
+def polynomial_form(host, num: Polynomial, den: Polynomial):
+    """Polynomial p with num = p * den modulo the host ideal, or None.
+
+    `slices._polynomial_form` as it was before every slice decision became a
+    normal form on the principal open D(den), kept verbatim.  It divides by
+    [den] + basis(I), which is not a Groebner basis of I + (den), so it can
+    read None for a regular fraction; a polynomial it returns is right."""
+    if host.ideal.contains(den):
+        return None
+    if den.is_constant():
+        return host.ideal.normal_form(num.scale(Fraction(1) / den.constant_value()))
+    if not host.ideal.plus([den]).contains(num):
+        return None
+    divisors = [den] + list(host.ideal.groebner_basis())
+    quotients, remainder = num.divide(divisors)
+    if not remainder.is_zero():
+        return None
+    return host.ideal.normal_form(quotients[0])

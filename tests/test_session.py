@@ -323,6 +323,9 @@ TYPED_ERRORS = {
     "certify with a zero hypersurface": (
         "map F : X -> V = (x/y)\ncmd certify F wrt (x) f=(0) samples=(1, 2)",
         "NotApplicable", "the hypersurface f must be nonzero"),
+    "certify an action whose denominator mixes in the group": (
+        "variety X1 = affine(x)\naction idle : G x X1 -> X1 = ((x*(x+s))/(x+s))\ncmd certify idle samples=(0, 1)",
+        "NotApplicable", "mixes group parameters into the space factor"),
     "named atlas point of a parametric group": ("cmd atlas rho S=(foo)", "PointNotOnGroup", "'foo'"),
     "named sample of a parametric group": (
         "action sc : M x V -> V = (z*v)\ncmd certify sc samples=(foo)", "PointNotOnGroup", "'foo'"),

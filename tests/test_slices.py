@@ -1,7 +1,10 @@
+import ast
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import weilreg.slices
 from weilreg import Polynomial, parse_polynomial
 from weilreg.actions import make_rational_action
 from weilreg.errors import (
@@ -13,14 +16,16 @@ from weilreg.errors import (
 from weilreg.groups import additive_group, multiplicative_group
 from weilreg.maps import rational_map
 from weilreg.ratfunc import RationalFunction
+from weilreg.sessions import parse_session, run_session
 from weilreg.slices import (
+    _polynomial_form,
     certify_regular,
     decompose_tensor,
     find_unimodular_samples,
     integer_points,
     regularity_from_subgroup,
 )
-from weilreg.varieties import ProductAmbient, affine_space
+from weilreg.varieties import ProductAmbient, affine_space, variety
 
 
 @pytest.fixture
@@ -179,3 +184,47 @@ def test_blowup_action_rejected_on_non_regular_sample():
     action = make_rational_action(G, X, rational_map(P.variety, X, ("u+s", "u*t/(u+s)")))
     with pytest.raises(NotRegularOnSample):
         regularity_from_subgroup(action, [(0,), (1,)])
+
+
+# -- slice decisions on the principal open D(den) ----------------------------------------------
+
+UNIT_DENOMINATOR = """\
+var a b s x
+variety Y = affine(a, b)/(b - 1)
+variety L = affine(x)
+map m : Y -> L = (a/(b+1))
+group G = Ga(s)
+action tr : G x Y -> Y = ((a+s)/(b+1)*2, b)
+"""
+
+
+def test_polynomial_form_of_a_unit_denominator():
+    Y = variety(["a", "b"], "b - 1")
+    q = _polynomial_form(Y, Y.poly("1"), Y.poly("b+1"))
+    assert q == Polynomial.constant(2, Fraction(1, 2))
+
+
+@pytest.mark.parametrize("f", ["b", "b+1"])
+def test_certify_map_whose_denominator_is_a_unit_on_the_host(f):
+    session = UNIT_DENOMINATOR + f"cmd certify m wrt (a) f=({f}) samples=(1, 2)\n"
+    record = run_session(parse_session(session))[-1]
+    assert record["status"] == "ok"
+    assert record["payload"]["regular_form"] == "1/2*a"
+
+
+def test_certify_action_whose_denominator_is_a_unit_on_the_host():
+    record = run_session(parse_session(UNIT_DENOMINATOR + "cmd certify tr samples=(0, 1)\n"))[-1]
+    assert record["status"] == "ok"
+    assert record["payload"]["coordinates"] == ["s+a", "1"]
+
+
+def test_slices_decide_regularity_only_by_normal_forms():
+    path = Path(weilreg.slices.__file__)
+    calls = {getattr(node.func, "attr", None)
+             for node in ast.walk(ast.parse(path.read_text())) if isinstance(node, ast.Call)}
+    assert "divide" not in calls
+    # no error path is left that only a wrong certificate could reach
+    for module in path.parent.glob("*.py"):
+        for node in ast.walk(ast.parse(module.read_text())):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                assert not node.value.startswith("internal:"), module.name
