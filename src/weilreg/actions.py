@@ -10,7 +10,7 @@ the locus of G-regular points.
 from dataclasses import dataclass
 from .errors import EmptyLocus, NotAnAction, NotApplicable, RoundTripFailure, ZeroDenominator
 from .groups import AlgebraicGroup
-from .ideals import Ideal
+from .ideals import Ideal, memoized
 from .maps import (
     RationalMap,
     _pair_inverses,
@@ -37,8 +37,7 @@ class GRegularLocus:
 
 
 class RationalAction:
-    __slots__ = ("group", "space", "ambient", "rho", "maps", "domain",
-                 "_tilde", "_xreg", "_specialized")
+    __slots__ = ("group", "space", "ambient", "rho", "maps", "domain", "memo")
 
     def __init__(self, group: AlgebraicGroup, space: AffineVariety, rho=None,
                  maps=None, domain: OpenSubset = None):
@@ -48,9 +47,7 @@ class RationalAction:
         self.rho = rho
         self.maps = dict(maps) if maps is not None else None
         self.domain = domain if domain is not None else OpenSubset.full(space)
-        self._tilde = None
-        self._xreg = None
-        self._specialized = {}
+        self.memo = {}
 
     @property
     def is_finite(self) -> bool:
@@ -65,22 +62,18 @@ class RationalAction:
         return f"RationalAction({kind}, on {self.space!r})"
 
 
+@memoized(key=lambda action, g: (action.group.require_point(g),))
 def specialize(action: RationalAction, g) -> RationalMap:
-    """The birational map of one group element, with its inverse attached."""
-    g = action.group.require_point(g)
-    cached = action._specialized.get(g)
-    if cached is not None:
-        return cached
+    """The birational map of one group element, with its inverse attached;
+    the inverse element's map is recorded with it."""
     if action.is_finite:
-        result = action.maps[g]
-    else:
-        result = _specialize_raw(action, g)
-        g_inv = action.group.invert_point(g)
-        candidate = result if g_inv == g else _specialize_raw(action, g_inv)
-        _pair_inverses(result, candidate, RoundTripFailure(
-            f"specialisations at {g} and {g_inv} are not mutually inverse"))
-        action._specialized[g_inv] = candidate
-    action._specialized[g] = result
+        return action.maps[g]
+    result = _specialize_raw(action, g)
+    g_inv = action.group.invert_point(g)
+    candidate = result if g_inv == g else _specialize_raw(action, g_inv)
+    _pair_inverses(result, candidate, RoundTripFailure(
+        f"specialisations at {g} and {g_inv} are not mutually inverse"))
+    action.memo["specialize", (g_inv,)] = candidate
     return result
 
 
@@ -176,7 +169,6 @@ def _validate_finite_action(action: RationalAction):
             gh = G.table[(g, h)]
             if not maps_equal(compose(maps[h], maps[g]), maps[gh]):
                 raise NotAnAction("homomorphism", f"map of {g}*{h} differs from the composition")
-    action._specialized = dict(maps)
 
 
 # -- the lifted product map ----------------------------------------------------------
@@ -193,10 +185,12 @@ def lift_action(action: RationalAction, element=None):
     if action.is_finite:
         if element is None:
             raise NotApplicable("finite groups lift per element; pass one")
-        g = action.group.require_point(element)
-        return specialize(action, g), specialize(action, action.group.inverse_element(g))
-    if action._tilde is not None:
-        return action._tilde
+        return specialize(action, element), specialize(action, action.group.inverse_element(element))
+    return _lift(action)
+
+
+@memoized
+def _lift(action: RationalAction):
     amb = action.ambient
     P = amb.variety
     g_coords = tuple(RationalFunction.coordinate(P, i) for i in amb.left_indices)
@@ -208,8 +202,7 @@ def lift_action(action: RationalAction, element=None):
     backward = make_rational_map(P, P, [g_coords + tuple(back_coords)])
     _pair_inverses(forward, backward, RoundTripFailure(
         "lifted action map and its conjugated inverse do not round-trip"))
-    action._tilde = (forward, backward)
-    return action._tilde
+    return forward, backward
 
 
 def tilde_biregular_locus(action: RationalAction) -> OpenSubset:
@@ -252,9 +245,8 @@ def action_point_defined(action: RationalAction, g, x):
 # -- the G-regular locus ----------------------------------------------------------------
 
 
+@memoized
 def g_regular_locus(action: RationalAction) -> GRegularLocus:
-    if action._xreg is not None:
-        return action._xreg
     X = action.space
     if action.is_finite:
         bad_ideals = []
@@ -265,10 +257,6 @@ def g_regular_locus(action: RationalAction) -> GRegularLocus:
             bad = Ideal(X.arity, bad.groebner_basis())
             bad_ideals.append(bad)
             locus = locus.intersect(breg)
-        locus = locus.intersect(action.domain)
-        if locus.is_empty():
-            raise EmptyLocus("no G-regular points certified; supply more representatives")
-        result = GRegularLocus(locus, bad_ideals)
     else:
         if not action.group.variety.irreducible:
             raise NotApplicable("parametric G-regular loci need an irreducible group")
@@ -283,28 +271,25 @@ def g_regular_locus(action: RationalAction) -> GRegularLocus:
                 coeffs.append(c.restrict(amb.right_indices))
         bad = Ideal(X.arity, coeffs)
         bad = Ideal(X.arity, bad.groebner_basis())
-        locus = OpenSubset(X, bad.gens)
-        locus = locus.intersect(action.domain)
-        if locus.is_empty():
-            raise EmptyLocus("no G-regular points certified; supply more representatives")
-        result = GRegularLocus(locus, [bad])
-    action._xreg = result
-    return result
+        locus, bad_ideals = OpenSubset(X, bad.gens), [bad]
+    locus = locus.intersect(action.domain)
+    if locus.is_empty():
+        raise EmptyLocus("no G-regular points certified; supply more representatives")
+    return GRegularLocus(locus, bad_ideals)
 
 
 def restrict_to_open(action: RationalAction, subset: OpenSubset) -> RationalAction:
     """The induced action on a nonempty open subset of the space.
 
     The maps are unchanged; all loci computations pick up witnesses for
-    membership of the point and of its image.
+    membership of the point and of its image.  The restriction starts with
+    a copy of the action's element maps, and shares nothing after.
     """
     subset.require_nonempty()
     domain = action.domain.intersect(subset)
     domain.require_nonempty()
-    if action.is_finite:
-        return RationalAction(action.group, action.space, maps=action.maps, domain=domain)
-    restricted = RationalAction(action.group, action.space, rho=action.rho, domain=domain)
-    restricted._specialized = dict(action._specialized)
+    restricted = RationalAction(action.group, action.space, action.rho, action.maps, domain)
+    restricted.memo.update(item for item in action.memo.items() if item[0][0] == "specialize")
     return restricted
 
 

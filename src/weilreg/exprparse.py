@@ -26,10 +26,10 @@ class Token:
         return f"Token({self.kind}, {self.text!r}, {self.line}:{self.column})"
 
 
-def tokenize(text: str, line_offset: int = 1):
+def tokenize(text: str):
     """Token list with an EOF sentinel; '#' starts a comment to end of line."""
     tokens = []
-    line = line_offset
+    line = 1
     col = 1
     i = 0
     n = len(text)

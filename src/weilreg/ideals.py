@@ -24,6 +24,7 @@ reduced basis are those of the same algorithm run over Q.
 
 from contextvars import ContextVar
 from fractions import Fraction
+from functools import partial, wraps
 from heapq import heapify, heappop, heappush
 from math import gcd
 from operator import add, ge, sub
@@ -54,6 +55,29 @@ class WorkLedger:
 
 
 _LEDGER = ContextVar("weilreg_work_ledger", default=None)
+
+
+def memoized(fn=None, *, key=lambda owner: ()):
+    """Decorator keeping each result of fn(owner, ...) in `owner.memo`, the
+    owner's one store of derived results, under fn's name and key(owner,
+    ...), the argument tuple fn then runs on.  A key fills in defaults, so
+    `groebner_basis()` and `groebner_basis(GREVLEX)` are one entry, and
+    normalises, as `specialize` keys a group point by `require_point`.  A
+    raised error is not kept."""
+    if fn is None:
+        return partial(memoized, key=key)
+    name = fn.__name__
+
+    @wraps(fn)
+    def cached(owner, *args, **kwargs):
+        entry = name, key(owner, *args, **kwargs)
+        try:
+            return owner.memo[entry]
+        except KeyError:
+            result = owner.memo[entry] = fn(owner, *entry[1])
+            return result
+
+    return cached
 
 
 # -- polynomial reduction ----------------------------------------------------
@@ -186,9 +210,9 @@ def buchberger(generators, order: MonomialOrder = GREVLEX):
 
 
 class Ideal:
-    """Finitely generated ideal with a lazily cached reduced basis per order."""
+    """Finitely generated ideal whose memo keeps its reduced basis per order."""
 
-    __slots__ = ("arity", "gens", "_bases")
+    __slots__ = ("arity", "gens", "memo")
 
     def __init__(self, arity: int, gens):
         gens = tuple(gens)
@@ -197,18 +221,15 @@ class Ideal:
                 raise ArityMismatch(f"generator arity {g.arity} in ideal of arity {arity}")
         self.arity = arity
         self.gens = tuple(g for g in gens if not g.is_zero())
-        self._bases = {}
+        self.memo = {}
 
     @classmethod
     def zero(cls, arity: int) -> "Ideal":
         return cls(arity, ())
 
+    @memoized(key=lambda ideal, order=GREVLEX: (order,))
     def groebner_basis(self, order: MonomialOrder = GREVLEX):
-        cached = self._bases.get(order)
-        if cached is None:
-            cached = buchberger(self.gens, order)
-            self._bases[order] = cached
-        return cached
+        return buchberger(self.gens, order)
 
     def normal_form(self, f: Polynomial, order: MonomialOrder = GREVLEX) -> Polynomial:
         if f.arity != self.arity:

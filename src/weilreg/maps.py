@@ -18,7 +18,7 @@ from .errors import (
     RoundTripFailure,
     ZeroDenominator,
 )
-from .ideals import Ideal, eliminate, saturate
+from .ideals import Ideal, eliminate, memoized, saturate
 from .orders import GREVLEX, block_order
 from .poly import Polynomial
 from .polygcd import squarefree_part_degree
@@ -53,24 +53,19 @@ class PointStatus:
 class RationalMap:
     """Rational map given by one or more tuples of coordinate fractions."""
 
-    __slots__ = ("source", "target", "reps", "_graph", "_image", "_dominant", "_inverse", "_images")
+    __slots__ = ("source", "target", "reps", "memo")
 
     def __init__(self, source, target, reps):
         self.source = source
         self.target = target
         self.reps = tuple(tuple(rep) for rep in reps)
-        self._graph = None
-        self._image = None
-        self._dominant = None
-        self._inverse = None
-        self._images = [None] * len(self.reps)
+        self.memo = {}
 
+    @memoized(key=lambda phi, r=0: (r,))
     def images(self, r: int = 0) -> FractionImages:
         """The fraction images of representative r, whose table every
         composition through this map shares."""
-        if self._images[r] is None:
-            self._images[r] = FractionImages(f.fraction_pair() for f in self.reps[r])
-        return self._images[r]
+        return FractionImages(f.fraction_pair() for f in self.reps[r])
 
     def __repr__(self):
         body = ", ".join(repr(f) for f in self.reps[0])
@@ -130,9 +125,8 @@ def identity_map(X: AffineVariety) -> RationalMap:
 # -- graph ---------------------------------------------------------------------
 
 
+@memoized
 def graph_closure(phi: RationalMap) -> GraphClosure:
-    if phi._graph is not None:
-        return phi._graph
     amb = ProductAmbient(phi.source, phi.target)
     gens = list(amb.variety.ideal.gens)
     for j, f in zip(amb.right_indices, phi.reps[0]):
@@ -144,28 +138,23 @@ def graph_closure(phi: RationalMap) -> GraphClosure:
             product = product * d
     if not product.is_constant():
         ideal = saturate(ideal, amb.embed_left(product))
-    phi._graph = GraphClosure(amb, ideal)
-    return phi._graph
+    return GraphClosure(amb, ideal)
 
 
+@memoized
 def closed_image(phi: RationalMap) -> AffineVariety:
-    if phi._image is not None:
-        return phi._image
     graph = graph_closure(phi)
     amb = graph.ambient
     projected = eliminate(graph.ideal, set(amb.left_indices))
     gens = [g.restrict(amb.right_indices) for g in projected.gens]
-    phi._image = AffineVariety(
+    return AffineVariety(
         phi.target.names, Ideal(amb.right.arity, gens), irreducible=phi.source.irreducible, check=False
     )
-    return phi._image
 
 
+@memoized
 def is_dominant(phi: RationalMap) -> bool:
-    if phi._dominant is None:
-        image = closed_image(phi)
-        phi._dominant = image.ideal == phi.target.ideal
-    return phi._dominant
+    return closed_image(phi).ideal == phi.target.ideal
 
 
 # -- composition and equality ----------------------------------------------------
@@ -220,7 +209,8 @@ def _roundtrip_is_identity(phi: RationalMap, psi: RationalMap) -> bool:
 def _pair_inverses(a: RationalMap, b: RationalMap, error: Exception) -> None:
     """Record a and b as mutually inverse birational maps once both round
     trips are proved by exact substitution; raise error, recording nothing,
-    if either fails.  The only place a map is paired with its inverse.
+    if either fails.  The only place a map is paired with its inverse: it
+    writes both maps' `inverse` and `is_dominant` memo entries.
 
     b o a = id is always proved.  a o b = id follows from it, and is not
     substituted, when b is a or when a is already proved dominant: then
@@ -229,20 +219,20 @@ def _pair_inverses(a: RationalMap, b: RationalMap, error: Exception) -> None:
     nonzero after substituting b: D(b) pulls back along a to D, which is
     nonzero on the source.  (A dominant map from an irreducible source has
     an irreducible target, so k(Y) is a field.)"""
-    if not (_roundtrip_is_identity(a, b) and (b is a or a._dominant or _roundtrip_is_identity(b, a))):
+    dominant = a.memo.get(("is_dominant", ()))
+    if not (_roundtrip_is_identity(a, b) and (b is a or dominant or _roundtrip_is_identity(b, a))):
         raise error
-    a._inverse, b._inverse = b, a
-    a._dominant = b._dominant = True
+    a.memo["inverse", ()], b.memo["inverse", ()] = b, a
+    a.memo["is_dominant", ()] = b.memo["is_dominant", ()] = True
 
 
+@memoized
 def inverse(phi: RationalMap) -> RationalMap:
     """Rational inverse extracted from the graph closure.
 
     Failure raises NotBirational: a failure to certify, not a proof that no
     inverse exists.
     """
-    if phi._inverse is not None:
-        return phi._inverse
     if not is_dominant(phi):
         raise NotDominant("only dominant maps can be inverted")
     if not phi.target.irreducible:

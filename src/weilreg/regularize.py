@@ -16,7 +16,7 @@ from .errors import NotAnAction, NotApplicable, RoundTripFailure
 from .maps import RationalMap, _pair_inverses, closed_image, make_rational_map
 from .poly import Polynomial
 from .ratfunc import FractionImages, RationalFunction, compose_poly, pullback
-from .varieties import AffineVariety, affine_space
+from .varieties import AffineVariety, affine_space, product_names
 
 
 @dataclass
@@ -57,17 +57,6 @@ def stable_generators(action):
     return gens, orbit
 
 
-def _model_names(space: AffineVariety, count: int):
-    names = []
-    used = set(space.names)
-    for j in range(count):
-        name = f"u{j + 1}"
-        while name in used or name in names:
-            name += "'"
-        names.append(name)
-    return tuple(names)
-
-
 def present_subalgebra(space: AffineVariety, gens):
     """Present the subalgebra generated by the given fractions.
 
@@ -75,7 +64,7 @@ def present_subalgebra(space: AffineVariety, gens):
     coordinate ring is the subalgebra.  Returns (Y, psi: Y -> X polynomial,
     psi_inverse: X --> Y) with both round trips verified.
     """
-    names = _model_names(space, len(gens))
+    names = product_names(space.names, [f"u{j + 1}" for j in range(len(gens))])[space.arity:]
     model = closed_image(make_rational_map(space, affine_space(names), [tuple(gens)]))
     psi_coords = []
     for i in range(space.arity):

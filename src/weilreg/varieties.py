@@ -17,7 +17,10 @@ from .polygcd import squarefree_part
 
 class AffineVariety:
     """Closed subvariety of affine space: named coordinates plus a defining
-    ideal, with irreducibility asserted by the caller."""
+    ideal, with irreducibility asserted by the caller.  An irreducible
+    variety's ideal must be prime, and nothing checks it: function-field
+    computations (rational functions, slice certificates) assume it, so a
+    declared V(x*y) gets normal forms modulo I : den^inf, not modulo I."""
 
     __slots__ = ("names", "ideal", "irreducible")
 

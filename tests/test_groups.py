@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from weilreg import Ideal, Polynomial
+from weilreg import GREVLEX, Ideal, Polynomial
 from weilreg.errors import (
     AxiomFailure,
     EmptyLocus,
@@ -205,7 +205,7 @@ def test_specialize_blowup_at_one(blowup_action):
     rho1 = specialize(blowup_action, (1,))
     X = rho1.source
     assert maps_equal(rho1, rational_map(X, X, ("u+1", "u*t/(u+1)")))
-    assert rho1._inverse is not None
+    assert rho1.memo.get(("inverse", ())) is not None
 
 
 def test_a_specialize_pair_proves_both_round_trips(blowup_action, monkeypatch):
@@ -216,7 +216,25 @@ def test_a_specialize_pair_proves_both_round_trips(blowup_action, monkeypatch):
     real = weilreg.maps._roundtrip_is_identity
     monkeypatch.setattr(weilreg.maps, "_roundtrip_is_identity", lambda a, b: trips.append((a, b)) or real(a, b))
     rho1 = specialize(blowup_action, (1,))
-    assert [(a, b) for a, b in trips] == [(rho1, rho1._inverse), (rho1._inverse, rho1)]
+    rho1_inv = rho1.memo["inverse", ()]
+    assert [(a, b) for a, b in trips] == [(rho1, rho1_inv), (rho1_inv, rho1)]
+
+
+def test_a_memo_entry_is_keyed_by_normalised_arguments(blowup_action):
+    ideal = Ideal(2, [Polynomial.variable(2, 0) ** 2 - Polynomial.variable(2, 1)])
+    assert ideal.groebner_basis() is ideal.groebner_basis(GREVLEX) is ideal.groebner_basis(order=GREVLEX)
+    rho1 = specialize(blowup_action, [1])
+    assert specialize(blowup_action, (1,)) is rho1 and specialize(blowup_action, (Fraction(1),)) is rho1
+    assert rho1.images() is rho1.images(0)
+    # the inverse element's map was recorded with it
+    assert specialize(blowup_action, [-1]) is rho1.memo["inverse", ()]
+
+
+def test_a_restriction_copies_the_element_maps_one_way(blowup_action):
+    rho1 = specialize(blowup_action, (1,))
+    restricted = restrict_to_open(blowup_action, OpenSubset(blowup_action.space, [Polynomial.variable(2, 0)]))
+    assert specialize(restricted, (1,)) is rho1
+    assert specialize(restricted, (2,)) is not specialize(blowup_action, (2,))
 
 
 def test_specialize_at_identity_is_identity(blowup_action, cremona_action):

@@ -231,7 +231,7 @@ def test_pairing_a_non_inverse_pair_raises_and_records_nothing():
     with pytest.raises(RoundTripFailure) as raised:
         _pair_inverses(doubling, ident, error)
     assert raised.value is error
-    assert doubling._inverse is None and ident._inverse is None
+    assert all(key not in m.memo for m in (doubling, ident) for key in (("inverse", ()), ("is_dominant", ())))
 
 
 def test_inverse_of_a_paired_map_is_its_partner(chart, rho1, monkeypatch):
@@ -254,7 +254,7 @@ def test_an_involution_pairs_with_itself_after_one_round_trip(monkeypatch):
     doubling = rational_map(line, line, ("2*x",))
     with pytest.raises(RoundTripFailure):
         _pair_inverses(doubling, doubling, RoundTripFailure("not an involution"))
-    assert doubling._inverse is None
+    assert ("inverse", ()) not in doubling.memo
 
 
 # Triangular Moebius maps v_i -> (A v_i + B)/(C v_i + D), A..D polynomials in
@@ -319,7 +319,7 @@ def test_every_golden_inverse_pair_round_trips_both_ways(monkeypatch):
     real = weilreg.maps._pair_inverses
 
     def recording(a, b, error):
-        dominant = a._dominant
+        dominant = a.memo.get(("is_dominant", ()))
         real(a, b, error)
         if b is not a:
             pairs.append((a, b, dominant))
@@ -334,28 +334,57 @@ def test_every_golden_inverse_pair_round_trips_both_ways(monkeypatch):
         assert _roundtrip_is_identity(a, b) and _roundtrip_is_identity(b, a)
 
 
-def _inverse_assignments(node, func=None):
-    """(enclosing function, assigned value) for each assignment to an
-    attribute named _inverse, tuple targets included."""
+def _is_memo(node):
+    return (isinstance(node, ast.Attribute) and node.attr == "memo") or (
+        isinstance(node, ast.Name) and node.id == "memo")
+
+
+def _memo_writes(node, func=None):
+    """(enclosing function, what is written) for each write to a memo: an
+    entry assigned by subscript (named by its key), a memo attribute
+    assigned, a memo method called that is not a read, or a memo bound to
+    another name, through which it could be written."""
     if isinstance(node, ast.FunctionDef):
         func = node.name
     found = []
     if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
-        targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-        if any(isinstance(sub, ast.Attribute) and sub.attr == "_inverse"
-               for target in targets for sub in ast.walk(target)):
-            found.append((func, ast.unparse(node.value)))
+        targets = list(node.targets) if isinstance(node, ast.Assign) else [node.target]
+        if isinstance(node.value, ast.Attribute) and node.value.attr == "memo":
+            found.append((func, ast.unparse(node)))
+        while targets:
+            target = targets.pop()
+            if isinstance(target, (ast.Tuple, ast.List)):
+                targets += target.elts
+            elif isinstance(target, ast.Subscript) and _is_memo(target.value):
+                found.append((func, ast.unparse(target.slice)))
+            elif isinstance(target, ast.Attribute) and target.attr == "memo":
+                found.append((func, "memo = " + ast.unparse(node.value)))
+    if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and _is_memo(node.func.value)
+            and node.func.attr not in ("get", "items", "keys", "values")):
+        found.append((func, f"memo.{node.func.attr}"))
     for child in ast.iter_child_nodes(node):
-        found += _inverse_assignments(child, func)
+        found += _memo_writes(child, func)
     return found
 
 
 def test_only_pair_inverses_records_an_inverse():
     src = Path(weilreg.maps.__file__).resolve().parent
     sites = {(path.name,) + site for path in src.glob("*.py")
-             for site in _inverse_assignments(ast.parse(path.read_text()))}
-    # a RationalMap starts unpaired; only _pair_inverses pairs it
-    assert sites == {("maps.py", "__init__", "None"), ("maps.py", "_pair_inverses", "(b, a)")}
+             for site in _memo_writes(ast.parse(path.read_text()))}
+    # every owner starts with an empty memo, the memo helper writes each
+    # computed entry, _pair_inverses alone pairs maps (and records their
+    # dominance), specialize records the inverse element's map with it, and
+    # a restriction starts with a copy of its action's element maps
+    assert sites == {
+        ("ideals.py", "__init__", "memo = {}"),
+        ("maps.py", "__init__", "memo = {}"),
+        ("actions.py", "__init__", "memo = {}"),
+        ("ideals.py", "cached", "entry"),
+        ("maps.py", "_pair_inverses", "('inverse', ())"),
+        ("maps.py", "_pair_inverses", "('is_dominant', ())"),
+        ("actions.py", "specialize", "('specialize', (g_inv,))"),
+        ("actions.py", "restrict_to_open", "memo.update"),
+    }
 
 
 # -- definable locus ------------------------------------------------------------------------

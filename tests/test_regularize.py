@@ -226,6 +226,16 @@ def test_regularize_half_cremona(plane, half_cremona_action):
     assert result.action_on_model["s2"] == (u[2], u[1], u[0])
 
 
+def test_model_coordinates_avoid_the_space_names():
+    # the first two default model names are taken by the space, so they get primes
+    space = affine_space(["u1", "u2"])
+    flip = rational_map(space, space, ("-u1", "1/u2"))
+    action = make_rational_action(cyclic_group_2(("e", "f")), space, {"e": identity_map(space), "f": flip})
+    result = regularize_finite(action)
+    assert result.model.names == ("u1'", "u2'", "u3", "u4")
+    assert result.model.ideal == Ideal(4, [parse_polynomial(t, result.model.names) for t in ("u1'+u3", "u2'*u4-1")])
+
+
 @pytest.mark.parametrize("name", ["cremona_action", "swap_action", "half_cremona_action"])
 def test_induced_action_substitutes_nothing(name, plane, request, monkeypatch):
     action = request.getfixturevalue(name)
