@@ -1,12 +1,16 @@
 """Exception hierarchy for the toolkit.
 
-Every domain failure raises a subclass of WeilregError so callers (and the
-session runner) can distinguish "the mathematics said no" from genuine bugs.
+Every domain failure raises a subclass of WeilregError.  A session records a
+Rejection ("the mathematics said no") as status `fail` and any other as `error`.
 """
 
 
 class WeilregError(Exception):
     """Base class for all toolkit errors."""
+
+
+class Rejection(WeilregError):
+    """The computation ran and its verdict is negative: not bad input, not a budget."""
 
 
 class ArityMismatch(WeilregError):
@@ -49,7 +53,7 @@ class NotComposable(WeilregError):
     """Target of the first map is not the source of the second."""
 
 
-class NotBirational(WeilregError):
+class NotBirational(Rejection):
     """No rational inverse could be certified.
 
     This is a sound failure to certify, not a proof that no inverse exists.
@@ -68,7 +72,7 @@ class AxiomFailure(WeilregError):
     """A group axiom identity failed; the message names the identity."""
 
 
-class NotAnAction(WeilregError):
+class NotAnAction(Rejection):
     """An action law failed; carries the offending residue polynomial when
     the failure is an identity that does not reduce to zero, else a reason."""
 
@@ -91,15 +95,15 @@ class PointNotOnGroup(WeilregError):
     """A group element sample does not satisfy the group's defining ideal."""
 
 
-class EmptyLocus(WeilregError):
+class EmptyLocus(Rejection):
     """The computed G-regular locus is empty (representative set too small)."""
 
 
-class RoundTripFailure(WeilregError):
+class RoundTripFailure(Rejection):
     """A constructed map and its claimed inverse fail the round-trip check."""
 
 
-class NotFPower(WeilregError):
+class NotFPower(Rejection):
     """The denominator is not supported on the given principal divisor."""
 
 
@@ -107,7 +111,7 @@ class SampleBudgetExhausted(WeilregError):
     """Candidate enumeration ended before enough independent points appeared."""
 
 
-class SliceNotRegular(WeilregError):
+class SliceNotRegular(Rejection):
     """A sample slice of the function is not regular (hypothesis fails)."""
 
     def __init__(self, index: int, message: str = ""):
@@ -115,11 +119,11 @@ class SliceNotRegular(WeilregError):
         self.index = index
 
 
-class NonPolynomialResidue(WeilregError):
+class NonPolynomialResidue(Rejection):
     """A solved component of the certificate is not regular."""
 
 
-class NotRegularOnSample(WeilregError):
+class NotRegularOnSample(Rejection):
     """A sampled group element does not act by a regular automorphism."""
 
 

@@ -5,12 +5,17 @@ The session language reuses the tokeniser; the library uses the expression
 parser as a convenience constructor for polynomials and coordinate fractions.
 """
 
+import re
 from fractions import Fraction
 
 from .errors import SessionSyntaxError
 from .poly import Polynomial
 
-SYMBOLS = ("->", "+", "-", "*", "/", "^", "(", ")", ",", ":", "=", "{", "}", "|", ";")
+# one alternative per token kind; the first that matches at a position wins
+_TOKEN = re.compile(
+    r"(?P<NEWLINE>\n)|(?P<SKIP>[ \t\r]+|#[^\n]*)|(?P<INT>\d+)|(?P<IDENT>[^\W\d]\w*'*)"
+    r"|(?P<SYMBOL>->|[-+*/^(),:={}|;])|(?P<BAD>.)"
+)
 
 
 class Token:
@@ -27,55 +32,27 @@ class Token:
 
 
 def tokenize(text: str):
-    """Token list with an EOF sentinel; '#' starts a comment to end of line."""
+    """Token list with an EOF sentinel; '#' starts a comment to end of line.
+    An IDENT starts with a letter or '_' and may end in primes (the copies in
+    product ambients); a symbol's kind is its text.  A comment does not
+    advance the column: the token after it carries the comment's column."""
     tokens = []
-    line = 1
-    col = 1
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            tokens.append(Token("NEWLINE", "\n", line, col))
+    line, line_start = 1, 0  # line_start: the offset that column 1 stands for
+    for m in _TOKEN.finditer(text):
+        kind, start = m.lastgroup, m.start()
+        if kind == "SKIP":
+            if text[start] == "#":
+                line_start += m.end() - start
+            continue
+        value = m.group()
+        if kind == "BAD" or kind == "IDENT" and not (value[0].isalpha() or value[0] == "_"):
+            # \w also holds numeric characters that are not decimal digits, such as '²'
+            raise SessionSyntaxError(f"unexpected character {value[0]!r}", line, start - line_start + 1)
+        tokens.append(Token(value if kind == "SYMBOL" else kind, value, line, start - line_start + 1))
+        if kind == "NEWLINE":
             line += 1
-            col = 1
-            i += 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if ch == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        if ch.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            tokens.append(Token("INT", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            while j < n and text[j] == "'":  # primed copies in product ambients
-                j += 1
-            tokens.append(Token("IDENT", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        for sym in SYMBOLS:
-            if text.startswith(sym, i):
-                tokens.append(Token(sym, sym, line, col))
-                col += len(sym)
-                i += len(sym)
-                break
-        else:
-            raise SessionSyntaxError(f"unexpected character {ch!r}", line, col)
-    tokens.append(Token("EOF", "", line, col))
+            line_start = start + 1
+    tokens.append(Token("EOF", "", line, len(text) - line_start + 1))
     return tokens
 
 
@@ -122,7 +99,8 @@ class TokenStream:
 
 class FractionExprParser:
     """Parses an expression into a (numerator, denominator) polynomial pair
-    over the named variables."""
+    over the named variables, with `expr()`.  Fractions are kept exactly as
+    written; cancellation is the caller's explicit choice."""
 
     def __init__(self, stream: TokenStream, names):
         self.stream = stream
@@ -150,11 +128,6 @@ class FractionExprParser:
         if b[0].is_zero():
             raise SessionSyntaxError("division by zero", tok.line, tok.column)
         return (self._times(a[0], b[1]), self._times(a[1], b[0]))
-
-    def parse(self):
-        # fractions are kept exactly as written; cancellation is the caller's
-        # explicit choice
-        return self.expr()
 
     def expr(self):
         value = self.term()
@@ -213,8 +186,7 @@ class FractionExprParser:
 def parse_fraction(text: str, names):
     """(numerator, denominator) of the expression over the named variables."""
     stream = TokenStream(text.tokens if isinstance(text, SourceExpr) else tokenize(text))
-    parser = FractionExprParser(stream, names)
-    num, den = parser.parse()
+    num, den = FractionExprParser(stream, names).expr()
     tok = stream.peek()
     if tok.kind != "EOF":
         raise SessionSyntaxError(f"trailing input {tok.text!r}", tok.line, tok.column, expected=("EOF",))
@@ -222,9 +194,12 @@ def parse_fraction(text: str, names):
 
 
 def parse_polynomial(text: str, names) -> Polynomial:
+    """The polynomial the expression denotes; a fraction with a non-constant
+    denominator is an error at the expression's first token."""
     num, den = parse_fraction(text, names)
     if not den.is_constant():
-        raise SessionSyntaxError("expected a polynomial, found a fraction", 1, 1)
+        first = text.tokens[0] if isinstance(text, SourceExpr) else Token("EOF", "", 1, 1)
+        raise SessionSyntaxError("expected a polynomial, found a fraction", first.line, first.column)
     c = den.constant_value()
     return num if c == 1 else num.scale(Fraction(1) / c)
 

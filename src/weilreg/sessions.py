@@ -23,20 +23,8 @@ from .actions import (
     specialize,
 )
 from .atlas import build_atlas, check_atlas
-from .errors import (
-    SessionSyntaxError,
-    UseBeforeDeclare,
-    WeilregError,
-    NotAnAction,
-    NotBirational,
-    NotFPower,
-    NotRegularOnSample,
-    EmptyLocus,
-    NonPolynomialResidue,
-    RoundTripFailure,
-    SliceNotRegular,
-)
-from .exprparse import FractionExprParser, SourceExpr, Token, TokenStream, parse_fraction, tokenize
+from .errors import Rejection, SessionSyntaxError, UseBeforeDeclare, WeilregError
+from .exprparse import FractionExprParser, SourceExpr, Token, TokenStream, parse_polynomial, tokenize
 from .groups import additive_group, finite_group, multiplicative_group, product_group
 from .ideals import Ideal
 from .maps import (
@@ -56,18 +44,6 @@ from .ratfunc import RationalFunction, fraction_text as _fraction_text
 from .regularize import regularize_finite
 from .slices import certify_regular, regularity_from_subgroup
 from .varieties import AffineVariety, OpenSubset, ProductAmbient
-
-# domain rejections: the command ran and the mathematics said no
-_FAIL_ERRORS = (
-    NotAnAction,
-    NotBirational,
-    NotFPower,
-    NotRegularOnSample,
-    EmptyLocus,
-    NonPolynomialResidue,
-    RoundTripFailure,
-    SliceNotRegular,
-)
 
 # command keyword -> for each named operand, the declaration kinds it may have
 COMMANDS = {
@@ -358,7 +334,7 @@ class _SessionParser(TokenStream):
         return self.paren_list(self.expr)
 
     def rational(self):
-        num, den = FractionExprParser(self, []).parse()
+        num, den = FractionExprParser(self, []).expr()
         return num.constant_value() / den.constant_value()
 
     def point(self):
@@ -562,14 +538,6 @@ def _laws(finite: bool) -> list:
     return ["identity", "homomorphism" if finite else "associativity"]
 
 
-def _polynomial(stmt, text, names, what):
-    num, den = parse_fraction(text, names)
-    if not den.is_constant():
-        raise SessionSyntaxError(f"{what} must be polynomial", stmt.line, stmt.column)
-    c = den.constant_value()
-    return num if c == 1 else num.scale(Fraction(1) / c)
-
-
 def _no_repeats(stmt, items, what="element"):
     seen = set()
     for item in items:
@@ -615,7 +583,7 @@ class _Session:
                 result = getattr(self, "run_" + stmt.verb)(stmt)
                 status, payload = result if isinstance(result, tuple) else ("ok", result)
             except WeilregError as err:
-                status = "fail" if isinstance(err, _FAIL_ERRORS) else "error"
+                status = "fail" if isinstance(err, Rejection) else "error"
                 payload = {"reason": type(err).__name__, "message": str(err)}
                 if isinstance(stmt, Declaration):
                     self.failed.add(stmt.name)
@@ -634,7 +602,7 @@ class _Session:
         return {"vars": list(stmt.names)}
 
     def run_variety(self, stmt):
-        polys = [_polynomial(stmt, e, stmt.coords, "ideal generators") for e in stmt.ideal_exprs]
+        polys = [parse_polynomial(e, stmt.coords) for e in stmt.ideal_exprs]
         X = AffineVariety(stmt.coords, Ideal(len(stmt.coords), polys))
         self.bind(stmt, X)
         return {
@@ -838,7 +806,7 @@ class _Session:
         left = AffineVariety(left_names, Ideal(n_left, left_gens))
         right = AffineVariety(right_names, Ideal(src.arity - n_left, right_gens))
         split = ProductAmbient(left, right)
-        f_poly = _polynomial(stmt, stmt.f_expr, right_names, "f")
+        f_poly = parse_polynomial(stmt.f_expr, right_names)
         coord = obj.reps[0][0]
         F = RationalFunction(split.variety, coord.num, coord.den)
         dec = certify_regular(split, F, f_poly, samples=list(stmt.samples))

@@ -2,7 +2,8 @@
 Groebner engine, the division kernel of `poly` and the image table of
 `ratfunc`, so that agreement is a real cross-check.  `polynomial_form` is the
 exception: it keeps an older regularity test, whose answers the localisation
-reader of `slices` must reproduce wherever that test gives one.
+reader of `slices` must reproduce wherever that test gives one.  `tokenize`
+is the session scanner as it was before it became one regular expression.
 """
 
 import random
@@ -10,7 +11,8 @@ from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from operator import add, ge, neg, sub
 
-from weilreg.errors import ArityMismatch
+from weilreg.errors import ArityMismatch, SessionSyntaxError
+from weilreg.exprparse import Token
 from weilreg.poly import Polynomial
 
 
@@ -185,3 +187,63 @@ def polynomial_form(host, num: Polynomial, den: Polynomial):
     if not remainder.is_zero():
         return None
     return host.ideal.normal_form(quotients[0])
+
+
+SYMBOLS = ("->", "+", "-", "*", "/", "^", "(", ")", ",", ":", "=", "{", "}", "|", ";")
+
+
+def tokenize(text: str):
+    """Token list with an EOF sentinel; '#' starts a comment to end of line.
+
+    `exprparse.tokenize` as it was before it became one regular expression
+    run with `finditer`, kept verbatim: a character loop with a table of
+    symbols.  It reads any `str.isdigit` run, '²' included, as an INT."""
+    tokens = []
+    line = 1
+    col = 1
+    i = 0
+    n = len(text)
+    while i < n:
+        ch = text[i]
+        if ch == "\n":
+            tokens.append(Token("NEWLINE", "\n", line, col))
+            line += 1
+            col = 1
+            i += 1
+            continue
+        if ch in " \t\r":
+            i += 1
+            col += 1
+            continue
+        if ch == "#":
+            while i < n and text[i] != "\n":
+                i += 1
+            continue
+        if ch.isdigit():
+            j = i
+            while j < n and text[j].isdigit():
+                j += 1
+            tokens.append(Token("INT", text[i:j], line, col))
+            col += j - i
+            i = j
+            continue
+        if ch.isalpha() or ch == "_":
+            j = i
+            while j < n and (text[j].isalnum() or text[j] == "_"):
+                j += 1
+            while j < n and text[j] == "'":  # primed copies in product ambients
+                j += 1
+            tokens.append(Token("IDENT", text[i:j], line, col))
+            col += j - i
+            i = j
+            continue
+        for sym in SYMBOLS:
+            if text.startswith(sym, i):
+                tokens.append(Token(sym, sym, line, col))
+                col += len(sym)
+                i += len(sym)
+                break
+        else:
+            raise SessionSyntaxError(f"unexpected character {ch!r}", line, col)
+    tokens.append(Token("EOF", "", line, col))
+    return tokens

@@ -80,6 +80,15 @@ def test_exit_code_two_on_unparseable_session(tmp_path):
     assert "expected" in result.stderr
 
 
+def test_non_decimal_digit_exits_two_without_a_traceback(tmp_path):
+    session = tmp_path / "digit.wr"
+    session.write_text("var x\nvariety X = affine(x)\nmap f : X -> X = (x^²)\n", encoding="utf-8")
+    result = run_cli("run", str(session))
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert result.stderr == "weilreg: unexpected character '²' at line 3, column 21\n"
+
+
 def test_text_format_and_verbose(tmp_path):
     result = run_cli("run", str(SESSIONS / "blowup_xreg.wr"), "--format", "text", "--verbose")
     assert result.returncode == 0

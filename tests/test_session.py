@@ -7,8 +7,10 @@ from pathlib import Path
 
 import pytest
 
-from weilreg import ideals
+import oracles
+from weilreg import errors, ideals
 from weilreg.errors import SessionSyntaxError, UseBeforeDeclare
+from weilreg.exprparse import tokenize
 from weilreg.sessions import (
     COMMANDS,
     ActionDecl,
@@ -116,13 +118,39 @@ def test_undeclared_coordinate_rejected():
 
 def test_parser_totality_fuzz():
     rng = random.Random(20240817)
-    alphabet = string.ascii_letters + string.digits + "()+-*/^,:=|{}#><_ \n'"
+    alphabet = string.ascii_letters + string.digits + "()+-*/^,:=|{}#><_ \n'²٣é"
     for _ in range(300):
         text = "".join(rng.choice(alphabet) for _ in range(rng.randrange(0, 120)))
         try:
             parse_session(text)
         except (SessionSyntaxError, UseBeforeDeclare):
             pass  # positioned diagnostics are the only acceptable failures
+
+
+@pytest.mark.parametrize("statement, column", [
+    ("map g : X -> X = (x^²)", 21),
+    ("cmd closedgraph f at (²)", 23),
+])
+def test_a_non_decimal_digit_is_an_unexpected_character(statement, column):
+    # str.isdigit accepts '²', which int() does not; only decimal digits make an INT
+    with pytest.raises(SessionSyntaxError) as err:
+        parse_session("var x\nvariety X = affine(x)\nmap f : X -> X = (x)\n" + statement + "\n")
+    assert str(err.value) == f"unexpected character '²' at line 4, column {column}"
+
+
+def test_any_decimal_digit_is_an_int():
+    record = run_session(parse_session("var x\nvariety X = affine(x)\nmap f : X -> X = (x^٣)\n"))[-1]
+    assert record["payload"]["coordinates"] == ["x^3"]
+
+
+def _tokens(scan, text):
+    return [(t.kind, t.text, t.line, t.column) for t in scan(text)]
+
+
+def test_session_files_scan_as_under_the_character_loop():
+    for path in SESSION_FILES:
+        text = path.read_text(encoding="utf-8")
+        assert _tokens(tokenize, text) == _tokens(oracles.tokenize, text), path.name
 
 
 def _form(stmt):
@@ -191,6 +219,23 @@ def test_domain_failures_do_not_abort_session():
     records = run_session(parse_session(text))
     assert [r["status"] for r in records] == ["ok", "ok", "ok", "fail", "error", "error"]
     assert records[3]["payload"]["reason"] == "NotAnAction"
+
+
+def _error_classes(cls=errors.WeilregError):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _error_classes(sub)
+
+
+def test_exactly_the_domain_rejections_are_fail_records():
+    # a new error class picks its side, fail or error, where errors.py declares it
+    classes = set(_error_classes())
+    assert all(cls.__module__ == "weilreg.errors" for cls in classes)
+    rejections = {cls.__name__ for cls in classes if issubclass(cls, errors.Rejection)} - {"Rejection"}
+    assert rejections == {
+        "NotAnAction", "NotBirational", "NotFPower", "NotRegularOnSample", "EmptyLocus",
+        "NonPolynomialResidue", "RoundTripFailure", "SliceNotRegular",
+    }
 
 
 def test_action_with_vanishing_specialisation_names_the_group_point():
@@ -351,6 +396,12 @@ TYPED_ERRORS = {
     "certify an action whose denominator mixes in the group": (
         "variety X1 = affine(x)\naction idle : G x X1 -> X1 = ((x*(x+s))/(x+s))\ncmd certify idle samples=(0, 1)",
         "NotApplicable", "mixes group parameters into the space factor"),
+    "fraction among the ideal generators": (
+        "variety Y = affine(x, y)/(x*y, 1/x)", "SessionSyntaxError",
+        "expected a polynomial, found a fraction at line 7, column 32"),
+    "fraction as the hypersurface of certify": (
+        "map F : X -> V = (x*y)\ncmd certify F wrt (x) f=(y/(y+1)) samples=(0, 1)", "SessionSyntaxError",
+        "expected a polynomial, found a fraction at line 8, column 26"),
     "named atlas point of a parametric group": ("cmd atlas rho S=(foo)", "PointNotOnGroup", "'foo'"),
     "named sample of a parametric group": (
         "action sc : M x V -> V = (z*v)\ncmd certify sc samples=(foo)", "PointNotOnGroup", "'foo'"),
