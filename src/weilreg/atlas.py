@@ -17,6 +17,16 @@ per triple of maps) and reported per chart pair.
 Symmetry is certified by the exact round trip in both directions that
 `specialize` made when it paired the maps of g and g^-1: `inverse` returns
 that partner, and the check compares it with the reverse transition.
+
+Separatedness reads every transition as the one action map rho: G x X -> X
+at a group point.  The graph closure J of rho is computed once (it is
+memoized on rho, which a restriction shares with its action), and J
+specialised at g cuts out a closed set containing the graph of the element
+map of g wherever no denominator of rho vanishes identically at g.  So an
+empty bad locus of the specialised ideal in host x host proves that graph
+closed.  Where that test does not decide (a surviving saturation, a
+denominator vanishing at g, a finite action, which has no rho), the exact
+`is_graph_closed` runs and supplies the verdict and every witness.
 """
 
 from dataclasses import dataclass
@@ -29,9 +39,10 @@ from .actions import (
 )
 from .errors import PointNotOnGroup, ZeroDenominator
 from .ideals import Ideal, saturate
-from .maps import compose, inverse, is_graph_closed, maps_equal
+from .maps import closed_over_host, compose, graph_closure, inverse, is_graph_closed, maps_equal
 from .poly import Polynomial
 from .ratfunc import FractionImages, compose_poly
+from .varieties import ProductAmbient
 
 
 @dataclass
@@ -118,18 +129,35 @@ def _check_cocycle(atlas: Atlas) -> dict:
 
 
 def _check_separated(atlas: Atlas) -> dict:
-    """One closed-graph test per transition map."""
+    """One closed-graph verdict per transition map: True by the family test
+    of `_closed_in_family` where it decides, else `is_graph_closed`'s
+    verdict and witness."""
+    action = atlas.action
+    amb = ProductAmbient(action.space, action.space)
     failures = {}
     verdicts = {}
     for (i, j), tau in atlas.transitions.items():
         if i == j:
             continue
         if tau not in verdicts:
-            verdicts[tau] = is_graph_closed(tau, atlas.action.domain)
+            if not action.is_finite and _closed_in_family(action, atlas.elements[(i, j)], tau, amb):
+                verdicts[tau] = True, None
+            else:
+                verdicts[tau] = is_graph_closed(tau, action.domain)
         closed, witness = verdicts[tau]
         if not closed:
             failures[(i, j)] = witness
     return {"passed": not failures, "witnesses": failures}
+
+
+def _closed_in_family(action: RationalAction, g, tau, amb: ProductAmbient) -> bool:
+    """Whether the family test (module docstring) proves the graph of
+    tau = rho(g, -) closed in host x host.  False means undecided, never
+    that the graph is not closed."""
+    if any(action.space.ideal.contains(f.den.specialize(g)) for f in action.rho.reps[0]):
+        return False
+    fibre = Ideal(amb.arity, [f.specialize(g) for f in graph_closure(action.rho).ideal.gens])
+    return closed_over_host(fibre, tau, amb, action.domain)[0]
 
 
 def _check_covering(atlas: Atlas) -> dict:

@@ -33,9 +33,12 @@ class Token:
 
 def tokenize(text: str):
     """Token list with an EOF sentinel; '#' starts a comment to end of line.
-    An IDENT starts with a letter or '_' and may end in primes (the copies in
-    product ambients); a symbol's kind is its text.  A comment does not
-    advance the column: the token after it carries the comment's column."""
+    An IDENT starts with a letter or '_', goes on with letters, decimal digits
+    and '_', and may end in primes (the copies in product ambients); a
+    symbol's kind is its text.  Any other character, a numeric one that is
+    not a decimal digit such as '²' included, is a positioned error.  A
+    comment does not advance the column: the token after it carries the
+    comment's column."""
     tokens = []
     line, line_start = 1, 0  # line_start: the offset that column 1 stands for
     for m in _TOKEN.finditer(text):
@@ -45,8 +48,12 @@ def tokenize(text: str):
                 line_start += m.end() - start
             continue
         value = m.group()
-        if kind == "BAD" or kind == "IDENT" and not (value[0].isalpha() or value[0] == "_"):
+        if kind == "IDENT" and not value.isascii():
             # \w also holds numeric characters that are not decimal digits, such as '²'
+            bad = next((k for k, ch in enumerate(value) if not (ch.isalpha() or ch.isdecimal() or ch in "_'")), None)
+            if bad is not None:
+                kind, start, value = "BAD", start + bad, value[bad]
+        if kind == "BAD":
             raise SessionSyntaxError(f"unexpected character {value[0]!r}", line, start - line_start + 1)
         tokens.append(Token(value if kind == "SYMBOL" else kind, value, line, start - line_start + 1))
         if kind == "NEWLINE":

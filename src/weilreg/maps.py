@@ -319,9 +319,16 @@ def is_graph_closed(phi: RationalMap, host: OpenSubset = None):
     if not varieties_equal(phi.source, phi.target):
         raise NotComposable("closed-graph test applies to self-maps")
     graph = graph_closure(phi)
-    amb = graph.ambient
-    dom = definable_locus(phi)
-    bad = graph.ideal.plus([amb.embed_left(w) for w in dom.witnesses])
+    return closed_over_host(graph.ideal, phi, graph.ambient, host)
+
+
+def closed_over_host(closure: Ideal, phi: RationalMap, amb: ProductAmbient, host: OpenSubset):
+    """The bad-locus test of `is_graph_closed` for an ideal `closure` on
+    amb = source x target whose zero set contains the graph of phi: (True,
+    None) when no zero of closure over the complement of phi's computed
+    domain lies in host x host, else (False, the first surviving
+    saturation)."""
+    bad = closure.plus([amb.embed_left(w) for w in definable_locus(phi).witnesses])
     for ws in host.witnesses:
         for wt in host.witnesses:
             sat = saturate(bad, amb.embed_left(ws) * amb.embed_right(wt))

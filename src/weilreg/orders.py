@@ -14,10 +14,12 @@ tuple comparison:
 
 Block orders compare the elimination block first, which makes them
 elimination orders for that block.  The block's index list is fixed when the
-order is built, never per call.
+order is built, never per call, and `block_order` builds one order per
+variable set.
 """
 
 from dataclasses import dataclass, field
+from functools import cache
 from operator import neg
 
 
@@ -53,5 +55,9 @@ GREVLEX = MonomialOrder("grevlex")
 
 
 def block_order(elim_vars) -> MonomialOrder:
-    """Elimination order: monomials in the given variables dominate."""
-    return MonomialOrder("block", tuple(sorted(set(elim_vars))))
+    """Elimination order: monomials in the given variables dominate.  Equal
+    variable sets get one shared order object."""
+    return _block_order(frozenset(elim_vars))
+
+
+_block_order = cache(lambda elim: MonomialOrder("block", tuple(sorted(elim))))

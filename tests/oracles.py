@@ -196,8 +196,12 @@ def tokenize(text: str):
     """Token list with an EOF sentinel; '#' starts a comment to end of line.
 
     `exprparse.tokenize` as it was before it became one regular expression
-    run with `finditer`, kept verbatim: a character loop with a table of
-    symbols.  It reads any `str.isdigit` run, '²' included, as an INT."""
+    run with `finditer`: a character loop with a table of symbols.  It is
+    kept verbatim but for one rule: only decimal digits are digits, in an
+    INT and inside an IDENT, so a numeric character that is not a decimal
+    digit, such as '²', is an unexpected character wherever it stands.  The
+    loop as it was read a `str.isdigit` run, '²' included, into an INT, and
+    '²' after a letter into the IDENT."""
     tokens = []
     line = 1
     col = 1
@@ -219,9 +223,9 @@ def tokenize(text: str):
             while i < n and text[i] != "\n":
                 i += 1
             continue
-        if ch.isdigit():
+        if ch.isdecimal():
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and text[j].isdecimal():
                 j += 1
             tokens.append(Token("INT", text[i:j], line, col))
             col += j - i
@@ -229,7 +233,7 @@ def tokenize(text: str):
             continue
         if ch.isalpha() or ch == "_":
             j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
+            while j < n and (text[j].isalpha() or text[j].isdecimal() or text[j] == "_"):
                 j += 1
             while j < n and text[j] == "'":  # primed copies in product ambients
                 j += 1

@@ -65,3 +65,10 @@ def test_orders_compare_and_hash_by_kind_and_block():
     assert hash(block_order({2, 0})) == hash(MonomialOrder("block", (0, 2)))
     assert block_order({0}) != block_order({1})
     assert repr(block_order({1, 0})) == "MonomialOrder(block, elim=[0, 1])"
+
+
+def test_equal_variable_sets_share_one_block_order():
+    order = block_order({2, 0})
+    assert block_order([0, 2, 2]) is order
+    assert block_order(range(0, 3, 2)) is order
+    assert block_order((1,)) is not order

@@ -130,9 +130,12 @@ def test_parser_totality_fuzz():
 @pytest.mark.parametrize("statement, column", [
     ("map g : X -> X = (x^²)", 21),
     ("cmd closedgraph f at (²)", 23),
+    ("map g : X -> X = (x²+1)", 20),
+    ("var x²", 6),
 ])
 def test_a_non_decimal_digit_is_an_unexpected_character(statement, column):
-    # str.isdigit accepts '²', which int() does not; only decimal digits make an INT
+    # str.isdigit accepts '²', which int() does not; only decimal digits make an
+    # INT, and an identifier holds none but decimal digits either
     with pytest.raises(SessionSyntaxError) as err:
         parse_session("var x\nvariety X = affine(x)\nmap f : X -> X = (x)\n" + statement + "\n")
     assert str(err.value) == f"unexpected character '²' at line 4, column {column}"
