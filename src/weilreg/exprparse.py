@@ -36,16 +36,12 @@ def tokenize(text: str):
     An IDENT starts with a letter or '_', goes on with letters, decimal digits
     and '_', and may end in primes (the copies in product ambients); a
     symbol's kind is its text.  Any other character, a numeric one that is
-    not a decimal digit such as '²' included, is a positioned error.  A
-    comment does not advance the column: the token after it carries the
-    comment's column."""
+    not a decimal digit such as '²' included, is a positioned error."""
     tokens = []
     line, line_start = 1, 0  # line_start: the offset that column 1 stands for
     for m in _TOKEN.finditer(text):
         kind, start = m.lastgroup, m.start()
         if kind == "SKIP":
-            if text[start] == "#":
-                line_start += m.end() - start
             continue
         value = m.group()
         if kind == "IDENT" and not value.isascii():

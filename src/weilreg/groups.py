@@ -11,7 +11,7 @@ from fractions import Fraction
 from .errors import AxiomFailure, PointNotOnGroup
 from .poly import Polynomial
 from .ratfunc import FractionImages, compose_poly
-from .varieties import ProductAmbient, affine_space, variety
+from .varieties import ProductAmbient, affine_space, format_point, variety
 
 
 class AlgebraicGroup:
@@ -132,7 +132,8 @@ class AlgebraicGroup:
     def require_point(self, point):
         if self.is_finite:
             if point not in self.elements:
-                raise PointNotOnGroup(f"{point!r} is not an element of the group")
+                shown = repr(point) if isinstance(point, str) else format_point(point)
+                raise PointNotOnGroup(f"{shown} is not an element of the group")
             return point
         if isinstance(point, str):
             raise PointNotOnGroup(f"{point!r} names no point of a parametric group")

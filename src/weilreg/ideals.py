@@ -14,9 +14,9 @@ The basis is held as integer divisor records (lead, lc, tail) of primitive
 polynomials with positive leads, and every reduction runs on the
 fraction-free kernel of `poly`.  An S-polynomial is the integer combination
 (lc_g/d)*x^m_f*f - (lc_f/d)*x^m_g*g with d = gcd(lc_f, lc_g), and a nonzero
-remainder is made primitive.  Minimalisation and inter-reduction stay on
-integers too; the monic basis emitted at the end has c // lc for c/lc
-wherever lc divides c, as `poly` stores integral coefficients.  A
+remainder is made primitive.  One sweep in ascending lead order reduces the
+basis, on integers too; the monic basis emitted at the end has c // lc for
+c/lc wherever lc divides c, as `poly` stores integral coefficients.  A
 fraction-free remainder is a positive multiple of the remainder over Q, with
 the same primitive part, so every lead, every pair, the step count and the
 reduced basis are those of the same algorithm run over Q.
@@ -114,33 +114,21 @@ def _s_polynomial(f, g):
 
 
 def _reduced_basis(records, order, arity):
-    key = order.key
-    # minimal: drop generators whose lead is divisible by another's
-    minimal = []
-    for rec in sorted(records, key=lambda rec: key(rec[0])):
-        if not any(all(map(ge, rec[0], h[0])) for h in minimal):
-            minimal.append(rec)
-    # inter-reduce tails
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(minimal)):
-            lead, lc, tail = minimal[i]
-            terms = {lead: lc, **dict(tail)}
-            r = _reduce_terms(dict(terms), minimal[:i] + minimal[i + 1:], order)[0]
-            if not r:
-                del minimal[i]
-                changed = True
-                break
-            first = next(iter(r))  # the kernel emits the remainder in descending order
-            r = _primitive_terms(r, first)
-            if r != terms:
-                minimal[i] = _record(r, first)
-                changed = True
-    minimal.sort(key=lambda rec: key(rec[0]), reverse=True)
+    """Reduced basis, monic and in descending lead order, of a Groebner basis
+    of divisor records, in one ascending sweep: a record whose lead a kept
+    lead divides is dropped, any other is reduced once by the kept records.
+    A term below a lead is divisible only by a smaller lead, and the kept
+    tails are already reduced, so each kept record is its reduced form and
+    keeps its lead (Cox, Little and O'Shea, *Ideals, Varieties, and
+    Algorithms*, ch. 2)."""
+    kept = []
+    for lead, lc, tail in sorted(records, key=lambda rec: order.key(rec[0])):
+        if not any(all(map(ge, lead, h[0])) for h in kept):
+            r = _reduce_terms({lead: lc, **dict(tail)}, kept, order)[0]
+            kept.append(_record(_primitive_terms(r, lead), lead))
     return tuple(Polynomial._of(arity, {lead: 1, **{e: Fraction(c, lc) if c % lc else c // lc
                                                     for e, c in tail}})
-                 for lead, lc, tail in minimal)
+                 for lead, lc, tail in reversed(kept))
 
 
 def buchberger(generators, order: MonomialOrder = GREVLEX):

@@ -197,11 +197,14 @@ def tokenize(text: str):
 
     `exprparse.tokenize` as it was before it became one regular expression
     run with `finditer`: a character loop with a table of symbols.  It is
-    kept verbatim but for one rule: only decimal digits are digits, in an
-    INT and inside an IDENT, so a numeric character that is not a decimal
-    digit, such as '²', is an unexpected character wherever it stands.  The
-    loop as it was read a `str.isdigit` run, '²' included, into an INT, and
-    '²' after a letter into the IDENT."""
+    kept verbatim but for two rules.  First, only decimal digits are digits,
+    in an INT and inside an IDENT, so a numeric character that is not a
+    decimal digit, such as '²', is an unexpected character wherever it
+    stands.  The loop as it was read a `str.isdigit` run, '²' included, into
+    an INT, and '²' after a letter into the IDENT.  Second, a comment
+    advances the column, so the NEWLINE or EOF after it carries the column
+    after the comment's end.  The loop as it was left the column at the
+    '#'."""
     tokens = []
     line = 1
     col = 1
@@ -222,6 +225,7 @@ def tokenize(text: str):
         if ch == "#":
             while i < n and text[i] != "\n":
                 i += 1
+                col += 1
             continue
         if ch.isdecimal():
             j = i

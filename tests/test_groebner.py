@@ -15,8 +15,11 @@ from weilreg import (
     radical_membership,
     saturate,
 )
+import reference_groebner as ref
+from weilreg import ideals
 from weilreg.errors import BudgetExceeded
 from weilreg.ideals import WorkLedger, buchberger, reduce_full
+from weilreg.poly import _primitive_terms, _record
 
 
 def P(text, names):
@@ -88,6 +91,29 @@ def test_buchberger_criterion_all_s_polynomials_reduce_to_zero():
         for j in range(i):
             s = _s_polynomial(basis[i], basis[j], GREVLEX)
             assert reduce_full(s, basis, GREVLEX).is_zero()
+
+
+@pytest.mark.parametrize("names, gens", [
+    (["x", "y"], ["x-y", "y-1"]),
+    # x-y needs y-1, which needs z-1 first; the lead of x*y-1 is a multiple of x's
+    (["x", "y", "z"], ["x-y", "y-z", "z-1", "x*y-1"]),
+])
+def test_the_reduced_basis_is_one_ascending_sweep(monkeypatch, names, gens):
+    records = []
+    for g in gens:
+        terms = P(g, names).integer_primitive()[1]
+        lead = max(terms, key=GREVLEX.key)
+        records.append(_record(_primitive_terms(terms, lead), lead))
+    reduce_terms, calls = ideals._reduce_terms, []
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return reduce_terms(*args, **kwargs)
+
+    monkeypatch.setattr(ideals, "_reduce_terms", spy)
+    basis = ideals._reduced_basis(records, GREVLEX, len(names))
+    assert basis == ref._reduced_basis([P(g, names) for g in gens], GREVLEX)
+    assert len(calls) == len(basis)  # one division per kept record, no second pass
 
 
 def test_determinism_bit_identical_across_runs():

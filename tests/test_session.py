@@ -101,6 +101,14 @@ def test_unclosed_tuple_is_positioned_syntax_error():
     assert err.value.expected
 
 
+@pytest.mark.parametrize("end", ["\n", ""])
+def test_a_diagnostic_after_a_comment_points_past_its_end(end):
+    # the NEWLINE or EOF after a comment stands after its last character, not at the '#'
+    with pytest.raises(SessionSyntaxError) as err:
+        parse_session("var x\nvariety X = affine(x)\nmap s : X -> X = (1/x, # note" + end)
+    assert (err.value.line, err.value.column) == (3, 30)
+
+
 def test_use_before_declare():
     with pytest.raises(UseBeforeDeclare):
         parse_session("var x\nvariety X = affine(x)\ncmd breg undeclared_map\n")
@@ -208,6 +216,50 @@ def test_run_atlas_separated_failure_record():
     assert record["status"] == "fail"
     assert record["payload"]["separated"] == "fail"
     assert "separated_witness" in record["payload"]
+
+
+def test_every_form_runs_to_its_record():
+    records = run_session(parse_session(FORMS))
+    assert [(r["status"], r["payload"]) for r in records] == [
+        ("ok", {"vars": ["s", "z", "w", "x", "y", "a", "b"]}),
+        ("ok", {"variety": "X", "coordinates": ["x", "y"], "ideal": []}),
+        ("ok", {"variety": "C", "coordinates": ["a", "b"], "ideal": ["a^2+b^2-1", "2*a"]}),
+        ("ok", {"map": "m", "source": "X", "target": "X", "coordinates": ["x+1", "y/x"]}),
+        ("ok", {"map": "n", "source": "X", "target": "X", "coordinates": ["y", "x"]}),
+        ("ok", {"group": "A", "kind": "additive", "coordinates": ["s"]}),
+        ("ok", {"group": "T", "kind": "multiplicative", "coordinates": ["z", "w"]}),
+        ("ok", {"group": "P", "kind": "product", "coordinates": ["s", "z", "w", "s'"]}),
+        ("ok", {"group": "E", "kind": "finite", "elements": ["e"]}),
+        ("ok", {"action": "tr", "kind": "parametric", "laws": ["identity", "associativity"]}),
+        ("ok", {"action": "one", "kind": "finite", "laws": ["identity", "homomorphism"]}),
+        ("ok", {"witnesses": ["x"], "complement": ["x"]}),
+        ("ok", {"ambient": ["x", "y", "x'", "y'"], "ideal": ["x'*y'-y-y'", "x-x'+1"]}),
+        ("ok", {"ideal": [], "dominant": True}),
+        ("ok", {"inverse": ["y", "x"]}),
+        ("ok", {"composition": ["y/x", "x+1"]}),
+        ("fail", {"closed": False, "host": "full", "witness": ["x", "y", "x'-1"]}),
+        ("error", {"reason": "PointNotOnGroup", "message": "(-1/2, 3) has 2 coordinates; the group has 1"}),
+        ("error", {"reason": "PointNotOnGroup", "message": "(1, 2) is not an element of the group"}),
+    ]
+
+
+@pytest.mark.parametrize("body, message", [
+    ("group G = Ga(s)\naction shifted : G x X -> X = (u+s+1, t)", "identity (residue 1)"),
+    ("group Z4 = finite(e, a, b, c | a*a = b, a*b = c, a*c = e, b*a = c, b*b = e, b*c = a, c*a = e, "
+     "c*b = a, c*c = b)\naction bad : Z4 x X -> X = {a: (t, 1/u), b: (u, 1/t), c: (1/t, u)}",
+     "homomorphism: map of a*a differs from the composition"),
+])
+def test_a_violated_action_law_is_a_fail_record(body, message):
+    record = run_session(parse_session("var s u t\nvariety X = affine(u, t)\n" + body + "\n"))[-1]
+    assert (record["status"], record["payload"]) == (
+        "fail", {"reason": "NotAnAction", "message": f"action law violated: {message}"})
+
+
+def test_an_atlas_puts_the_identity_first():
+    record = run_session(parse_session(BLOWUP.replace("cmd xreg rho", "cmd atlas rho S=(1, 0) xreg")))[-1]
+    assert record["status"] == "ok" and record["groebner_steps"] == 62
+    assert record["payload"]["points"] == [["0"], ["1"]]
+    assert [record["payload"][check] for check in ("symmetry", "cocycle", "separated", "covering")] == ["pass"] * 4
 
 
 def test_domain_failures_do_not_abort_session():
