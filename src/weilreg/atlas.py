@@ -18,6 +18,15 @@ Symmetry is certified by the exact round trip in both directions that
 `specialize` made when it paired the maps of g and g^-1: `inverse` returns
 that partner, and the check compares it with the reverse transition.
 
+The cocycle tau_jk o tau_ij = tau_ik is composed only where no existing
+certificate settles it.  Each tau_dd is checked to be the identity,
+coordinate by coordinate.  For i = j or j = k, with tau_jj the identity and
+a pairing recorded on tau_ij by `_pair_inverses`, the composite is tau_ij:
+a paired map is dominant, so `compose` could neither raise NotDominant nor
+meet a denominator pulling back to zero.  For i = k, with tau_ii the
+identity and tau_ij's recorded inverse tau_ji, the pairing proved tau_ji o
+tau_ij = id by exact substitution.  Maps without such records are composed.
+
 Separatedness reads every transition as the one action map rho: G x X -> X
 at a group point.  The graph closure J of rho is computed once (it is
 memoized on rho, which a restriction shares with its action), and J
@@ -30,6 +39,7 @@ denominator vanishing at g, a finite action, which has no rho), the exact
 """
 
 from dataclasses import dataclass
+from itertools import product
 
 from .actions import (
     RationalAction,
@@ -39,9 +49,9 @@ from .actions import (
 )
 from .errors import PointNotOnGroup, ZeroDenominator
 from .ideals import Ideal, saturate
-from .maps import closed_over_host, compose, graph_closure, inverse, is_graph_closed, maps_equal
+from .maps import RationalMap, closed_over_host, compose, graph_closure, inverse, is_graph_closed, maps_equal
 from .poly import Polynomial
-from .ratfunc import FractionImages, compose_poly
+from .ratfunc import FractionImages, RationalFunction, compose_poly
 from .varieties import ProductAmbient
 
 
@@ -106,25 +116,34 @@ def _check_symmetry(atlas: Atlas) -> dict:
 
 def _check_cocycle(atlas: Atlas) -> dict:
     """tau_jk o tau_ij = tau_ik, decided once per map triple (tau_ij, tau_jk,
-    tau_ik); None records a ZeroDenominator skip."""
+    tau_ik); None records a ZeroDenominator skip.  A repeated index passes
+    uncomposed where the identity tau_jj and a pairing recorded on tau_ij
+    (i = j or j = k), or the identity tau_ii and tau_ij's recorded inverse
+    tau_ji (i = k), prove it (module docstring)."""
     failures = []
     skipped = []
     verdicts = {}
     transitions = atlas.transitions
     m = len(atlas.points)
-    for i in range(m):
-        for j in range(m):
-            for k in range(m):
-                key = (transitions[(i, j)], transitions[(j, k)], transitions[(i, k)])
-                if key not in verdicts:
-                    try:
-                        verdicts[key] = maps_equal(compose(key[0], key[1]), key[2])
-                    except ZeroDenominator:
-                        verdicts[key] = None
-                if verdicts[key] is None:
-                    skipped.append([i, j, k])
-                elif not verdicts[key]:
-                    failures.append([i, j, k])
+    X = atlas.action.space
+    ident = RationalMap(X, X, [[RationalFunction.coordinate(X, n) for n in range(X.arity)]])
+    identity = {tau: maps_equal(tau, ident) for tau in {transitions[(d, d)] for d in range(m)}}
+    for i, j, k in product(range(m), repeat=3):
+        key = (transitions[(i, j)], transitions[(j, k)], transitions[(i, k)])
+        if key not in verdicts:
+            paired = key[0].memo.get(("inverse", ()))
+            if ((i == j or j == k) and identity[transitions[(j, j)]] and paired is not None
+                    or i == k and identity[key[2]] and paired is key[1]):
+                verdicts[key] = True
+                continue
+            try:
+                verdicts[key] = maps_equal(compose(key[0], key[1]), key[2])
+            except ZeroDenominator:
+                verdicts[key] = None
+        if verdicts[key] is None:
+            skipped.append([i, j, k])
+        elif not verdicts[key]:
+            failures.append([i, j, k])
     return {"passed": not failures, "failures": failures, "skipped": skipped}
 
 
@@ -187,13 +206,8 @@ def _check_covering(atlas: Atlas) -> dict:
         gens.extend(compose_poly(w, shift)[0] for w in breg.witnesses)
     gens += list(amb.variety.ideal.gens)
     covering_ideal = Ideal(amb.arity, gens)
-    passed = True
-    saturations = []
-    for v in action.domain.witnesses:
-        sat = saturate(covering_ideal, amb.embed_right(v))
-        saturations.append(sat)
-        if not sat.is_unit():
-            passed = False
+    saturations = [saturate(covering_ideal, amb.embed_right(v)) for v in action.domain.witnesses]
+    passed = all([sat.is_unit() for sat in saturations])
     return {"passed": passed, "ideal": covering_ideal, "saturations": saturations}
 
 

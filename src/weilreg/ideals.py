@@ -232,10 +232,7 @@ class Ideal:
         return len(basis) == 1 and basis[0].is_constant()
 
     def plus(self, other) -> "Ideal":
-        if isinstance(other, Ideal):
-            extra = other.gens
-        else:
-            extra = tuple(other)
+        extra = other.gens if isinstance(other, Ideal) else tuple(other)
         return Ideal(self.arity, self.gens + tuple(g for g in extra if not g.is_zero()))
 
     def __eq__(self, other):
@@ -280,9 +277,12 @@ def _rabinowitsch(ideal: Ideal, f: Polynomial) -> Ideal:
 
 
 def saturate(ideal: Ideal, f: Polynomial) -> Ideal:
-    """I : f^infinity by the auxiliary-variable method."""
+    """I : f^infinity by the auxiliary-variable method; for a nonzero
+    constant f that is I itself, returned without a basis."""
     if f.is_zero():
         raise ZeroDivisionError("cannot saturate by the zero polynomial")
+    if f.is_constant():
+        return ideal
     n = ideal.arity
     out = eliminate(_rabinowitsch(ideal, f), {n})
     return Ideal(n, [g.restrict(range(n)) for g in out.gens])

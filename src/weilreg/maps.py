@@ -283,6 +283,7 @@ def _denominator_product(rep, arity: int) -> Polynomial:
     return q
 
 
+@memoized
 def definable_locus(phi: RationalMap) -> OpenSubset:
     """Union over representatives of the opens where all denominators are
     nonzero (the computed domain of definition)."""

@@ -172,6 +172,21 @@ def test_saturate_power_gives_unit_ideal():
     assert out.is_unit()
 
 
+@pytest.mark.parametrize("c", ["1", "-3", "2/7"])
+def test_saturate_by_a_nonzero_constant_is_the_ideal_without_a_basis(c):
+    # I : c^infinity = I for a unit c, so no S-pair is spent
+    I = ideal(["x", "y"], "x*y", "y^2-x")
+    with WorkLedger() as ledger:
+        out = saturate(I, P(c, ["x", "y"]))
+    assert ledger.steps == 0
+    assert out == I
+
+
+def test_saturate_by_zero_raises():
+    with pytest.raises(ZeroDivisionError):
+        saturate(ideal(["x"], "x^2"), Polynomial.zero(1))
+
+
 # -- emptiness -------------------------------------------------------------------
 
 

@@ -407,6 +407,12 @@ def test_definable_locus_rho1(chart, rho1):
     assert dom.witnesses == (chart.poly("u+1"),)
 
 
+def test_definable_locus_normalises_its_witnesses_once(sigma):
+    dom = definable_locus(sigma)
+    assert sigma.memo[("definable_locus", ())] is dom
+    assert definable_locus(sigma) is dom
+
+
 # -- biregular locus ---------------------------------------------------------------------------
 
 

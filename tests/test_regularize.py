@@ -498,7 +498,54 @@ def test_element_keyed_checks_match_per_pair_checks(case, blowup_action, cremona
     # a finite action has no rho
     fallbacks = len(elements) if case in ("blowup_full", "cremona") else 0
     assert len(closed_graph_tests) == fallbacks
-    assert len(compositions) == len(element_pairs)
+    # a built atlas's tau_ii is the paired identity element map, so the
+    # certificates settle every triple with a repeated index: one compose per
+    # map triple of distinct chart indices
+    t = atlas.transitions
+    distinct = {(t[(i, j)], t[(j, k)], t[(i, k)]) for i in range(m) for j in range(m) for k in range(m)
+                if len({i, j, k}) == 3}
+    assert len(compositions) == len(distinct)
+    assert {c[:2] for c in compositions} == {key[:2] for key in distinct}
+
+
+def _non_identity_diagonal(atlas):
+    transitions = dict(atlas.transitions)
+    transitions[(0, 0)] = specialize(atlas.action, (5,))
+    return transitions
+
+
+def _fresh_maps(atlas):
+    fresh = {}
+    for pair, tau in atlas.transitions.items():
+        if tau not in fresh:
+            fresh[tau] = RationalMap(tau.source, tau.target, tau.reps)
+    return {pair: fresh[tau] for pair, tau in atlas.transitions.items()}
+
+
+@pytest.mark.parametrize("rebuild", [_non_identity_diagonal, _fresh_maps])
+@pytest.mark.parametrize("restricted", [False, True])
+def test_a_hand_built_atlas_cocycle_matches_the_reference(rebuild, restricted, blowup_action, monkeypatch):
+    action = restrict_to_regular_locus(blowup_action) if restricted else blowup_action
+    built = build_atlas(action, [(0,), (1,), (2,)])
+    atlas = Atlas(action, built.points, rebuild(built), built.elements)
+    t, m = atlas.transitions, len(atlas.points)
+    expected = _reference_check_cocycle(atlas)
+    compositions = _spy(monkeypatch, "compose")
+    assert weilreg.atlas._check_cocycle(atlas) == expected
+    triples = {(i, j, k) for i in range(m) for j in range(m) for k in range(m)}
+    if rebuild is _fresh_maps:
+        # no map carries a recorded pairing, so every map triple is composed
+        assert expected["passed"]
+        composed = triples
+    else:
+        # tau_00 is not the identity, so every triple with a repeated index 0
+        # is composed, and fails
+        twice_zero = sorted([i, j, k] for i, j, k in triples if [i, j, k].count(0) >= 2)
+        assert expected["failures"] == twice_zero
+        composed = {p for p in triples if len(set(p)) == 3 or list(p) in twice_zero}
+    keys = {(t[(i, j)], t[(j, k)], t[(i, k)]) for i, j, k in composed}
+    assert len(compositions) == len(keys)
+    assert {c[:2] for c in compositions} == {key[:2] for key in keys}
 
 
 def test_separatedness_from_the_family_ideal_costs_less_than_one_closure_per_map(blowup_action):
