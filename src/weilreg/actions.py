@@ -23,7 +23,7 @@ from .maps import (
 )
 from .orders import block_order
 from .poly import Polynomial
-from .ratfunc import FractionImages, RationalFunction, compose_poly, pullback, reduced_fraction
+from .ratfunc import FractionImages, RationalFunction, compose_poly, reduced_fraction
 from .varieties import AffineVariety, OpenSubset, ProductAmbient, format_point
 
 
@@ -122,33 +122,17 @@ def _validate_identity_law(action: RationalAction):
 
 
 def _validate_associativity_law(action: RationalAction):
-    """rho(m(g, g'), x) = rho(g, rho(g', x)) on G x G x X."""
-    G, amb = action.group, action.ambient
-    big = ProductAmbient(G.variety, amb.variety)  # (g, (g', x))
-    big_ideal = big.variety.ideal
-    rho = action.rho.reps[0]
-    # the coordinates of G x X, and those of its two factors, as the right factor of big
-    inner_vars = [big.embed_right(Polynomial.variable(amb.arity, i)) for i in range(amb.arity)]
-    g2_vars = [inner_vars[i] for i in amb.left_indices]
-    x_vars = [inner_vars[j] for j in amb.right_indices]
-    g_vars = [Polynomial.variable(big.arity, i) for i in big.left_indices]
-    inner_images = FractionImages(inner_vars)
+    """rho(g, rho(g', x)) = rho(m(g, g'), x) on G x (G x X), for rho's first
+    representative.  Embedding rho's denominators in G x (G x X) keeps them
+    nonzero there: I(G x (G x X)) meet k[G x X] = I(G x X)."""
     try:
-        inner = [pullback(big.variety, f.num, f.den, inner_images) for f in rho]
+        big, residues = action.group.associativity_residues(
+            action.space, [f.fraction_pair() for f in action.rho.reps[0]])
     except ZeroDenominator:
-        raise NotAnAction("associativity", "inner substitution has identically zero denominator")
-    lhs_images = FractionImages(g_vars + inner)
-    product_images = FractionImages(g_vars + g2_vars)
-    rhs_images = FractionImages([compose_poly(m, product_images)[0] for m in G.mult] + x_vars)
-    for f in rho:
-        try:
-            lnum, lden = pullback(big.variety, f.num, f.den, lhs_images)
-            rnum, rden = pullback(big.variety, f.num, f.den, rhs_images)
-        except ZeroDenominator:
-            raise NotAnAction("associativity", "law is not checkable with this representative")
-        residue = big_ideal.normal_form(lnum * rden - rnum * lden)
-        if not residue.is_zero():
-            raise NotAnAction("associativity", residue=big.variety.format(residue.primitive()))
+        raise NotAnAction("associativity", "law is not checkable with this representative")
+    residue = next((r for r in residues if not r.is_zero()), None)
+    if residue is not None:
+        raise NotAnAction("associativity", residue=big.format(residue.primitive()))
 
 
 def _validate_finite_action(action: RationalAction):
@@ -156,12 +140,11 @@ def _validate_finite_action(action: RationalAction):
     maps = action.maps
     if set(maps) != set(G.elements):
         raise NotAnAction("homomorphism", "need exactly one map per group element")
-    e = G.identity_element
-    if not maps_equal(maps[e], identity_map(X)):
+    if not maps_equal(maps[G.identity_point()], identity_map(X)):
         raise NotAnAction("identity", "the identity element does not act as the identity map")
     # attach inverses so every element map is certified birational
     for g in G.elements:
-        g_inv = G.inverse_element(g)
+        g_inv = G.invert_point(g)
         _pair_inverses(maps[g], maps[g_inv], NotAnAction(
             "homomorphism", f"maps of {g} and {g_inv} are not mutually inverse"))
     for g in G.elements:
@@ -174,23 +157,17 @@ def _validate_finite_action(action: RationalAction):
 # -- the lifted product map ----------------------------------------------------------
 
 
-def lift_action(action: RationalAction, element=None):
+@memoized
+def lift_action(action: RationalAction):
     """The pair (g, x) |-> (g, rho(g, x)) and its inverse (g, y) |-> (g, rho(g^-1, y)).
 
     The inverse comes from conjugating with the group-inversion swap, so no
-    Groebner inversion is needed; the round trip is verified exactly.  For a
-    finite group the lift lives per element: pass one and get that element's
-    map together with its inverse element's map.
+    Groebner inversion is needed; the round trip is verified exactly.  A
+    finite action has no product to lift on: `specialize` gives each
+    element's map, paired with its inverse element's.
     """
     if action.is_finite:
-        if element is None:
-            raise NotApplicable("finite groups lift per element; pass one")
-        return specialize(action, element), specialize(action, action.group.inverse_element(element))
-    return _lift(action)
-
-
-@memoized
-def _lift(action: RationalAction):
+        raise NotApplicable("a finite action lifts per element: use specialize")
     amb = action.ambient
     P = amb.variety
     g_coords = tuple(RationalFunction.coordinate(P, i) for i in amb.left_indices)

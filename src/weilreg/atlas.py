@@ -49,9 +49,9 @@ from .actions import (
 )
 from .errors import PointNotOnGroup, ZeroDenominator
 from .ideals import Ideal, saturate
-from .maps import RationalMap, closed_over_host, compose, graph_closure, inverse, is_graph_closed, maps_equal
+from .maps import closed_over_host, compose, graph_closure, identity_map, inverse, is_graph_closed, maps_equal
 from .poly import Polynomial
-from .ratfunc import FractionImages, RationalFunction, compose_poly
+from .ratfunc import FractionImages, compose_poly
 from .varieties import ProductAmbient
 
 
@@ -125,8 +125,7 @@ def _check_cocycle(atlas: Atlas) -> dict:
     verdicts = {}
     transitions = atlas.transitions
     m = len(atlas.points)
-    X = atlas.action.space
-    ident = RationalMap(X, X, [[RationalFunction.coordinate(X, n) for n in range(X.arity)]])
+    ident = identity_map(atlas.action.space)
     identity = {tau: maps_equal(tau, ident) for tau in {transitions[(d, d)] for d in range(m)}}
     for i, j, k in product(range(m), repeat=3):
         key = (transitions[(i, j)], transitions[(j, k)], transitions[(i, k)])
@@ -189,7 +188,7 @@ def _check_covering(atlas: Atlas) -> dict:
         for g in group.elements:
             gens = []
             for gi in atlas.points:
-                h = group.multiply_points(group.inverse_element(gi), g)
+                h = group.multiply_points(group.invert_point(gi), g)
                 gens.extend(element_biregular_locus(action, h).witnesses)
             ideal = Ideal(action.space.arity, gens)
             for v in action.domain.witnesses:

@@ -3,7 +3,8 @@
 weilreg run <session-file> [--format json|text] [--out <path>]
             [--max-groebner-steps N] [--verbose]
 
-Exit code is 0 iff no record has status "error"; the WEILREG_MAX_STEPS
+Exit code is 0 iff no record has status "error", 1 if one has, and 2 on
+unusable input or output (one `weilreg: ...` line); the WEILREG_MAX_STEPS
 environment variable supplies the default per-statement S-pair budget, which
 must not be negative.  Commands run one after another.
 """
@@ -36,7 +37,7 @@ def main(argv=None) -> int:
     path = Path(args.session)
     try:
         text = path.read_text(encoding="utf-8")
-    except OSError as err:
+    except (OSError, UnicodeDecodeError) as err:
         print(f"weilreg: cannot read {path}: {err}", file=sys.stderr)
         return 2
     max_steps = args.max_groebner_steps
@@ -63,7 +64,11 @@ def main(argv=None) -> int:
             print(f"[{record['status']}] {record['command']}", file=sys.stderr)
     report = emit_report(records, fmt=args.format, session=path.stem)
     if args.out:
-        Path(args.out).write_text(report, encoding="utf-8")
+        try:
+            Path(args.out).write_text(report, encoding="utf-8")
+        except OSError as err:
+            print(f"weilreg: cannot write {args.out}: {err}", file=sys.stderr)
+            return 2
     else:
         sys.stdout.write(report)
     return 0 if all(r["status"] != "error" for r in records) else 1

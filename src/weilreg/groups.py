@@ -10,7 +10,7 @@ from fractions import Fraction
 
 from .errors import AxiomFailure, PointNotOnGroup
 from .poly import Polynomial
-from .ratfunc import FractionImages, compose_poly
+from .ratfunc import FractionImages, compose_poly, pullback
 from .varieties import ProductAmbient, affine_space, format_point, variety
 
 
@@ -70,13 +70,6 @@ class AlgebraicGroup:
                         raise AxiomFailure(f"associativity fails at ({a},{b},{c})")
         self._inverse_names = inverse_names
 
-    @property
-    def identity_element(self) -> str:
-        return self.elements[0]
-
-    def inverse_element(self, name: str) -> str:
-        return self._inverse_names[name]
-
     # -- parametric mode -------------------------------------------------------
 
     def _validate_parametric(self):
@@ -112,20 +105,30 @@ class AlgebraicGroup:
             val = compose_poly(mi, inv_then_g)[0]
             if not G.ideal.contains(val - Polynomial.constant(r, self.identity[i])):
                 raise AxiomFailure(f"inverse law fails in coordinate {G.names[i]}")
-        # associativity on G x (G x G)
-        GGG = ProductAmbient(G, GG.variety)
-        a_vars = [GGG.embed_left(x) for x in coords]
-        b_vars = [GGG.embed_right(GG.embed_left(x)) for x in coords]
-        c_vars = [GGG.embed_right(GG.embed_right(x)) for x in coords]
-        ab_images, bc_images = FractionImages(a_vars + b_vars), FractionImages(b_vars + c_vars)
-        ab = [compose_poly(mi, ab_images)[0] for mi in self.mult]
-        bc = [compose_poly(mi, bc_images)[0] for mi in self.mult]
-        lhs_images, rhs_images = FractionImages(ab + c_vars), FractionImages(a_vars + bc)
-        for i, mi in enumerate(self.mult):
-            lhs = compose_poly(mi, lhs_images)[0]
-            rhs = compose_poly(mi, rhs_images)[0]
-            if not GGG.variety.ideal.contains(lhs - rhs):
+        one = Polynomial.one(2 * r)
+        _, residues = self.associativity_residues(G, [(mi, one) for mi in self.mult])
+        for i, residue in enumerate(residues):
+            if not residue.is_zero():
                 raise AxiomFailure(f"associativity fails in coordinate {G.names[i]}")
+
+    def associativity_residues(self, space, rho):
+        """The product G x (G x space), and per coordinate of space the normal
+        form there of the numerator of rho(g, rho(g', x)) - rho(m(g, g'), x),
+        for rho: G x space -> space given as fraction pairs.  The group's own
+        associativity is this law for its multiplication acting on G.
+        ZeroDenominator if a side's denominator vanishes identically."""
+        r = self.variety.arity
+        big = ProductAmbient(self.variety, ProductAmbient(self.variety, space).variety)  # (g, (g', x))
+        n = big.arity
+        coords = [Polynomial.variable(n, i) for i in range(n)]
+        inner = [(big.embed_right(num), big.embed_right(den)) for num, den in rho]
+        sides = (FractionImages(coords[:r] + inner),
+                 FractionImages([mi.embed(n, list(range(2 * r))) for mi in self.mult] + coords[2 * r:]))
+        residues = []
+        for num, den in rho:
+            (lnum, lden), (rnum, rden) = (pullback(big.variety, num, den, side) for side in sides)
+            residues.append(big.variety.ideal.normal_form(lnum * rden - rnum * lden))
+        return big.variety, residues
 
     # -- rational points ----------------------------------------------------------
 
@@ -148,12 +151,12 @@ class AlgebraicGroup:
 
     def invert_point(self, g):
         if self.is_finite:
-            return self.inverse_element(self.require_point(g))
+            return self._inverse_names[self.require_point(g)]
         g = self.require_point(g)
         return tuple(p.evaluate(g) for p in self.inv)
 
     def identity_point(self):
-        return self.identity_element if self.is_finite else self.identity
+        return self.elements[0] if self.is_finite else self.identity
 
     def __repr__(self):
         if self.is_finite:

@@ -659,7 +659,7 @@ class _Session:
                 else "element tables require a finite group", stmt.line, stmt.column)
         if G.is_finite:
             _no_repeats(stmt, [elem for elem, _ in stmt.element_exprs])
-            maps = {G.identity_element: identity_map(X)}
+            maps = {G.identity_point(): identity_map(X)}
             for elem, exprs in stmt.element_exprs:
                 if elem not in G.elements:
                     raise UseBeforeDeclare(f"{elem!r} is not an element of {stmt.group}")
@@ -847,7 +847,7 @@ def emit_report(records, fmt: str = "json", session: str = "") -> str:
         return json.dumps(doc, indent=2) + "\n"
     if fmt == "text":
         lines = []
-        width = max((len(r["command"]) for r in records), default=7)
+        width = max([len("command")] + [len(r["command"]) for r in records])
         header = f"{'command'.ljust(width)}  status  steps"
         lines.append(header)
         lines.append("-" * len(header))

@@ -89,6 +89,26 @@ def test_non_decimal_digit_exits_two_without_a_traceback(tmp_path):
     assert result.stderr == "weilreg: unexpected character '²' at line 3, column 21\n"
 
 
+def test_non_utf8_session_exits_two_without_a_traceback(tmp_path):
+    session = tmp_path / "latin1.wr"
+    session.write_bytes("var x\n# caf\u00e9\n".encode("latin-1"))
+    result = run_cli("run", str(session))
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert result.stderr.startswith(f"weilreg: cannot read {session}: ")
+    assert result.stderr.count("\n") == 1 and "Traceback" not in result.stderr
+
+
+def test_unwritable_out_path_exits_two_without_a_traceback(tmp_path):
+    out = tmp_path / "missing" / "report.json"
+    result = run_cli("run", str(SESSIONS / "cremona.wr"), "--out", str(out))
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert result.stderr.startswith(f"weilreg: cannot write {out}: ")
+    assert result.stderr.count("\n") == 1 and "Traceback" not in result.stderr
+    assert not out.parent.exists()
+
+
 def test_text_format_and_verbose(tmp_path):
     result = run_cli("run", str(SESSIONS / "blowup_xreg.wr"), "--format", "text", "--verbose")
     assert result.returncode == 0

@@ -19,7 +19,7 @@ from weilreg.groups import (
     multiplicative_group,
     product_group,
 )
-from weilreg.maps import maps_equal, identity_map, rational_map, point_status
+from weilreg.maps import identity_map, inverse, maps_equal, point_status, rational_map
 from weilreg.actions import (
     action_point_defined,
     element_biregular_locus,
@@ -57,7 +57,7 @@ def test_multiplicative_group_valid():
 def test_cyclic_group_of_order_two():
     G = cyclic_group_2()
     assert G.multiply_points("g", "g") == "e"
-    assert G.inverse_element("g") == "g"
+    assert G.invert_point("g") == "g"
 
 
 def test_axiom_failure_detected():
@@ -65,6 +65,23 @@ def test_axiom_failure_detected():
     bad_mult = [Polynomial.variable(2, 0) + Polynomial.variable(2, 1) + Polynomial.one(2)]
     with pytest.raises(AxiomFailure):
         make_group(line, bad_mult, [-Polynomial.variable(1, 0)], (0,))
+
+
+def test_associativity_failure_detected():
+    # a + b + ab(a + b) has identity 0 and inverse -a, but is not associative
+    a, b = Polynomial.variable(2, 0), Polynomial.variable(2, 1)
+    with pytest.raises(AxiomFailure, match="^associativity fails in coordinate s$"):
+        make_group(affine_space(["s"]), [a + b + a * b * (a + b)], [-Polynomial.variable(1, 0)], (0,))
+
+
+@pytest.mark.parametrize("group, images", [
+    (additive_group("s"), ("s+s'",)),
+    (multiplicative_group(("z", "w")), ("z*z'", "w*w'")),
+])
+def test_a_group_multiplication_acts_on_the_group(group, images):
+    P = ProductAmbient(group.variety, group.variety)
+    action = make_rational_action(group, group.variety, rational_map(P.variety, group.variety, images))
+    assert not action.is_finite
 
 
 def test_bad_finite_table_rejected():
@@ -179,14 +196,20 @@ def test_lift_of_translation_is_polynomial_both_ways(translation_action):
     assert all(f.is_polynomial() for f in backward.reps[0])
 
 
-def test_finite_lift_is_the_element_map(cremona_action):
-    forward, backward = lift_action(cremona_action, "sig")
-    assert maps_equal(forward, backward)  # the involution is self-inverse
-    assert maps_equal(forward, specialize(cremona_action, "sig"))
+def test_finite_element_maps_come_paired_from_specialize():
+    names = ("e", "a", "b", "c")  # Z/4, generated by a
+    G = finite_group(names, {(p, q): names[(i + j) % 4]
+                             for i, p in enumerate(names) for j, q in enumerate(names)})
+    X = affine_space(["x", "y"])
+    maps = {"e": identity_map(X), "a": rational_map(X, X, ("y", "1/x")),
+            "b": rational_map(X, X, ("1/x", "1/y")), "c": rational_map(X, X, ("1/y", "x"))}
+    rotation = make_rational_action(G, X, maps)
+    a, c = specialize(rotation, "a"), specialize(rotation, "c")
+    assert inverse(a) is c and inverse(c) is a
 
 
-def test_lift_of_a_finite_action_needs_an_element(cremona_action):
-    with pytest.raises(NotApplicable, match="pass one"):
+def test_a_finite_action_has_no_lift(cremona_action):
+    with pytest.raises(NotApplicable, match="use specialize"):
         lift_action(cremona_action)
 
 

@@ -135,6 +135,48 @@ def test_parser_totality_fuzz():
             pass  # positioned diagnostics are the only acceptable failures
 
 
+WEILREG_ERRORS = {name for name, obj in vars(errors).items()
+                  if isinstance(obj, type) and issubclass(obj, errors.WeilregError)}
+
+
+def _mutant(rng, text):
+    """text with one to three operands or operators inside parentheses
+    replaced: an integer by a small one, a name by a coordinate of the
+    session, an arithmetic operator by another."""
+    lines = text.split("\n")
+    coords = sorted({name for line in lines if line.startswith("var ") for name in line.split()[1:]})
+    for _ in range(rng.randrange(1, 4)):
+        k = rng.randrange(len(lines))
+        depth, tokens = 0, []
+        for t in tokenize(lines[k]):
+            depth += (t.kind in ("(", "{")) - (t.kind in (")", "}"))
+            if depth and t.kind in ("INT", "IDENT", "+", "-", "*", "/"):
+                tokens.append(t)
+        if tokens:
+            t = rng.choice(tokens)
+            new = rng.choice({"INT": "0123", "IDENT": coords}.get(t.kind, "+-*/"))
+            lines[k] = lines[k][:t.column - 1] + new + lines[k][t.column - 1 + len(t.text):]
+    return "\n".join(lines)
+
+
+def test_run_totality_on_mutated_golden_sessions():
+    # a statement that parses runs to a record: failures are WeilregErrors,
+    # never raw Python exceptions escaping run_session
+    rng = random.Random(20261019)
+    sources = [p.read_text(encoding="utf-8") for p in SESSION_FILES]
+    ran = 0
+    for _ in range(200):
+        try:
+            ast = parse_session(_mutant(rng, rng.choice(sources)))
+        except (SessionSyntaxError, UseBeforeDeclare):
+            continue
+        ran += 1
+        for record in run_session(ast, max_steps=40):
+            if record["status"] == "error":
+                assert record["payload"]["reason"] in WEILREG_ERRORS, record
+    assert ran >= 150
+
+
 @pytest.mark.parametrize("statement, column", [
     ("map g : X -> X = (x^²)", 21),
     ("cmd closedgraph f at (²)", 23),
@@ -521,6 +563,12 @@ def test_errors_inside_an_expression_point_into_the_session(session, line, colum
 
 def test_emit_empty_report():
     assert emit_report([], session="") == '{\n  "version": 1,\n  "session": "",\n  "records": []\n}\n'
+
+
+def test_text_report_columns_line_up_under_a_wider_header():
+    records = run_session(parse_session("var x\nvar y\n"))
+    lines = emit_report(records, fmt="text").splitlines()
+    assert lines == ["command  status  steps", "-" * 22, "var x    ok      0", "var y    ok      0"]
 
 
 def test_report_round_trip():

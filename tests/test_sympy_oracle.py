@@ -1,6 +1,6 @@
-"""Cross-checks of the Groebner engine against sympy, an independent
-implementation.  Skipped where sympy is not installed; it is a test-only
-dependency."""
+"""Cross-checks of the Groebner engine and the map calculus against sympy,
+an independent implementation.  Skipped where sympy is not installed; it is
+a test-only dependency."""
 
 import random
 from fractions import Fraction
@@ -9,6 +9,9 @@ import pytest
 
 from weilreg import GREVLEX, LEX, Ideal, Polynomial, block_order, eliminate, saturate
 from weilreg.ideals import buchberger
+from weilreg.maps import closed_image, graph_closure, make_rational_map
+from weilreg.ratfunc import RationalFunction
+from weilreg.varieties import affine_space, variety
 
 from oracles import random_polynomial
 
@@ -104,3 +107,47 @@ def test_saturate_agrees_with_sympy():
             assert all(theirs_basis.contains(to_sympy(g, xs)) for g in ours.gens), (gens, f)
         else:
             assert ours.gens == ()
+
+
+def _same_ideal(ours: Ideal, theirs, xs):
+    """ours equals the ideal sympy generates with theirs, by mutual containment."""
+    if not theirs:
+        return all(g.is_zero() for g in ours.gens)
+    theirs_basis = sympy.groebner(theirs, *xs, order="grevlex", domain="QQ")
+    return (all(ours.contains(from_sympy(g, xs)) for g in theirs)
+            and all(theirs_basis.contains(to_sympy(g, xs)) for g in ours.gens))
+
+
+def _random_maps(count, seed):
+    """Rational maps from A^1, A^2 or the curve xy = 1 to A^1 or A^2, with
+    numerators of degree at most 2 and denominators of degree at most 1."""
+    rng = random.Random(seed)
+    sources = [affine_space(["x"]), affine_space(["x", "y"]), variety(["x", "y"], "x*y-1")]
+    targets = [affine_space(["u"]), affine_space(["u", "v"])]
+    for _ in range(count):
+        X, Y = rng.choice(sources), rng.choice(targets)
+        coords = []
+        for _ in range(Y.arity):
+            num = random_polynomial(rng, X.arity, 2, max_terms=4, coeff_bound=3)
+            den = random_polynomial(rng, X.arity, 1, max_terms=3, coeff_bound=3)
+            if den.is_zero() or X.ideal.contains(den):
+                den = Polynomial.one(X.arity)
+            coords.append(RationalFunction(X, num, den))
+        yield make_rational_map(X, Y, [tuple(coords)])
+
+
+def test_graph_closure_and_closed_image_agree_with_sympy():
+    # the graph closure is (den_j * y_j - num_j, I(X)) saturated by the product
+    # of the denominators; the closed image eliminates the source from it
+    t = sympy.Symbol("t")
+    for phi in _random_maps(30, seed=20261019):
+        X, Y = phi.source, phi.target
+        xs, ys = sympy.symbols(f"x0:{X.arity}"), sympy.symbols(f"y0:{Y.arity}")
+        dens = sympy.Mul(*[to_sympy(f.den, xs) for f in phi.reps[0]])
+        graph = ([to_sympy(g, xs) for g in X.ideal.gens] + [t * dens - 1]
+                 + [to_sympy(f.den, xs) * y - to_sympy(f.num, xs) for f, y in zip(phi.reps[0], ys)])
+        basis = sympy.groebner(graph, t, *xs, *ys, order="lex", domain="QQ")
+        closure = [g for g in basis.exprs if t not in g.free_symbols]
+        image = [g for g in closure if not g.free_symbols & set(xs)]
+        assert _same_ideal(graph_closure(phi).ideal, closure, xs + ys), phi.reps[0]
+        assert _same_ideal(closed_image(phi).ideal, image, ys), phi.reps[0]
