@@ -15,7 +15,7 @@ import sys
 from pathlib import Path
 
 from .errors import SessionSyntaxError, UseBeforeDeclare
-from .sessions import emit_report, parse_session, run_session
+from .sessions import emit_report, iter_session, parse_session
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -58,10 +58,11 @@ def main(argv=None) -> int:
     except (SessionSyntaxError, UseBeforeDeclare) as err:
         print(f"weilreg: {err}", file=sys.stderr)
         return 2
-    records = run_session(ast, session_name=path.stem, max_steps=max_steps)
-    if args.verbose:
-        for record in records:
-            print(f"[{record['status']}] {record['command']}", file=sys.stderr)
+    records = []
+    for record in iter_session(ast, max_steps):
+        records.append(record)
+        if args.verbose:
+            print(f"[{record['status']}] {record['command']}", file=sys.stderr, flush=True)
     report = emit_report(records, fmt=args.format, session=path.stem)
     if args.out:
         try:

@@ -168,7 +168,7 @@ class ActionDecl(Declaration):
 class Command(Statement):
     keyword: str = ""
     names: tuple = ()  # object references in order
-    at_point: tuple = None  # rational tuple for closedgraph
+    at_point: tuple = None  # closedgraph: group point (tuple or element name)
     on_xreg: bool = False
     points: tuple = None  # S = (...) for atlas
     wrt: tuple = None  # certify: parameter-side variable names
@@ -184,7 +184,8 @@ class Command(Statement):
     def __str__(self):
         parts = ["cmd", self.keyword, *self.names]
         if self.at_point is not None:
-            parts.append(f"at ({_join(map(str, self.at_point))})")
+            at = self.at_point if isinstance(self.at_point, str) else _join(map(str, self.at_point))
+            parts.append(f"at ({at})")
         if self.wrt is not None:
             parts.append(f"wrt ({_join(self.wrt)})")
         if self.f_expr is not None:
@@ -478,7 +479,9 @@ class _SessionParser(TokenStream):
 
     def parse_closedgraph(self, cmd):
         if self.flag("at"):
-            cmd.at_point = self.paren_list(self.rational)
+            self.expect("(")
+            cmd.at_point = self.word("element name") if self.at("IDENT") else self.items(self.rational)
+            self.expect(")")
         cmd.on_xreg = self.flag("xreg")
 
     def parse_atlas(self, cmd):
@@ -772,6 +775,9 @@ class _Session:
     def run_certify(self, stmt):
         kind, obj = self.lookup(stmt.names[0])
         if kind == "action":
+            if stmt.wrt is not None:
+                raise SessionSyntaxError(
+                    "certify on an action takes no 'wrt (...) f=(...)' clause", stmt.line, stmt.column)
             result = regularity_from_subgroup(obj, list(stmt.samples))
             return {
                 "regular": True,
@@ -829,12 +835,17 @@ def _on_host(action, stmt):
     return (restrict_to_regular_locus(action), "xreg") if stmt.on_xreg else (action, "full")
 
 
-def run_session(ast: SessionAST, session_name: str = "", max_steps=None):
-    """Execute every statement, producing one record each; failures are
-    recorded and never abort the session.  `max_steps` caps the S-pairs of
-    each statement."""
+def iter_session(ast: SessionAST, max_steps=None):
+    """The records of the statements, each yielded as its statement ends;
+    failures are recorded and never abort the session.  `max_steps` caps the
+    S-pairs of each statement."""
     session = _Session(ideals.DEFAULT_MAX_STEPS if max_steps is None else int(max_steps))
-    return [session.execute(stmt) for stmt in ast.statements]
+    return map(session.execute, ast.statements)
+
+
+def run_session(ast: SessionAST, session_name: str = "", max_steps=None):
+    """Execute every statement, producing the list of records."""
+    return list(iter_session(ast, max_steps))
 
 
 # -- reports ------------------------------------------------------------------------------

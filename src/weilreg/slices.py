@@ -17,7 +17,6 @@ k[x, t]/(I, t*den - 1): `_over` reads q off NF(t*p) with t eliminated first.
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import count, islice, product
 
 from .actions import RationalAction, specialize
 from .errors import (
@@ -30,7 +29,7 @@ from .errors import (
 )
 from .ideals import _rabinowitsch, saturate
 from .linalg import mat_inverse
-from .maps import RationalMap, make_rational_map, maps_equal
+from .maps import RationalMap
 from .orders import block_order
 from .poly import Polynomial
 from .ratfunc import RationalFunction
@@ -39,9 +38,6 @@ from .varieties import AffineVariety, ProductAmbient, format_point
 
 @dataclass
 class SliceDecomposition:
-    split: ProductAmbient
-    fraction: RationalFunction  # F on the product
-    denominator: Polynomial  # f on the second factor
     power: int  # minimal k with f^k in (den F) + I
     terms: list  # [(h_i on the first factor, f_i on the second factor)]
     samples: list = field(default=None)  # points of the first factor
@@ -49,13 +45,6 @@ class SliceDecomposition:
     solve_coefficients: list = field(default=None)  # rows express f_i/f^k in the slices
     slice_polynomials: list = field(default=None)  # regular forms of the sampled slices
     regular_form: Polynomial = field(default=None)  # polynomial equal to F on the product
-
-
-def integer_points(dim: int, limit: int = 10_000):
-    """Integer tuples in growing boxes, deterministically ordered."""
-    shells = (sorted(p for p in product(range(-r, r + 1), repeat=dim) if max(map(abs, p)) == r)
-              for r in count())
-    return islice((tuple(map(Fraction, p)) for shell in shells for p in shell), limit)
 
 
 def decompose_tensor(split: ProductAmbient, fraction: RationalFunction,
@@ -82,25 +71,16 @@ def decompose_tensor(split: ProductAmbient, fraction: RationalFunction,
     for head, coeff in cleared.coefficients_wrt(split.left_indices):
         h = Polynomial(split.left.arity, {tuple(head[i] for i in split.left_indices): Fraction(1)})
         terms.append((h, coeff.restrict(split.right_indices)))
-    return SliceDecomposition(split, fraction, denominator, k, terms)
+    return SliceDecomposition(k, terms)
 
 
 def find_unimodular_samples(h, candidates, host: AffineVariety = None):
-    """Points making the evaluation matrix (h_i(x_j)) exactly invertible."""
-    points, rows = _independent_points(h, candidates, host)
-    return points, [list(column) for column in zip(*rows)]
-
-
-def _independent_points(h, candidates, host):
-    """Sample points and their evaluation rows (h_i(x_j))_i.
-
-    Scans the candidate enumeration in order, keeping each point whose
-    evaluation vector increases the rank; deterministic for a deterministic
-    enumeration.
-    """
+    """Sample points making the evaluation matrix (h_i(x_j)) exactly
+    invertible, and that matrix: the candidates are scanned in order, and a
+    point on the host is kept when its evaluation vector raises the rank."""
     n = len(h)
     points = []
-    rows = []
+    vectors = []
     reduced = []  # row-echelon basis of accepted evaluation vectors
     for candidate in candidates:
         if len(points) == n:
@@ -118,12 +98,12 @@ def _independent_points(h, candidates, host):
         if any(x != 0 for x in residual):
             reduced.append(residual)
             points.append(point)
-            rows.append(vector)
+            vectors.append(vector)
     if len(points) < n:
         raise SampleBudgetExhausted(
             f"only {len(points)} of {n} independent sample points found; enlarge the candidate set"
         )
-    return points, rows
+    return points, [list(column) for column in zip(*vectors)]
 
 
 def _over(host: AffineVariety, den: Polynomial):
@@ -158,18 +138,16 @@ def _polynomial_form(host: AffineVariety, num: Polynomial, den: Polynomial):
 
 
 def certify_regular(split: ProductAmbient, fraction: RationalFunction,
-                    denominator: Polynomial, samples=None) -> SliceDecomposition:
+                    denominator: Polynomial, samples) -> SliceDecomposition:
     """Produce the regular (polynomial) form of the fraction, certified
     through exactly solved slice combinations.
 
-    ``samples`` may be explicit first-factor points or any enumeration;
-    integer boxes are used when omitted.
+    ``samples`` are candidate first-factor points, scanned in order.
     """
     dec = decompose_tensor(split, fraction, denominator)
     h = [t[0] for t in dec.terms]
     f_parts = [t[1] for t in dec.terms]
-    candidates = samples if samples is not None else integer_points(split.left.arity)
-    points, rows = _independent_points(h, candidates, split.left)
+    points, matrix = find_unimodular_samples(h, samples, split.left)
     Y = split.right
     slices = []
     for j, p in enumerate(points):
@@ -177,7 +155,8 @@ def certify_regular(split: ProductAmbient, fraction: RationalFunction,
         if poly is None:
             raise SliceNotRegular(j, f"the slice at sample {format_point(p)} is not regular")
         slices.append(poly)
-    coeffs = mat_inverse(rows)
+    # slice j is sum_i h_i(x_j) f_i/f^k, so row i of the transposed inverse solves for f_i/f^k
+    coeffs = [list(column) for column in zip(*mat_inverse(matrix))]
     f_power = denominator ** dec.power
     solved = []
     for i in range(len(h)):
@@ -194,7 +173,7 @@ def certify_regular(split: ProductAmbient, fraction: RationalFunction,
     if not split.variety.ideal.contains(cross):
         raise NonPolynomialResidue("reassembled polynomial does not equal the fraction")
     dec.samples = points
-    dec.matrix = [list(column) for column in zip(*rows)]
+    dec.matrix = matrix
     dec.solve_coefficients = coeffs
     dec.slice_polynomials = slices
     dec.regular_form = total
@@ -246,7 +225,5 @@ def regularity_from_subgroup(action: RationalAction, sample_points) -> SubgroupR
         F = RationalFunction(prod, f.num, f.den)
         dec = certify_regular(split, F, f.den.restrict(split.right_indices), samples=points)
         coords.append(RationalFunction(prod, dec.regular_form))
-    polynomial_map = make_rational_map(prod, X, [tuple(coords)])
-    if not maps_equal(polynomial_map, action.rho):
-        raise NonPolynomialResidue("certified coordinates do not reproduce the action")
-    return SubgroupRegularity(polynomial_map, points)
+    # certify_regular proved each coordinate equal to rho's on the product
+    return SubgroupRegularity(RationalMap(prod, X, [coords]), points)

@@ -6,6 +6,8 @@ from pathlib import Path
 
 import pytest
 
+from weilreg import cli, sessions
+
 ROOT = Path(__file__).resolve().parent.parent
 SESSIONS = ROOT / "sessions"
 GOLDEN = ROOT / "tests" / "golden"
@@ -114,6 +116,23 @@ def test_text_format_and_verbose(tmp_path):
     assert result.returncode == 0
     assert "cmd xreg rho" in result.stdout
     assert "[ok] cmd xreg rho" in result.stderr
+
+
+def test_verbose_streams_each_record_as_its_statement_ends(tmp_path, monkeypatch, capsys):
+    # in-process: read what reached stderr each time a statement starts to run
+    session = tmp_path / "two.wr"
+    session.write_text("var x y\nvariety X = affine(x, y)\n", encoding="utf-8")
+    before_each = []
+    execute = sessions._Session.execute
+
+    def spy(self, stmt):
+        before_each.append(capsys.readouterr().err)
+        return execute(self, stmt)
+
+    monkeypatch.setattr(sessions._Session, "execute", spy)
+    assert cli.main(["run", str(session), "--verbose", "--out", str(tmp_path / "report.json")]) == 0
+    assert before_each == ["", "[ok] var x y\n"]
+    assert capsys.readouterr().err == "[ok] variety X = affine(x, y)\n"
 
 
 def test_parallel_flag_is_a_usage_error():

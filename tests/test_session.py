@@ -502,6 +502,11 @@ TYPED_ERRORS = {
     "named atlas point of a parametric group": ("cmd atlas rho S=(foo)", "PointNotOnGroup", "'foo'"),
     "named sample of a parametric group": (
         "action sc : M x V -> V = (z*v)\ncmd certify sc samples=(foo)", "PointNotOnGroup", "'foo'"),
+    "certify on an action with a wrt clause": (
+        "action sc : M x V -> V = (z*v)\ncmd certify sc wrt (w) f=(zzz) samples=((1, 1), (2, 1/2))",
+        "SessionSyntaxError", "certify on an action takes no 'wrt (...) f=(...)' clause"),
+    "named closedgraph point of a parametric group": (
+        "cmd closedgraph rho at (foo)", "PointNotOnGroup", "'foo' names no point of a parametric group"),
     "closedgraph of a map at a group point": (
         "map m : X -> X = (y, x)\ncmd closedgraph m at (5)", "SessionSyntaxError", "no group point or 'xreg'"),
     "closedgraph of a map on the regular locus": (
@@ -530,6 +535,23 @@ def test_point_tuple_is_parsed_to_its_end():
     with pytest.raises(SessionSyntaxError) as err:
         parse_session(BLOWUP.replace("cmd xreg rho", "cmd closedgraph rho at (2 3)"))
     assert (err.value.line, err.value.column) == (5, 27)  # the "3"
+
+
+def test_closedgraph_at_a_finite_group_element():
+    declarations = "".join(line for line in _session_file("cremona").splitlines(keepends=True)
+                           if not line.startswith("cmd "))
+    commands = "cmd closedgraph inv2 at (sig)\ncmd closedgraph inv2 at (sig) xreg\n"
+    ast = parse_session(declarations + commands)
+    assert format_session(ast).endswith(commands)
+    assert parse_session(format_session(ast)) == ast
+    assert [(r["status"], r["payload"]) for r in run_session(ast)[-2:]] == [
+        ("ok", {"closed": True, "host": "full"}),
+        ("ok", {"closed": True, "host": "xreg"}),
+    ]
+    # an element is one name: neither a list of names nor a name among rationals
+    for point in ("sig, e", "sig 1", "1, sig"):
+        with pytest.raises(SessionSyntaxError):
+            parse_session(declarations + f"cmd closedgraph inv2 at ({point})\n")
 
 
 @pytest.mark.parametrize("decl, text, trailing", [

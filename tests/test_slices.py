@@ -22,7 +22,6 @@ from weilreg.slices import (
     certify_regular,
     decompose_tensor,
     find_unimodular_samples,
-    integer_points,
     regularity_from_subgroup,
 )
 from weilreg.varieties import ProductAmbient, affine_space, variety
@@ -100,13 +99,6 @@ def test_find_samples_budget_exhausted():
     h = [ap("a"), ap("1")]
     with pytest.raises(SampleBudgetExhausted):
         find_unimodular_samples(h, [(0,)])
-
-
-def test_integer_points_deterministic_order():
-    pts = list(integer_points(2, limit=9))
-    assert pts[0] == (0, 0)
-    assert len(set(pts)) == 9
-    assert all(max(abs(c) for c in p) <= 1 for p in pts)
 
 
 # -- certification ------------------------------------------------------------------------

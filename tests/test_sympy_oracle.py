@@ -8,8 +8,9 @@ from fractions import Fraction
 import pytest
 
 from weilreg import GREVLEX, LEX, Ideal, Polynomial, block_order, eliminate, saturate
+from weilreg.errors import NotBirational
 from weilreg.ideals import buchberger
-from weilreg.maps import closed_image, graph_closure, make_rational_map
+from weilreg.maps import closed_image, graph_closure, inverse, make_rational_map, rational_map
 from weilreg.ratfunc import RationalFunction
 from weilreg.varieties import affine_space, variety
 
@@ -151,3 +152,45 @@ def test_graph_closure_and_closed_image_agree_with_sympy():
         image = [g for g in closure if not g.free_symbols & set(xs)]
         assert _same_ideal(graph_closure(phi).ideal, closure, xs + ys), phi.reps[0]
         assert _same_ideal(closed_image(phi).ideal, image, ys), phi.reps[0]
+
+
+def _triangular_maps(count, seed):
+    """Maps of A^2 sending (x, y) to (m(x), y + P(x)), alternating with their
+    mirror images (x + P(y), m(y)); m(t) = (at + b)/(ct + d) with ad - bc != 0,
+    P of degree at most 2.  Yields (c, P's coefficients, map)."""
+    rng = random.Random(seed)
+    plane = affine_space(["x", "y"])
+    for k in range(count):
+        a, b, c, d = 0, 0, 0, 0
+        while a * d == b * c:
+            a, b, c, d = (rng.randint(-3, 3) for _ in range(4))
+        shear = [rng.randint(-3, 3) for _ in range(rng.randint(1, 3))]
+        s, t = ("x", "y") if k % 2 == 0 else ("y", "x")
+        moebius = f"({a}*{s}+{b})/({c}*{s}+{d})"
+        sheared = f"{t}+" + "+".join(f"({e})*{s}^{i}" for i, e in enumerate(shear))
+        yield c, shear, rational_map(plane, plane, (moebius, sheared) if s == "x" else (sheared, moebius))
+
+
+def _as_sympy(functions, xs):
+    return [to_sympy(f.num, xs) / to_sympy(f.den, xs) for f in functions]
+
+
+def test_inverse_composes_to_the_identity_under_sympy():
+    """Every inverse `inverse` returns gives the identity composed either
+    way, simplified by sympy.cancel.  Of the 40 seeded triangular maps, 17
+    invert; the 23 NotBirational refusals are all ROADMAP item 4's shape, a
+    Moebius part with c != 0 and a non-constant P."""
+    xs = sympy.symbols("x y")
+    refused = 0
+    for c, shear, f in _triangular_maps(40, seed=20261020):
+        try:
+            g = inverse(f)
+        except NotBirational:
+            assert c != 0 and any(shear[1:]), f.reps[0]
+            refused += 1
+            continue
+        forward, backward = _as_sympy(f.reps[0], xs), _as_sympy(g.reps[0], xs)
+        for outer, inner in ((forward, backward), (backward, forward)):
+            composite = [e.subs(dict(zip(xs, inner)), simultaneous=True) for e in outer]
+            assert [sympy.cancel(e) for e in composite] == list(xs), (f.reps[0], g.reps[0])
+    assert refused == 23
