@@ -27,15 +27,21 @@ meet a denominator pulling back to zero.  For i = k, with tau_ii the
 identity and tau_ij's recorded inverse tau_ji, the pairing proved tau_ji o
 tau_ij = id by exact substitution.  Maps without such records are composed.
 
-Separatedness reads every transition as the one action map rho: G x X -> X
-at a group point.  The graph closure J of rho is computed once (it is
-memoized on rho, which a restriction shares with its action), and J
-specialised at g cuts out a closed set containing the graph of the element
-map of g wherever no denominator of rho vanishes identically at g.  So an
-empty bad locus of the specialised ideal in host x host proves that graph
-closed.  Where that test does not decide (a surviving saturation, a
-denominator vanishing at g, a finite action, which has no rho), the exact
-`is_graph_closed` runs and supplies the verdict and every witness.
+Separatedness is one question about rho: G x X -> X, asked once per atlas,
+since every transition is rho at a group point.  Let J be the graph
+closure of rho on (G x X) x X (memoized on rho, which a restriction shares
+with its action) and w the squarefree denominator product of rho's first
+representative.  If (ws(x) wt(y))^N lies in J + (w) for every pair of host
+witnesses, then at a group point g where no denominator of that
+representative vanishes identically, specialising gives it in J_g + (w(g));
+tau_g comes from that representative, so its reduced denominators divide
+those of w(g), and J_g lies in tau_g's closure ideal: every zero of tau_g's
+bad-locus ideal is a zero of J_g + (w(g)), and tau_g passes the exact test.
+Only the first representative may be used: the definable locus of all of
+rho's representatives intersects their bad loci, which the one
+representative of tau_g need not share.  Every other transition (the family
+test failed, the denominator vanishes at g, or the action is finite and has
+no rho) gets the exact `is_graph_closed`, which supplies every witness.
 """
 
 from dataclasses import dataclass
@@ -49,10 +55,11 @@ from .actions import (
 )
 from .errors import PointNotOnGroup, ZeroDenominator
 from .ideals import Ideal, saturate
-from .maps import closed_over_host, compose, graph_closure, identity_map, inverse, is_graph_closed, maps_equal
+from .maps import (_denominator_product, closed_over_host, compose, graph_closure, identity_map, inverse,
+                   is_graph_closed, maps_equal)
 from .poly import Polynomial
 from .ratfunc import FractionImages, compose_poly
-from .varieties import ProductAmbient
+from .varieties import OpenSubset
 
 
 @dataclass
@@ -147,18 +154,24 @@ def _check_cocycle(atlas: Atlas) -> dict:
 
 
 def _check_separated(atlas: Atlas) -> dict:
-    """One closed-graph verdict per transition map: True by the family test
-    of `_closed_in_family` where it decides, else `is_graph_closed`'s
-    verdict and witness."""
+    """One closed-graph verdict per transition map: True where the family
+    test of rho passed once for the atlas and rho's first representative
+    specialises at the map's group point (module docstring), else
+    `is_graph_closed`'s verdict and witness."""
     action = atlas.action
-    amb = ProductAmbient(action.space, action.space)
+    rho = action.rho
+    family = False
+    if not action.is_finite and len(atlas.points) > 1:
+        w = OpenSubset(rho.source, [_denominator_product(rho.reps[0], rho.source.arity)]).witnesses
+        family = closed_over_host(graph_closure(rho), w, action.domain, action.ambient.embed_right)[0]
     failures = {}
     verdicts = {}
     for (i, j), tau in atlas.transitions.items():
         if i == j:
             continue
         if tau not in verdicts:
-            if not action.is_finite and _closed_in_family(action, atlas.elements[(i, j)], tau, amb):
+            g = atlas.elements[(i, j)]
+            if family and not any(action.space.ideal.contains(f.den.specialize(g)) for f in rho.reps[0]):
                 verdicts[tau] = True, None
             else:
                 verdicts[tau] = is_graph_closed(tau, action.domain)
@@ -166,16 +179,6 @@ def _check_separated(atlas: Atlas) -> dict:
         if not closed:
             failures[(i, j)] = witness
     return {"passed": not failures, "witnesses": failures}
-
-
-def _closed_in_family(action: RationalAction, g, tau, amb: ProductAmbient) -> bool:
-    """Whether the family test (module docstring) proves the graph of
-    tau = rho(g, -) closed in host x host.  False means undecided, never
-    that the graph is not closed."""
-    if any(action.space.ideal.contains(f.den.specialize(g)) for f in action.rho.reps[0]):
-        return False
-    fibre = Ideal(amb.arity, [f.specialize(g) for f in graph_closure(action.rho).ideal.gens])
-    return closed_over_host(fibre, tau, amb, action.domain)[0]
 
 
 def _check_covering(atlas: Atlas) -> dict:

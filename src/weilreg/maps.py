@@ -319,20 +319,21 @@ def is_graph_closed(phi: RationalMap, host: OpenSubset = None):
         host = OpenSubset.full(phi.source)
     if not varieties_equal(phi.source, phi.target):
         raise NotComposable("closed-graph test applies to self-maps")
-    graph = graph_closure(phi)
-    return closed_over_host(graph.ideal, phi, graph.ambient, host)
+    return closed_over_host(graph_closure(phi), definable_locus(phi).witnesses, host)
 
 
-def closed_over_host(closure: Ideal, phi: RationalMap, amb: ProductAmbient, host: OpenSubset):
-    """The bad-locus test of `is_graph_closed` for an ideal `closure` on
-    amb = source x target whose zero set contains the graph of phi: (True,
-    None) when no zero of closure over the complement of phi's computed
-    domain lies in host x host, else (False, the first surviving
-    saturation)."""
-    bad = closure.plus([amb.embed_left(w) for w in definable_locus(phi).witnesses])
+def closed_over_host(graph: GraphClosure, witnesses, host: OpenSubset, embed=lambda p: p):
+    """The bad-locus test of `is_graph_closed`: (True, None) when no zero of
+    the closure ideal at which every witness (a polynomial on the graph's
+    source) vanishes has its source point over host and its target point in
+    host, else (False, the first surviving saturation).  `embed` takes host
+    polynomials to the source's ring: the identity when the source is the
+    host, the right embedding when it is a product G x host."""
+    amb = graph.ambient
+    bad = graph.ideal.plus([amb.embed_left(w) for w in witnesses])
     for ws in host.witnesses:
         for wt in host.witnesses:
-            sat = saturate(bad, amb.embed_left(ws) * amb.embed_right(wt))
+            sat = saturate(bad, amb.embed_left(embed(ws)) * amb.embed_right(wt))
             if not sat.is_unit():
                 return False, sat
     return True, None

@@ -26,7 +26,8 @@ h is returned only if it divides both arguments exactly.  Divisibility
 makes h a common divisor, and for xi above the bound Char, Geddes and Gonnet
 show that a candidate built this way which divides both arguments is their
 gcd.  The exact divisions are therefore the certificate: a candidate that
-fails them is never returned.  The evaluation is retried at larger xi, and
+fails them is never returned; h = 1 needs none, and the arguments are its
+quotients.  The evaluation is retried at larger xi, and
 when `HEU_TRIES` tries fail `_lcm_gcd` computes the gcd on the Groebner
 engine instead: lcm(f, g) generates the intersection (f) & (g), and the gcd
 is f*g / lcm.  The open `WorkLedger`'s step budget bounds that fallback.
@@ -109,6 +110,7 @@ def _heu_gcd(f: dict, g: dict):
         low = tuple(map(min, *f, *g))
         return {low: c}, _shift_down(f, low), _shift_down(g, low)
     var = max(i for e in f for i, k in enumerate(e) if k)
+    zero = (0,) * len(next(iter(f)))
     xi = 2 * min(max(map(abs, f.values())), max(map(abs, g.values()))) + 29
     for _ in range(HEU_TRIES):
         ff, gg = _evaluate(f, var, xi), _evaluate(g, var, xi)
@@ -117,6 +119,8 @@ def _heu_gcd(f: dict, g: dict):
             if image is None:
                 return None
             h = _interpolate(image[0], var, xi)
+            if h == {zero: 1}:  # 1 divides both: no division need certify it
+                return {zero: c}, f, g
             qf = _quotient(f, h)
             qg = None if qf is None else _quotient(g, h)
             if qg is not None:

@@ -22,6 +22,7 @@ from weilreg.groups import additive_group, cyclic_group_2, finite_group, multipl
 from weilreg.maps import (
     RationalMap,
     compose,
+    graph_closure,
     identity_map,
     inverse,
     is_graph_closed,
@@ -36,7 +37,7 @@ from weilreg.regularize import (
     regularize_finite,
     stable_generators,
 )
-from weilreg.varieties import OpenSubset, ProductAmbient, affine_space
+from weilreg.varieties import OpenSubset, ProductAmbient, affine_space, variety
 
 
 @pytest.fixture
@@ -76,13 +77,17 @@ def z4_action(plane):
     return make_rational_action(G, plane, maps)
 
 
-@pytest.fixture
-def blowup_action():
+def _blowup_action():
     G = additive_group("s")
     X = affine_space(["u", "t"])
     P = ProductAmbient(G.variety, X)
     rho = rational_map(P.variety, X, ("u+s", "u*t/(u+s)"))
     return make_rational_action(G, X, rho)
+
+
+@pytest.fixture
+def blowup_action():
+    return _blowup_action()
 
 
 # -- stable generators -----------------------------------------------------------
@@ -438,6 +443,20 @@ def _dim3_action():
     return make_rational_action(G, X, rational_map(P.variety, X, ("u+s", "u*t/(u+s)", "u^2*v/(u+s)^2")))
 
 
+def _cone_two_reps_action():
+    """Ga on the cone xz = y^2 by x -> x + s, scaling y and z by (x + s)/x,
+    restricted to D(x).  The first representative writes y's image with
+    z/y, the second with y/x.  Only the second is defined on the x-axis,
+    so every transition, which specialises the first, has a graph that is
+    not closed over D(x); the two representatives' bad loci meet only on
+    the z-axis, outside D(x)."""
+    G = additive_group("s")
+    X = variety(["x", "y", "z"], "x*z - y^2")
+    P = ProductAmbient(G.variety, X)
+    rho = rational_map(P.variety, X, ("x+s", "z*(x+s)/y", "z*(x+s)/x"), ("x+s", "y*(x+s)/x", "z*(x+s)/x"))
+    return restrict_to_open(make_rational_action(G, X, rho), OpenSubset(X, [X.poly("x")]))
+
+
 def _spy(monkeypatch, name, module=weilreg.atlas):
     calls = []
     real = getattr(module, name)
@@ -450,7 +469,8 @@ def _spy(monkeypatch, name, module=weilreg.atlas):
     return calls
 
 
-@pytest.mark.parametrize("case", ["blowup_full", "blowup_xreg", "dim3_xreg", "ga_ga", "gm", "cremona"])
+@pytest.mark.parametrize("case", ["blowup_full", "blowup_xreg", "dim3_xreg", "ga_ga", "gm", "cone_two_reps",
+                                  "cremona"])
 def test_element_keyed_checks_match_per_pair_checks(case, blowup_action, cremona_action, monkeypatch):
     if case == "blowup_full":
         atlas = build_atlas(blowup_action, [(0,), (1,), (2,)])
@@ -463,6 +483,8 @@ def test_element_keyed_checks_match_per_pair_checks(case, blowup_action, cremona
     elif case == "gm":
         points = [(1, 1), (2, Fraction(1, 2)), (-1, -1)]
         atlas = build_atlas(restrict_to_regular_locus(_gm_action()), points)
+    elif case == "cone_two_reps":
+        atlas = build_atlas(_cone_two_reps_action(), [(0,), (1,), (2,)])
     else:
         atlas = build_atlas(restrict_to_regular_locus(cremona_action))
     m = len(atlas.points)
@@ -490,13 +512,13 @@ def test_element_keyed_checks_match_per_pair_checks(case, blowup_action, cremona
     witnesses, expected_witnesses = separated["witnesses"], expected_separated["witnesses"]
     assert list(witnesses) == list(expected_witnesses)
     assert all(_same_ideal(witnesses[p], expected_witnesses[p]) for p in witnesses)
-    if case == "blowup_full":
+    if case in ("blowup_full", "cone_two_reps"):
         assert len(witnesses) > 2
     assert len(inversions) == len(elements)
     # is_graph_closed runs only where the family test of rho leaves a
-    # transition undecided: the full plane's transitions are not closed, and
-    # a finite action has no rho
-    fallbacks = len(elements) if case in ("blowup_full", "cremona") else 0
+    # transition undecided: the full plane's and the cone's transitions are
+    # not closed, and a finite action has no rho
+    fallbacks = len(elements) if case in ("blowup_full", "cone_two_reps", "cremona") else 0
     assert len(closed_graph_tests) == fallbacks
     # a built atlas's tau_ii is the paired identity element map, so the
     # certificates settle every triple with a repeated index: one compose per
@@ -559,6 +581,21 @@ def test_separatedness_from_the_family_ideal_costs_less_than_one_closure_per_map
         separated = weilreg.atlas._check_separated(atlas)
     assert separated == {"passed": True, "witnesses": {}}
     assert ledger.steps < 144
+
+
+def test_separatedness_saturates_once_per_host_pair_whatever_the_atlas_size(monkeypatch):
+    saturations = _spy(monkeypatch, "saturate", module=weilreg.maps)
+    closed_graph_tests = _spy(monkeypatch, "is_graph_closed")
+    counts = []
+    for k in (3, 6):
+        action = restrict_to_regular_locus(_blowup_action())
+        atlas = build_atlas(action, [(p,) for p in range(k)])
+        graph_closure(action.rho)  # the closure's own saturation is not the check's
+        before = len(saturations)
+        assert weilreg.atlas._check_separated(atlas) == {"passed": True, "witnesses": {}}
+        counts.append(len(saturations) - before)
+    assert counts == [len(action.domain.witnesses) ** 2] * 2
+    assert not closed_graph_tests
 
 
 @pytest.mark.parametrize("case", ["blowup_xreg", "cremona"])
