@@ -48,6 +48,9 @@ class AlgebraicGroup:
         if not elems:
             raise AxiomFailure("finite group needs at least the identity element")
         e = elems[0]
+        for a, b in self.table:
+            if a not in elems or b not in elems:
+                raise AxiomFailure(f"table entry {a}*{b} names a non-element")
         for a in elems:
             for b in elems:
                 if (a, b) not in self.table:

@@ -20,6 +20,7 @@ from weilreg.groups import (
     product_group,
 )
 from weilreg.maps import identity_map, inverse, maps_equal, point_status, rational_map
+import weilreg.actions
 from weilreg.actions import (
     action_point_defined,
     element_biregular_locus,
@@ -87,6 +88,12 @@ def test_a_group_multiplication_acts_on_the_group(group, images):
 def test_bad_finite_table_rejected():
     with pytest.raises(AxiomFailure):
         finite_group(("e", "a"), {("e", "e"): "e", ("e", "a"): "a", ("a", "e"): "a", ("a", "a"): "a"})
+
+
+def test_a_table_entry_naming_a_non_element_is_rejected():
+    table = {("e", "e"): "e", ("e", "a"): "a", ("a", "e"): "a", ("a", "a"): "e", ("z", "a"): "e"}
+    with pytest.raises(AxiomFailure, match="^table entry z\\*a names a non-element$"):
+        finite_group(("e", "a"), table)
 
 
 def test_product_group():
@@ -168,6 +175,33 @@ def test_prose_failure_carries_no_residue():
         make_rational_action(G, X, rational_map(P.variety, X, ("u+s", "u*t/(u+2*s)")))
     assert str(err.value) == "action law violated: associativity (residue s*s'*u*t)"
     assert err.value.residue == "s*s'*u*t"
+
+
+@pytest.mark.parametrize("images, pairs", [
+    ((("y", "1/x"), ("1/x", "1/y"), ("1/y", "x")),
+     [("a", "a"), ("a", "b"), ("b", "a"), ("b", "c"), ("c", "b"), ("c", "c")]),
+    ((("1/x", "1/y"),), []),
+])
+def test_a_finite_action_composes_only_the_unsettled_pairs(images, pairs, monkeypatch):
+    # the golden Z/4 rotation and the Cremona Z/2: e in {g, h, gh} is settled by
+    # the identity map and by the inverse pairing, so only the other pairs compose
+    X = affine_space(["x", "y"])
+    elements = ("e", "a", "b", "c")[:len(images) + 1]
+    n = len(elements)
+    G = finite_group(elements, {(g, h): elements[(i + j) % n]
+                                for i, g in enumerate(elements) for j, h in enumerate(elements)})
+    maps = {"e": identity_map(X)} | {g: rational_map(X, X, rep) for g, rep in zip(elements[1:], images)}
+    name = {id(m): g for g, m in maps.items()}
+    composed = []
+    real = weilreg.actions.compose
+
+    def spy(phi, psi):
+        composed.append((name[id(psi)], name[id(phi)]))
+        return real(phi, psi)
+
+    monkeypatch.setattr(weilreg.actions, "compose", spy)
+    make_rational_action(G, X, maps)
+    assert composed == pairs
 
 
 def test_non_homomorphism_finite_rejected():

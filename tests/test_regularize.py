@@ -30,7 +30,7 @@ from weilreg.maps import (
     point_status,
     rational_map,
 )
-from weilreg.ratfunc import FractionImages, RationalFunction, compose_poly
+from weilreg.ratfunc import FractionImages, RationalFunction, compose_poly, pullback
 from weilreg.regularize import (
     induced_regular_action,
     present_subalgebra,
@@ -266,6 +266,75 @@ def test_corrupted_orbit_is_caught(name, g, request, monkeypatch):
     monkeypatch.setattr(weilreg.regularize, "stable_generators", corrupted)
     with pytest.raises(NotAnAction):
         regularize_finite(action)
+
+
+def _reference_model_checks(action, model, endos, psi):
+    """The three checks `regularize_finite` made before its one identity
+    replaced them: each mu_g pulls J into J, mu_g o mu_h = mu_gh mod J on all
+    pairs, and psi o mu_g = rho_g o psi on the space's coordinates."""
+    J, group = model.ideal, action.group
+    tables = {g: FractionImages(coords) for g, coords in endos.items()}
+    presentation = all(J.contains(compose_poly(rel, images)[0]) for images in tables.values() for rel in J.gens)
+    table = all(J.contains(compose_poly(p, tables[h])[0] - q)
+                for g in group.elements for h in group.elements
+                for p, q in zip(endos[g], endos[group.table[(g, h)]]))
+    psi_images = psi.images()
+    coordinates = True
+    for g, images in tables.items():
+        for lhs, f in zip(psi.reps[0], specialize(action, g).reps[0]):
+            lnum, lden = compose_poly(lhs.num, images)[0], compose_poly(lhs.den, images)[0]
+            rnum, rden = pullback(model, f.num, f.den, psi_images)
+            coordinates = coordinates and J.contains(lnum * rden - rnum * lden)
+    return {"presentation": presentation, "table": table, "coordinates": coordinates}
+
+
+def _cyclic_action(images, n):
+    """Z/n = (e, g1, ..., g(n-1)) acting on the plane by the powers of one map."""
+    plane = affine_space(["x", "y"])
+    elements = ("e",) + tuple(f"g{k}" for k in range(1, n))
+    G = finite_group(elements, {(g, h): elements[(i + j) % n]
+                                for i, g in enumerate(elements) for j, h in enumerate(elements)})
+    maps = {"e": identity_map(plane), "g1": rational_map(plane, plane, images)}
+    for k in range(2, n):
+        maps[elements[k]] = compose(maps[elements[k - 1]], maps["g1"])
+    return make_rational_action(G, plane, maps)
+
+
+@pytest.mark.parametrize("name", ["cremona_action", "swap_action", "half_cremona_action", "z4_action",
+                                  "z3", "lyness_z5", "monomial_z6"])
+def test_the_one_check_implies_the_three_it_replaced(name, request):
+    # besides the fixtures and the golden Z/4 rotation, a ladder of group orders: Z/3, Lyness Z/5, Z/6
+    rungs = {"z3": (("y", "1/(x*y)"), 3), "lyness_z5": (("y", "(y+1)/x"), 5), "monomial_z6": (("y", "y/x"), 6)}
+    action = _cyclic_action(*rungs[name]) if name in rungs else request.getfixturevalue(name)
+    result = regularize_finite(action)
+    verdicts = _reference_model_checks(action, result.model, result.action_on_model, result.to_space)
+    assert verdicts == {"presentation": True, "table": True, "coordinates": True}
+    if name == "lyness_z5":
+        # the five exchange relations u_(i-1) u_(i+1) = u_i + 1 of the A2 cluster algebra
+        assert [result.model.format(p) for p in result.model.ideal.gens] == [
+            "u1*u3-u2-1", "u1*u4-u5-1", "u2*u4-u3-1", "u2*u5-u1-1", "u3*u5-u4-1"]
+
+
+@pytest.mark.parametrize("i, j, missed_by_coordinates", [(2, 3, True), (0, 1, False)],
+                         ids=["presentation", "coordinates"])
+def test_a_corrupted_model_action_is_caught(i, j, missed_by_coordinates, cremona_action, monkeypatch):
+    # swap the images of u_(i+1) and u_(j+1) under sig after the model action is built
+    real = induced_regular_action
+
+    def corrupted(model, action, orbit):
+        endos = dict(real(model, action, orbit))
+        coords = list(endos["sig"])
+        coords[i], coords[j] = coords[j], coords[i]
+        endos["sig"] = tuple(coords)
+        return endos
+
+    monkeypatch.setattr(weilreg.regularize, "induced_regular_action", corrupted)
+    with pytest.raises(NotAnAction, match="equivariance"):
+        regularize_finite(cremona_action)
+    gens, orbit = stable_generators(cremona_action)
+    model, psi, _ = present_subalgebra(cremona_action.space, gens)
+    verdicts = _reference_model_checks(cremona_action, model, corrupted(model, cremona_action, orbit), psi)
+    assert verdicts == {"presentation": False, "table": False, "coordinates": missed_by_coordinates}
 
 
 # -- atlases ---------------------------------------------------------------------------------

@@ -297,6 +297,12 @@ def test_a_violated_action_law_is_a_fail_record(body, message):
         "fail", {"reason": "NotAnAction", "message": f"action law violated: {message}"})
 
 
+def test_a_product_naming_an_undeclared_element_is_an_error_record():
+    record = run_session(parse_session("group G = finite(e, a | a*a = e, z*a = e)\n"))[-1]
+    assert (record["status"], record["payload"]) == (
+        "error", {"reason": "AxiomFailure", "message": "table entry z*a names a non-element"})
+
+
 def test_an_atlas_puts_the_identity_first():
     record = run_session(parse_session(BLOWUP.replace("cmd xreg rho", "cmd atlas rho S=(1, 0) xreg")))[-1]
     assert record["status"] == "ok" and record["groebner_steps"] == 35
