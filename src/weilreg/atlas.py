@@ -10,22 +10,18 @@ by shifted biregularity loci.
 
 Transition (i, j) is the element map of g_j^-1 * g_i, so k charts give k^2
 transitions, stored in chart-pair order, over at most 2k - 1 group elements,
-and equal elements share one map object.  Each check caches its verdicts by the transition map objects,
-which hash by identity: it is evaluated once per map (the cocycle check once
-per triple of maps) and reported per chart pair.
-
-Symmetry is certified by the exact round trip in both directions that
-`specialize` made when it paired the maps of g and g^-1: `inverse` returns
-that partner, and the check compares it with the reverse transition.
-
-The cocycle tau_jk o tau_ij = tau_ik is composed only where no existing
-certificate settles it.  Each tau_dd is checked to be the identity,
-coordinate by coordinate.  For i = j or j = k, with tau_jj the identity and
-a pairing recorded on tau_ij by `_pair_inverses`, the composite is tau_ij:
-a paired map is dominant, so `compose` could neither raise NotDominant nor
-meet a denominator pulling back to zero.  For i = k, with tau_ii the
-identity and tau_ij's recorded inverse tau_ji, the pairing proved tau_ji o
-tau_ij = id by exact substitution.  Maps without such records are composed.
+and equal elements share one map object.  Every check therefore reads the
+group: it keys its verdicts by a transition's element (the cocycle check by
+a chart triple's element pair), decides each once, and reports per chart
+pair or triple.  With a = g_j^-1 g_i and b = g_k^-1 g_j, tau_ik is the map of
+ba, so symmetry is the inverse law and the cocycle tau_jk o tau_ij = tau_ik
+is the action law rho_b o rho_a = rho_ba at (a, b).  The action certified
+both.  `specialize` paired the maps of g and g^-1 by exact round trips, so
+symmetry reads that pairing: `inverse` returns the partner, which must be
+the reverse transition.  The declared identity law rho_e = id settles the
+cocycle at a = e and b = e, and the pairing settles it at ba = e; a finite
+action proved its law on every pair at declaration.  Every other pair, which
+is exactly the pair of a triple of three distinct charts, is composed once.
 
 Separatedness is one question about rho: G x X -> X, asked once per atlas,
 since every transition is rho at a group point.  Let J be the graph
@@ -44,7 +40,7 @@ test failed, the denominator vanishes at g, or the action is finite and has
 no rho) gets the exact `is_graph_closed`, which supplies every witness.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import product
 
 from .actions import (
@@ -55,8 +51,8 @@ from .actions import (
 )
 from .errors import PointNotOnGroup, ZeroDenominator
 from .ideals import Ideal, saturate
-from .maps import (_denominator_product, closed_over_host, compose, graph_closure, identity_map, inverse,
-                   is_graph_closed, maps_equal)
+from .maps import (_denominator_product, closed_over_host, compose, graph_closure, inverse, is_graph_closed,
+                   maps_equal)
 from .poly import Polynomial
 from .ratfunc import FractionImages, compose_poly
 from .varieties import OpenSubset
@@ -78,72 +74,63 @@ class AtlasReport:
 class Atlas:
     action: RationalAction
     points: tuple  # group points; first is the identity
-    transitions: dict  # (i, j) -> RationalMap from chart i to chart j
-    elements: dict  # (i, j) -> group point g_j^-1 * g_i, whose element map is transition (i, j)
+    elements: dict = field(init=False)  # (i, j) -> g_j^-1 * g_i
+    transitions: dict = field(init=False)  # (i, j) -> map from chart i to chart j: specialize at elements[(i, j)]
+
+    def __post_init__(self):
+        group = self.action.group
+        self.elements = {(i, j): group.multiply_points(group.invert_point(gj), gi)
+                         for (i, gi), (j, gj) in product(enumerate(self.points), repeat=2)}
+        self.transitions = {pair: specialize(self.action, g) for pair, g in self.elements.items()}
 
 
 def build_atlas(action: RationalAction, points=None) -> Atlas:
-    """Atlas over the given group points (the identity leads; for finite
-    groups the default is every element)."""
+    """Atlas over the given group points (the identity leads, once; for
+    finite groups the default is every element)."""
     group = action.group
     if points is None:
         if not group.is_finite:
             raise PointNotOnGroup("a finite list of group points is required")
         points = list(group.elements)
-    points = [group.require_point(p) for p in points]
     e = group.identity_point()
-    if points[0] != e:
-        if e in points:
-            points.remove(e)
-        points.insert(0, e)
-    transitions, elements = {}, {}
-    for i, gi in enumerate(points):
-        for j, gj in enumerate(points):
-            g = group.multiply_points(group.invert_point(gj), gi)
-            elements[(i, j)] = g
-            transitions[(i, j)] = specialize(action, g)
-    return Atlas(action, tuple(points), transitions, elements)
+    return Atlas(action, (e, *(p for p in map(group.require_point, points) if p != e)))
 
 
 def _check_symmetry(atlas: Atlas) -> dict:
-    """tau_ji = tau_ij^-1, once per map pair (tau_ij, tau_ji): tau_ji is compared
-    with the partner certified by the exact round trip when the pair was formed."""
+    """tau_ji = tau_ij^-1, once per element g_j^-1 * g_i: tau_ji must be the
+    partner that `specialize` paired with tau_ij by exact round trips."""
     failures = []
     verdicts = {}
-    for (i, j), tau in atlas.transitions.items():
+    for (i, j), g in atlas.elements.items():
         if i == j:
             continue
-        key = (tau, atlas.transitions[(j, i)])
-        if key not in verdicts:
-            verdicts[key] = maps_equal(inverse(tau), key[1])
-        if not verdicts[key]:
+        if g not in verdicts:
+            verdicts[g] = inverse(atlas.transitions[(i, j)]) is atlas.transitions[(j, i)]
+        if not verdicts[g]:
             failures.append([i, j])
     return {"passed": not failures, "failures": failures}
 
 
 def _check_cocycle(atlas: Atlas) -> dict:
-    """tau_jk o tau_ij = tau_ik, decided once per map triple (tau_ij, tau_jk,
-    tau_ik); None records a ZeroDenominator skip.  A repeated index passes
-    uncomposed where the identity tau_jj and a pairing recorded on tau_ij
-    (i = j or j = k), or the identity tau_ii and tau_ij's recorded inverse
-    tau_ji (i = k), prove it (module docstring)."""
+    """tau_jk o tau_ij = tau_ik, decided once per element pair (a, b) =
+    (g_j^-1 g_i, g_k^-1 g_j): settled by the action's certificates where the
+    action is finite or e is among a, b and ba = g_k^-1 g_i (module
+    docstring), composed elsewhere; None records a ZeroDenominator skip."""
     failures = []
     skipped = []
     verdicts = {}
     transitions = atlas.transitions
-    m = len(atlas.points)
-    ident = identity_map(atlas.action.space)
-    identity = {tau: maps_equal(tau, ident) for tau in {transitions[(d, d)] for d in range(m)}}
-    for i, j, k in product(range(m), repeat=3):
-        key = (transitions[(i, j)], transitions[(j, k)], transitions[(i, k)])
+    index = {}  # group element -> small int, so the k^3 triples hash no group points
+    ids = {pair: index.setdefault(g, len(index)) for pair, g in atlas.elements.items()}
+    e = ids[0, 0]  # every diagonal element is the identity
+    for i, j, k in product(range(len(atlas.points)), repeat=3):
+        key = ids[i, j], ids[j, k]
         if key not in verdicts:
-            paired = key[0].memo.get(("inverse", ()))
-            if ((i == j or j == k) and identity[transitions[(j, j)]] and paired is not None
-                    or i == k and identity[key[2]] and paired is key[1]):
+            if atlas.action.is_finite or e in (*key, ids[i, k]):
                 verdicts[key] = True
                 continue
             try:
-                verdicts[key] = maps_equal(compose(key[0], key[1]), key[2])
+                verdicts[key] = maps_equal(compose(transitions[(i, j)], transitions[(j, k)]), transitions[(i, k)])
             except ZeroDenominator:
                 verdicts[key] = None
         if verdicts[key] is None:
@@ -154,10 +141,9 @@ def _check_cocycle(atlas: Atlas) -> dict:
 
 
 def _check_separated(atlas: Atlas) -> dict:
-    """One closed-graph verdict per transition map: True where the family
-    test of rho passed once for the atlas and rho's first representative
-    specialises at the map's group point (module docstring), else
-    `is_graph_closed`'s verdict and witness."""
+    """One closed-graph verdict per element g: True where the family test of
+    rho passed once for the atlas and rho's first representative specialises
+    at g (module docstring), else `is_graph_closed`'s verdict and witness."""
     action = atlas.action
     rho = action.rho
     family = False
@@ -166,16 +152,15 @@ def _check_separated(atlas: Atlas) -> dict:
         family = closed_over_host(graph_closure(rho), w, action.domain, action.ambient.embed_right)[0]
     failures = {}
     verdicts = {}
-    for (i, j), tau in atlas.transitions.items():
+    for (i, j), g in atlas.elements.items():
         if i == j:
             continue
-        if tau not in verdicts:
-            g = atlas.elements[(i, j)]
+        if g not in verdicts:
             if family and not any(action.space.ideal.contains(f.den.specialize(g)) for f in rho.reps[0]):
-                verdicts[tau] = True, None
+                verdicts[g] = True, None
             else:
-                verdicts[tau] = is_graph_closed(tau, action.domain)
-        closed, witness = verdicts[tau]
+                verdicts[g] = is_graph_closed(atlas.transitions[(i, j)], action.domain)
+        closed, witness = verdicts[g]
         if not closed:
             failures[(i, j)] = witness
     return {"passed": not failures, "witnesses": failures}

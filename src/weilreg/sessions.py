@@ -750,6 +750,7 @@ class _Session:
         }
 
     def run_atlas(self, stmt):
+        _no_repeats(stmt, map(_point_text, stmt.points), "point")
         action, host_label = _on_host(self[stmt.names[0]], stmt)
         atlas = build_atlas(action, stmt.points)
         report = check_atlas(atlas)

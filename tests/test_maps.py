@@ -387,6 +387,35 @@ def test_only_pair_inverses_records_an_inverse():
     }
 
 
+def _memo_reads(node, func=None):
+    """(enclosing function, key) for each read of a memo entry by its key: a
+    memo subscript that is loaded, or a memo's `get`."""
+    if isinstance(node, ast.FunctionDef):
+        func = node.name
+    found = []
+    if isinstance(node, ast.Subscript) and isinstance(node.ctx, ast.Load) and _is_memo(node.value):
+        found.append((func, ast.unparse(node.slice)))
+    if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and _is_memo(node.func.value)
+            and node.func.attr == "get"):
+        found.append((func, ast.unparse(node.args[0])))
+    for child in ast.iter_child_nodes(node):
+        found += _memo_reads(child, func)
+    return found
+
+
+def test_only_the_memo_writers_read_a_memo_entry_by_key():
+    src = Path(weilreg.maps.__file__).resolve().parent
+    sites = {(path.name,) + site for path in src.glob("*.py")
+             for site in _memo_reads(ast.parse(path.read_text()))}
+    # the memo helper returns a stored entry, and _pair_inverses reads the
+    # dominance it may rely on; every other module asks the memoized function
+    # (copying a memo whole, as a restriction does, reads no entry by key)
+    assert sites == {
+        ("ideals.py", "cached", "entry"),
+        ("maps.py", "_pair_inverses", "('is_dominant', ())"),
+    }
+
+
 # -- definable locus ------------------------------------------------------------------------
 
 

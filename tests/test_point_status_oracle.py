@@ -1,5 +1,5 @@
-"""`point_status` against direct evaluation, on the benchmark's `mapcalc`
-maps (ROADMAP item 11's last map-calculus oracle; no sympy).
+"""The seeded `mapcalc` point-status oracle: `point_status` against direct
+evaluation, on the benchmark's `mapcalc` maps (no sympy).
 
 The maps are the seeded triangular Möbius maps of A^2 and A^3 that
 `bench/workloads.py` draws for the `mapcalc` workload, each checked at the

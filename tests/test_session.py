@@ -523,6 +523,11 @@ TYPED_ERRORS = {
     "finite action with a repeated element": (
         "group Z = finite(e, g | g*g = e)\naction f : Z x X -> X = {g: (y, x), g: (x, y)}",
         "SessionSyntaxError", "repeated element 'g'"),
+    "atlas with a repeated point": (
+        "action tr : G x X -> X = (x+s, y)\ncmd atlas tr S=(1/2, 2/4)", "SessionSyntaxError", "repeated point '1/2'"),
+    "finite atlas with a repeated point": (
+        "group Z = finite(e, g | g*g = e)\naction sw : Z x X -> X = {g: (y, x)}\ncmd atlas sw S=(g, g)",
+        "SessionSyntaxError", "repeated point 'g'"),
 }
 
 
