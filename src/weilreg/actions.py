@@ -142,6 +142,10 @@ def _validate_finite_action(action: RationalAction):
     G, X, maps = action.group, action.space, action.maps
     if set(maps) != set(G.elements):
         raise NotAnAction("homomorphism", "need exactly one map per group element")
+    seen = set()  # one map object per element, so no pairing overwrites another's inverse
+    for g, m in maps.items():
+        maps[g] = RationalMap(m.source, m.target, m.reps) if m in seen else m
+        seen.add(m)
     e = G.identity_point()
     if not maps_equal(maps[e], identity_map(X)):
         raise NotAnAction("identity", "the identity element does not act as the identity map")

@@ -254,6 +254,24 @@ def is_empty_variety(ideal: Ideal) -> bool:
     return ideal.is_unit()
 
 
+def dimension(ideal: Ideal) -> int:
+    """Dimension of V(I), -1 for the unit ideal: the arity minus the fewest
+    variables that meet the support of every leading monomial of the reduced
+    grevlex basis (Cox, Little and O'Shea, *Ideals, Varieties, and
+    Algorithms*, ch. 9 §3)."""
+    supports = [frozenset(i for i, e in enumerate(g.leading_term()[0]) if e) for g in ideal.groebner_basis()]
+    return -1 if frozenset() in supports else ideal.arity - _fewest_meeting(supports)
+
+
+def _fewest_meeting(supports) -> int:
+    """Size of the smallest variable set meeting every support: it holds a
+    variable of the shortest support, so branch over those."""
+    if not supports:
+        return 0
+    shortest = min(supports, key=len)
+    return 1 + min(_fewest_meeting([s for s in supports if v not in s]) for v in shortest)
+
+
 def eliminate(ideal: Ideal, variables) -> Ideal:
     """Intersection with the subring omitting the given variables, presented
     by generators free of them (same ambient arity)."""

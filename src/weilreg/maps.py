@@ -5,6 +5,11 @@ tri-state point evaluator.
 All loci are representative-generated: they are sound under-approximations
 that are exact on every fixture shipped with the test suite, and callers may
 add representatives to enlarge them.
+
+A graph closure J : d^inf skips its saturation when a dimension count proves
+J saturated: if dim X = N - |I(X).gens| and dim(J + (d)) < dim X, J is a
+complete intersection whose associated primes all have dimension dim X, so
+none holds d and J : d^inf = J (the proof is `graph_closure`'s).
 """
 
 from dataclasses import dataclass
@@ -18,7 +23,7 @@ from .errors import (
     RoundTripFailure,
     ZeroDenominator,
 )
-from .ideals import Ideal, eliminate, memoized, saturate
+from .ideals import Ideal, dimension, eliminate, memoized, saturate
 from .orders import GREVLEX, block_order
 from .poly import Polynomial
 from .polygcd import squarefree_part_degree
@@ -127,17 +132,35 @@ def identity_map(X: AffineVariety) -> RationalMap:
 
 @memoized
 def graph_closure(phi: RationalMap) -> GraphClosure:
-    amb = ProductAmbient(phi.source, phi.target)
-    gens = list(amb.variety.ideal.gens)
+    """The closure of phi's graph: J : d^inf for J = I(X) + (den_j*y_j - num_j)
+    over the source's relations alone and d the product of the distinct
+    denominators.  The target's relations lie in J : d^inf, as
+    `make_rational_map` proved that they pull back into I(X).
+
+    J is returned unsaturated when dim X = N - |I(X).gens| (N the source
+    arity) and dim(J + (d)) < dim X, for then J : d^inf = J.  V(J) is the
+    graph over X meet D(d) together with V(J + (d)), so dim J <= dim X and
+    the height of J is at least its |I(X).gens| + m generators: J is a
+    complete intersection, unmixed by Macaulay's theorem (Eisenbud, GTM 150,
+    ch. 18).  An associated prime holding d would have its zero set inside
+    V(J + (d)), of dimension below dim X, so d is a nonzerodivisor modulo J.
+    (y/x, y/x) on A^2 fails the test: J + (x) = (x, y) has dimension 2, and
+    J : x^inf also holds u - v."""
+    X = phi.source
+    amb = ProductAmbient(X, phi.target)
+    gens = [amb.embed_left(g) for g in X.ideal.gens]
     for j, f in zip(amb.right_indices, phi.reps[0]):
         gens.append(amb.embed_left(f.den) * Polynomial.variable(amb.arity, j) - amb.embed_left(f.num))
     ideal = Ideal(amb.arity, gens)
-    product = Polynomial.one(phi.source.arity)
+    product = Polynomial.one(X.arity)
     for d in {f.den.primitive(GREVLEX) for f in phi.reps[0]}:
         if not d.is_constant():
             product = product * d
-    if not product.is_constant():
-        ideal = saturate(ideal, amb.embed_left(product))
+    if product.is_constant():
+        return GraphClosure(amb, ideal)
+    d, dim_x = amb.embed_left(product), dimension(X.ideal)
+    if dim_x != X.arity - len(X.ideal.gens) or dimension(ideal.plus([d])) >= dim_x:
+        ideal = saturate(ideal, d)
     return GraphClosure(amb, ideal)
 
 
@@ -347,16 +370,6 @@ def _fiber_ideal(phi: RationalMap, point):
     return Ideal(phi.target.arity, [g.specialize(point) for g in graph_closure(phi).ideal.gens])
 
 
-def _zero_dimensional(basis, m, order=GREVLEX):
-    covered = set()
-    for g in basis:
-        exps = g.leading_term(order)[0]
-        support = [i for i, e in enumerate(exps) if e]
-        if len(support) == 1:
-            covered.add(support[0])
-    return covered == set(range(m))
-
-
 def point_status(phi: RationalMap, point) -> PointStatus:
     """DEFINED with the image, UNDEFINED, or UNKNOWN (singleton graph fiber
     that no supplied representative reaches)."""
@@ -366,19 +379,13 @@ def point_status(phi: RationalMap, point) -> PointStatus:
             value = tuple(f.evaluate(point) for f in rep)
             return PointStatus("DEFINED", value)
     fiber = _fiber_ideal(phi, point)
-    if fiber.is_unit():
+    if dimension(fiber) != 0:  # an empty or positive-dimensional fibre
         return PointStatus("UNDEFINED")
     m = phi.target.arity
-    basis = fiber.groebner_basis(GREVLEX)
-    if not _zero_dimensional(basis, m):
-        return PointStatus("UNDEFINED")
     for k in range(m):
-        others = set(range(m)) - {k}
-        uni = eliminate(fiber, others)
-        nonzero = [g for g in uni.gens if not g.is_zero()]
-        if not nonzero:
-            return PointStatus("UNDEFINED")
-        g = min(nonzero, key=lambda p: p.degree_in(k))
+        # a zero-dimensional fibre holds a nonzero polynomial in each coordinate alone
+        uni = eliminate(fiber, set(range(m)) - {k})
+        g = min(uni.gens, key=lambda p: p.degree_in(k))
         if squarefree_part_degree(g, k) >= 2:
             return PointStatus("UNDEFINED")
     return PointStatus("UNKNOWN")

@@ -204,6 +204,20 @@ def test_empty_by_combination():
     assert is_empty_variety(ideal(["x"], "x^2", "x-1"))
 
 
+# -- dimension -------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("names, gens, dim", [
+    (["x", "y"], ["x-1", "x"], -1),  # the unit ideal
+    (["x", "y", "z"], [], 3),  # the zero ideal
+    (["x", "y"], ["x*y"], 1),  # two crossing lines
+    (["x", "y", "z"], ["y-x^2", "z-x^3"], 1),  # the twisted cubic
+    (["x", "y"], ["x^2", "y"], 0),  # a double point
+])
+def test_dimension_by_hand(names, gens, dim):
+    assert ideals.dimension(ideal(names, *gens)) == dim
+
+
 # -- other utilities -------------------------------------------------------------
 
 

@@ -1,6 +1,7 @@
 import ast
 import itertools
 import random
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -128,6 +129,64 @@ def test_graph_closure_of_blown_up_translation_contains_limit_line(rho1):
     # the line u=-1, t=0, u'=0 (t' free) consists of limit points of the graph
     line = Ideal(4, [gc("u+1"), gc("t"), gc("u'")])
     assert all(line.contains(g) for g in graph.ideal.gens)
+
+
+def _spy_saturate(monkeypatch):
+    calls = []
+    real = weilreg.maps.saturate
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(weilreg.maps, "saturate", spy)
+    return calls
+
+
+def test_graph_closure_saturates_where_the_boundary_is_too_big(plane, monkeypatch):
+    # J = (x*x' - y, x*y' - y): J + (x) = (x, y) has dimension 2 = dim A^2
+    saturations = _spy_saturate(monkeypatch)
+    graph = graph_closure(rational_map(plane, plane, ("y/x", "y/x")))
+    assert len(saturations) == 1
+    assert graph.ideal.contains(gp("x'-y'"))
+    assert graph.ideal == Ideal(4, [gp("x*y'-y"), gp("x'-y'")])
+
+
+def test_graph_closure_saturates_over_a_redundant_generator(monkeypatch):
+    saturations = _spy_saturate(monkeypatch)
+    lean = variety(["x", "y"], "x^2+y^2-1")
+    redundant = variety(["x", "y"], "x^2+y^2-1", "x^3+x*y^2-x")
+    closures = []
+    for X in (lean, redundant):
+        closures.append(graph_closure(rational_map(X, affine_space(["x", "y"]), ("1/x", "y"))).ideal)
+        # the circle counts 2 - 1 = 1 = its dimension; with a redundant generator it counts 0
+        assert len(saturations) == len(closures) - 1
+    assert closures[0] == closures[1]
+
+
+def test_graph_closures_of_mapcalc_maps_need_no_saturation(monkeypatch):
+    # one map of each of the benchmark's fifteen mapcalc shapes, seed 1
+    root = Path(__file__).resolve().parents[1]
+    sys.path.insert(0, str(root / "bench"))
+    import workloads
+
+    saturations = _spy_saturate(monkeypatch)
+    first = [s for s in workloads.generate("mapcalc", 1, root)
+             if int(s.name.split("_")[1]) < len(workloads.MAPCALC_SHAPES)]
+    assert len(first) == 15
+    for session in first:
+        texts = session.expect["f"]
+        X = affine_space(workloads.VARS[:len(texts)])
+        phi = rational_map(X, X, texts)
+        closure = graph_closure(phi)
+        amb = closure.ambient
+        J = Ideal(amb.arity, [amb.embed_left(f.den) * Polynomial.variable(amb.arity, j) - amb.embed_left(f.num)
+                              for j, f in zip(amb.right_indices, phi.reps[0])])
+        d = Polynomial.one(amb.arity)
+        for f in phi.reps[0]:
+            d = d * amb.embed_left(f.den)
+        assert closure.ideal == weilreg.ideals.saturate(J, d), texts
+    assert not saturations
 
 
 # -- closed image / dominance --------------------------------------------------------

@@ -399,6 +399,22 @@ def test_cremona_atlas_on_torus(cremona_action):
     assert report.all_passed()
 
 
+def test_a_finite_action_may_give_two_elements_one_map_object():
+    # Z/6 acting through Z/3 by (y, 1/(x*y)), with elements 1 and 4 sharing one map object
+    plane = affine_space(["x", "y"])
+    powers = [("x", "y"), ("y", "1/(x*y)"), ("1/(x*y)", "x")]
+    elements = tuple(str(k) for k in range(6))
+    G = finite_group(elements, {(g, h): str((int(g) + int(h)) % 6) for g in elements for h in elements})
+    reports = []
+    for shared in (False, True):
+        maps = {g: rational_map(plane, plane, powers[int(g) % 3]) for g in elements}
+        if shared:
+            maps["4"] = maps["1"]
+        reports.append(check_atlas(build_atlas(make_rational_action(G, plane, maps), list(elements))))
+    assert reports[1] == reports[0]
+    assert reports[1].symmetry == {"passed": True, "failures": []}
+
+
 def test_covering_certificate_matches_derived_ideal():
     # the shifted complement generators of the blow-up two-chart atlas reduce,
     # after discarding the exceptional factor, to an inconsistent linear pair

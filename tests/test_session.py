@@ -400,14 +400,14 @@ def _zeroed(records, name):
 
 
 def test_step_budget_bounds_a_whole_statement():
-    # `cmd regularize inv2` runs 52 S-pairs over several bases, the largest 45 of them
+    # `cmd regularize inv2` runs 61 S-pairs over several bases, the largest 45 of them
     session = parse_session(_session_file("cremona"))
-    records = run_session(session, max_steps=51)
+    records = run_session(session, max_steps=60)
     exceeded = [r for r in records if r["status"] != "ok"]
     assert [(r["command"], r["status"], r["payload"]["reason"]) for r in exceeded] == [
         ("cmd regularize inv2", "error", "BudgetExceeded")]
-    assert exceeded[0]["payload"]["message"] == "groebner step budget exceeded: 52 > 51"
-    assert all(r["status"] == "ok" for r in run_session(session, max_steps=52))
+    assert exceeded[0]["payload"]["message"] == "groebner step budget exceeded: 61 > 60"
+    assert all(r["status"] == "ok" for r in run_session(session, max_steps=61))
 
 
 @pytest.mark.parametrize("name", GOLDEN_SESSIONS)

@@ -2,6 +2,7 @@
 an independent implementation.  Skipped where sympy is not installed; it is
 a test-only dependency."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -9,7 +10,7 @@ import pytest
 
 from weilreg import GREVLEX, LEX, Ideal, Polynomial, block_order, eliminate, saturate
 from weilreg.errors import NotBirational
-from weilreg.ideals import buchberger
+from weilreg.ideals import buchberger, dimension
 from weilreg.maps import closed_image, graph_closure, inverse, make_rational_map, rational_map
 from weilreg.ratfunc import RationalFunction
 from weilreg.varieties import affine_space, variety
@@ -51,6 +52,30 @@ def test_reduced_bases_equal_sympy(order, name):
         ours = {g.monic(order) for g in buchberger(gens, order)}
         theirs = sympy.groebner([to_sympy(g, xs) for g in gens], *xs, order=name, domain="QQ")
         assert ours == {from_sympy(g, xs).monic(order) for g in theirs.exprs}, (gens, name)
+
+
+def test_dimension_agrees_with_sympy_leading_monomials():
+    """`dimension` against sympy's grevlex basis of the same ideal: the
+    arity minus the fewest variables meeting every leading monomial, found
+    by trying every variable subset, smallest first; -1 for the unit ideal."""
+    rng = random.Random(20261020)
+    for _ in range(150):
+        arity = rng.randrange(2, 5)
+        gens = []
+        for _ in range(rng.randrange(1, arity + 1)):
+            g = random_polynomial(rng, arity, 2, max_terms=3, coeff_bound=3)
+            if not g.is_zero():
+                gens.append(g)
+        xs = _symbols(arity)
+        basis = sympy.groebner([to_sympy(g, xs) for g in gens], *xs, order="grevlex", domain="QQ")
+        leads = [sympy.Poly(g, *xs).monoms(order="grevlex")[0] for g in basis.exprs]
+        if (0,) * arity in leads:
+            expected = -1
+        else:
+            expected = arity - next(size for size in range(arity + 1)
+                                    for meet in itertools.combinations(range(arity), size)
+                                    if all(any(lead[i] for i in meet) for lead in leads))
+        assert dimension(Ideal(arity, gens)) == expected, gens
 
 
 def test_eliminate_agrees_with_sympy_lex_elimination():
