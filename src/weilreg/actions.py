@@ -2,29 +2,21 @@
 
 A parametric action is a rational map G x X -> X validated against the
 identity and associativity laws; a finite action is one birational map per
-group element validated against the multiplication table.  The module
-computes the lifted product map (g, x) |-> (g, rho(g, x)), its inverse, and
-the locus of G-regular points.
+group element validated against the multiplication table.  Every law is a
+`ratfunc.residue` of pulled-back coordinates: no law builds a map.  The
+module computes the lifted product map (g, x) |-> (g, rho(g, x)), its
+inverse, and the locus of G-regular points.
 """
 
 from dataclasses import dataclass
 from .errors import EmptyLocus, NotAnAction, NotApplicable, RoundTripFailure, ZeroDenominator
 from .groups import AlgebraicGroup
 from .ideals import Ideal, memoized
-from .maps import (
-    RationalMap,
-    _pair_inverses,
-    biregular_locus,
-    compose,
-    identity_map,
-    make_rational_map,
-    maps_equal,
-    point_status,
-)
+from .maps import RationalMap, _pair_inverses, biregular_locus, make_rational_map, point_status
 from .orders import block_order
 from .poly import Polynomial
-from .ratfunc import FractionImages, RationalFunction, compose_poly, reduced_fraction
-from .varieties import AffineVariety, OpenSubset, ProductAmbient, format_point
+from .ratfunc import FractionImages, RationalFunction, compose_poly, pullback, reduced_fraction, residue
+from .varieties import AffineVariety, OpenSubset, ProductAmbient, format_point, varieties_equal
 
 
 @dataclass
@@ -92,9 +84,9 @@ def make_rational_action(group: AlgebraicGroup, space: AffineVariety, rho) -> Ra
     """Validate the action laws and build the action.
 
     Parametric: rho is a rational map on the product of the group and the
-    space; identity and associativity are checked as exact rational-map
-    identities.  Finite: rho is a mapping element -> RationalMap; the
-    homomorphism law is proved on every pair.
+    space; identity and associativity are checked as exact identities.
+    Finite: rho maps each element to a rational self-map of the space; the
+    identity law and the homomorphism law on every pair are proved.
     """
     if group.is_finite:
         action = RationalAction(group, space, maps=rho)
@@ -103,22 +95,22 @@ def make_rational_action(group: AlgebraicGroup, space: AffineVariety, rho) -> Ra
     action = RationalAction(group, space, rho=rho)
     if rho.source.names != action.ambient.names or rho.target.names != space.names:
         raise NotAnAction("shape", "the map must go from the group-space product to the space")
-    _validate_identity_law(action)
+    try:
+        rho_e = _specialize_raw(action, group.identity_point())
+    except ZeroDenominator as err:
+        raise NotAnAction("identity", str(err))
+    _validate_identity_law(action, rho_e)
     _validate_associativity_law(action)
     return action
 
 
-def _validate_identity_law(action: RationalAction):
-    e = action.group.identity_point()
-    try:
-        at_e = _specialize_raw(action, e)
-    except ZeroDenominator as err:
-        raise NotAnAction("identity", str(err))
-    ident = identity_map(action.space)
-    if not maps_equal(at_e, ident):
-        k = next(i for i, (a, b) in enumerate(zip(at_e.reps[0], ident.reps[0])) if not a.equals(b))
-        residue = at_e.reps[0][k].num - at_e.reps[0][k].den * Polynomial.variable(action.space.arity, k)
-        raise NotAnAction("identity", residue=action.space.format(action.space.ideal.normal_form(residue)))
+def _validate_identity_law(action: RationalAction, rho_e: RationalMap):
+    """rho_e = id on X; the first nonzero residue x_k o rho_e - x_k is the failure's."""
+    X = action.space
+    for k, f in enumerate(rho_e.reps[0]):
+        r = residue(X, f.fraction_pair(), (Polynomial.variable(X.arity, k), Polynomial.one(X.arity)))
+        if not r.is_zero():
+            raise NotAnAction("identity", residue=X.format(r))
 
 
 def _validate_associativity_law(action: RationalAction):
@@ -130,25 +122,27 @@ def _validate_associativity_law(action: RationalAction):
             action.space, [f.fraction_pair() for f in action.rho.reps[0]])
     except ZeroDenominator:
         raise NotAnAction("associativity", "law is not checkable with this representative")
-    residue = next((r for r in residues if not r.is_zero()), None)
-    if residue is not None:
-        raise NotAnAction("associativity", residue=big.format(residue.primitive()))
+    r = next((r for r in residues if not r.is_zero()), None)
+    if r is not None:
+        raise NotAnAction("associativity", residue=big.format(r.primitive()))
 
 
 def _validate_finite_action(action: RationalAction):
-    """rho_g o rho_h = rho_gh, composed only where e is not among g, h, gh:
+    """rho_g o rho_h = rho_gh, proved only where e is not among g, h, gh:
     rho_e = id settles g = e and h = e, and pairing rho_g with rho_g^-1
-    proves both round trips, which settles gh = e."""
+    proves both round trips, which settles gh = e.  The rest pull rho_g back
+    along rho_h, paired and so dominant, and take residues against rho_gh."""
     G, X, maps = action.group, action.space, action.maps
     if set(maps) != set(G.elements):
         raise NotAnAction("homomorphism", "need exactly one map per group element")
     seen = set()  # one map object per element, so no pairing overwrites another's inverse
     for g, m in maps.items():
+        if not (varieties_equal(m.source, X) and varieties_equal(m.target, X)):
+            raise NotAnAction("shape", f"the map of {g} must go from the space to itself")
         maps[g] = RationalMap(m.source, m.target, m.reps) if m in seen else m
         seen.add(m)
     e = G.identity_point()
-    if not maps_equal(maps[e], identity_map(X)):
-        raise NotAnAction("identity", "the identity element does not act as the identity map")
+    _validate_identity_law(action, maps[e])
     # attach inverses so every element map is certified birational
     for g in G.elements:
         g_inv = G.invert_point(g)
@@ -157,7 +151,9 @@ def _validate_finite_action(action: RationalAction):
     for g in G.elements:
         for h in G.elements:
             gh = G.table[(g, h)]
-            if e not in (g, h, gh) and not maps_equal(compose(maps[h], maps[g]), maps[gh]):
+            if e not in (g, h, gh) and any(
+                    not residue(X, pullback(X, f.num, f.den, maps[h].images()), f_gh.fraction_pair()).is_zero()
+                    for f, f_gh in zip(maps[g].reps[0], maps[gh].reps[0])):
                 raise NotAnAction("homomorphism", f"map of {g}*{h} differs from the composition")
 
 

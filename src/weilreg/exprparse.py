@@ -105,12 +105,27 @@ class FractionExprParser:
     over the named variables, with `expr()`.  Fractions are kept exactly as
     written; cancellation is the caller's explicit choice."""
 
+    # parentheses and unary minuses open at once: each level costs a few
+    # frames, so deeper input is refused well inside the recursion limit
+    MAX_NESTING = 100
+
     def __init__(self, stream: TokenStream, names):
         self.stream = stream
         self.names = list(names)
         self.index = {name: i for i, name in enumerate(self.names)}
         self.arity = len(self.names)
         self.one = Polynomial.one(self.arity)
+        self.depth = 0
+
+    def _nested(self, tok, parse):
+        """parse() one nesting level deeper, opened by tok."""
+        if self.depth == self.MAX_NESTING:
+            raise SessionSyntaxError(
+                f"expression nested deeper than {self.MAX_NESTING} levels", tok.line, tok.column)
+        self.depth += 1
+        value = parse()
+        self.depth -= 1
+        return value
 
     # fraction pair helpers
     def _times(self, p, q):
@@ -150,8 +165,7 @@ class FractionExprParser:
 
     def unary(self):
         if self.stream.at("-"):
-            self.stream.next()
-            num, den = self.unary()
+            num, den = self._nested(self.stream.next(), self.unary)
             return (-num, den)
         return self.power()
 
@@ -177,8 +191,7 @@ class FractionExprParser:
             self.stream.next()
             return (Polynomial.variable(self.arity, self.index[tok.text]), self.one)
         if tok.kind == "(":
-            self.stream.next()
-            value = self.expr()
+            value = self._nested(self.stream.next(), self.expr)
             self.stream.expect(")")
             return value
         raise SessionSyntaxError(

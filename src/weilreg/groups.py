@@ -10,7 +10,7 @@ from fractions import Fraction
 
 from .errors import AxiomFailure, PointNotOnGroup
 from .poly import Polynomial
-from .ratfunc import FractionImages, compose_poly, pullback
+from .ratfunc import FractionImages, compose_poly, pullback, residue
 from .varieties import ProductAmbient, affine_space, format_point, variety
 
 
@@ -93,25 +93,18 @@ class AlgebraicGroup:
             if not G.ideal.contains(compose_poly(gen, inv)[0]):
                 raise AxiomFailure(f"inversion does not land in the group: relation {G.format(gen)}")
         coords = [Polynomial.variable(r, i) for i in range(r)]
-        right_identity = FractionImages(coords + [Polynomial.constant(r, c) for c in self.identity])
-        # m(e, g) = g and m(g, e) = g
-        for i, mi in enumerate(self.mult):
-            left = mi.specialize(self.identity)
-            right = compose_poly(mi, right_identity)[0]
-            if not G.ideal.contains(left - coords[i]):
-                raise AxiomFailure(f"left identity law fails in coordinate {G.names[i]}")
-            if not G.ideal.contains(right - coords[i]):
-                raise AxiomFailure(f"right identity law fails in coordinate {G.names[i]}")
-        # m(inv(g), g) = e
-        inv_then_g = FractionImages(list(self.inv) + coords)
-        for i, mi in enumerate(self.mult):
-            val = compose_poly(mi, inv_then_g)[0]
-            if not G.ideal.contains(val - Polynomial.constant(r, self.identity[i])):
-                raise AxiomFailure(f"inverse law fails in coordinate {G.names[i]}")
-        one = Polynomial.one(2 * r)
-        _, residues = self.associativity_residues(G, [(mi, one) for mi in self.mult])
-        for i, residue in enumerate(residues):
-            if not residue.is_zero():
+        e, one = [Polynomial.constant(r, c) for c in self.identity], Polynomial.one(r)
+        # m(e, g) = g, m(g, e) = g and m(inv(g), g) = e
+        laws = (("left identity", e + coords, coords), ("right identity", coords + e, coords),
+                ("inverse", list(self.inv) + coords, e))
+        for law, images, expected in laws:
+            images = FractionImages(images)
+            for i, mi in enumerate(self.mult):
+                if not residue(G, compose_poly(mi, images), (expected[i], one)).is_zero():
+                    raise AxiomFailure(f"{law} law fails in coordinate {G.names[i]}")
+        _, residues = self.associativity_residues(G, [(mi, Polynomial.one(2 * r)) for mi in self.mult])
+        for i, res in enumerate(residues):
+            if not res.is_zero():
                 raise AxiomFailure(f"associativity fails in coordinate {G.names[i]}")
 
     def associativity_residues(self, space, rho):
@@ -127,11 +120,8 @@ class AlgebraicGroup:
         inner = [(big.embed_right(num), big.embed_right(den)) for num, den in rho]
         sides = (FractionImages(coords[:r] + inner),
                  FractionImages([mi.embed(n, list(range(2 * r))) for mi in self.mult] + coords[2 * r:]))
-        residues = []
-        for num, den in rho:
-            (lnum, lden), (rnum, rden) = (pullback(big.variety, num, den, side) for side in sides)
-            residues.append(big.variety.ideal.normal_form(lnum * rden - rnum * lden))
-        return big.variety, residues
+        return big.variety, [residue(big.variety, *(pullback(big.variety, num, den, side) for side in sides))
+                             for num, den in rho]
 
     # -- rational points ----------------------------------------------------------
 

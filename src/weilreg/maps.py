@@ -26,8 +26,8 @@ from .errors import (
 from .ideals import Ideal, dimension, eliminate, memoized, saturate
 from .orders import GREVLEX, block_order
 from .poly import Polynomial
-from .polygcd import squarefree_part_degree
-from .ratfunc import FractionImages, RationalFunction, compose_poly, pullback, reduced_fraction
+from .polygcd import squarefree_part
+from .ratfunc import FractionImages, RationalFunction, compose_poly, pullback, reduced_fraction, residue
 from .varieties import AffineVariety, OpenSubset, ProductAmbient, varieties_equal
 
 
@@ -218,13 +218,13 @@ def maps_equal(phi: RationalMap, psi: RationalMap) -> bool:
 def _roundtrip_is_identity(phi: RationalMap, psi: RationalMap) -> bool:
     """psi o phi = id on phi's source, by direct substitution."""
     src = phi.source
-    images = phi.images()
+    images, one = phi.images(), Polynomial.one(src.arity)
     for k, f in enumerate(psi.reps[0]):
         try:
-            num, den = pullback(src, f.num, f.den, images)
+            pair = pullback(src, f.num, f.den, images)
         except ZeroDenominator:
             return False
-        if not src.ideal.contains(num - Polynomial.variable(src.arity, k) * den):
+        if not residue(src, pair, (Polynomial.variable(src.arity, k), one)).is_zero():
             return False
     return True
 
@@ -233,7 +233,8 @@ def _pair_inverses(a: RationalMap, b: RationalMap, error: Exception) -> None:
     """Record a and b as mutually inverse birational maps once both round
     trips are proved by exact substitution; raise error, recording nothing,
     if either fails.  The only place a map is paired with its inverse: it
-    writes both maps' `inverse` and `is_dominant` memo entries.
+    writes both maps' `inverse` and `is_dominant` memo entries, and a pair
+    it has already recorded is not proved again.
 
     b o a = id is always proved.  a o b = id follows from it, and is not
     substituted, when b is a or when a is already proved dominant: then
@@ -242,6 +243,8 @@ def _pair_inverses(a: RationalMap, b: RationalMap, error: Exception) -> None:
     nonzero after substituting b: D(b) pulls back along a to D, which is
     nonzero on the source.  (A dominant map from an irreducible source has
     an irreducible target, so k(Y) is a field.)"""
+    if a.memo.get(("inverse", ())) is b:
+        return
     dominant = a.memo.get(("is_dominant", ()))
     if not (_roundtrip_is_identity(a, b) and (b is a or dominant or _roundtrip_is_identity(b, a))):
         raise error
@@ -386,6 +389,6 @@ def point_status(phi: RationalMap, point) -> PointStatus:
         # a zero-dimensional fibre holds a nonzero polynomial in each coordinate alone
         uni = eliminate(fiber, set(range(m)) - {k})
         g = min(uni.gens, key=lambda p: p.degree_in(k))
-        if squarefree_part_degree(g, k) >= 2:
+        if squarefree_part(g).degree_in(k) >= 2:  # two distinct roots
             return PointStatus("UNDEFINED")
     return PointStatus("UNKNOWN")

@@ -216,12 +216,3 @@ def squarefree_part(f: Polynomial) -> Polynomial:
         g, cofactor, _ = poly_gcd(g, derivative(f, var))
         quotient = quotient * cofactor
     return quotient.primitive()
-
-
-def squarefree_part_degree(f: Polynomial, var: int) -> int:
-    """Number of distinct roots (over the closure) of a nonzero univariate
-    polynomial in the given variable: deg f - deg gcd(f, f')."""
-    d = f.degree_in(var)
-    if d <= 0:
-        return 0
-    return d - poly_gcd(f, derivative(f, var))[0].degree_in(var)

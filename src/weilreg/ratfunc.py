@@ -2,8 +2,9 @@
 substitution machinery used to compose coordinate expressions.
 
 Numerator and denominator are kept exactly as supplied; use ``simplified``
-where a canonical representative is wanted.  Equality is cross-multiplication
-modulo the host ideal, so un-simplified representatives compare correctly.
+where a canonical representative is wanted.  Every identity in k(X) is one
+`residue`, lnum*rden - rnum*lden modulo the host ideal, so un-simplified
+representatives compare correctly.
 
 Every substitution, of polynomials or of fractions, runs on one tuple of
 images held as a `FractionImages`: a polynomial image q is the fraction q/1,
@@ -104,6 +105,13 @@ def pullback(host: AffineVariety, num: Polynomial, den: Polynomial, images: Frac
     return num, den
 
 
+def residue(host: AffineVariety, lhs, rhs) -> Polynomial:
+    """The normal form on host of lnum*rden - rnum*lden: zero exactly when the
+    fraction pairs lhs = (lnum, lden) and rhs = (rnum, rden) agree in k(host)."""
+    (lnum, lden), (rnum, rden) = lhs, rhs
+    return host.ideal.normal_form(lnum * rden - rnum * lden)
+
+
 def reduced_fraction(host: AffineVariety, num: Polynomial, den: Polynomial) -> "RationalFunction":
     """num/den on host, with both sides reduced modulo the host ideal and the
     common factor cancelled; ZeroDenominator if den vanishes on the host."""
@@ -161,8 +169,7 @@ class RationalFunction:
         return reduced_fraction(self.host, self.num, self.den)
 
     def equals(self, other: "RationalFunction") -> bool:
-        cross = self.num * other.den - other.num * self.den
-        return self.host.ideal.contains(cross)
+        return residue(self.host, self.fraction_pair(), other.fraction_pair()).is_zero()
 
     def evaluate(self, point) -> Fraction:
         point = self.host.require_point(point)

@@ -24,7 +24,7 @@ from .actions import specialize
 from .errors import NotAnAction, NotApplicable, RoundTripFailure
 from .maps import RationalMap, _pair_inverses, closed_image, make_rational_map
 from .poly import Polynomial
-from .ratfunc import RationalFunction, compose_poly, pullback
+from .ratfunc import RationalFunction, compose_poly, pullback, residue
 from .varieties import AffineVariety, affine_space, product_names
 
 
@@ -123,8 +123,7 @@ def regularize_finite(action) -> RegularModel:
     for g, coords in endos.items():
         rho_images = specialize(action, g).images()
         for l, f in enumerate(psi_inv.reps[0]):
-            lnum, lden = pullback(X, f.num, f.den, rho_images)
-            rnum, rden = compose_poly(coords[l], psi_inv_images)
-            if not X.ideal.contains(lnum * rden - rnum * lden):
+            lhs = pullback(X, f.num, f.den, rho_images)
+            if not residue(X, lhs, compose_poly(coords[l], psi_inv_images)).is_zero():
                 raise NotAnAction("equivariance", f"fails for {g} at generator {model.names[l]}")
     return RegularModel(model, endos, psi, psi_inv)

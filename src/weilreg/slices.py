@@ -32,7 +32,7 @@ from .linalg import mat_inverse
 from .maps import RationalMap
 from .orders import block_order
 from .poly import Polynomial
-from .ratfunc import RationalFunction
+from .ratfunc import RationalFunction, residue
 from .varieties import AffineVariety, ProductAmbient, format_point
 
 
@@ -157,11 +157,11 @@ def certify_regular(split: ProductAmbient, fraction: RationalFunction,
         slices.append(poly)
     # slice j is sum_i h_i(x_j) f_i/f^k, so row i of the transposed inverse solves for f_i/f^k
     coeffs = [list(column) for column in zip(*mat_inverse(matrix))]
-    f_power = denominator ** dec.power
+    f_power, one = denominator ** dec.power, Polynomial.one(Y.arity)
     solved = []
     for i in range(len(h)):
         r_i = Y.ideal.normal_form(sum(map(Polynomial.scale, slices, coeffs[i]), Polynomial.zero(Y.arity)))
-        if not Y.ideal.contains(f_parts[i] - r_i * f_power):
+        if not residue(Y, (f_parts[i], f_power), (r_i, one)).is_zero():
             raise NonPolynomialResidue(
                 f"component {i}: {f_parts[i]} over f^{dec.power} is not regular"
             )
@@ -169,8 +169,7 @@ def certify_regular(split: ProductAmbient, fraction: RationalFunction,
     total = sum((split.embed_left(hi) * split.embed_right(ri) for hi, ri in zip(h, solved)),
                 Polynomial.zero(split.arity))
     total = split.variety.ideal.normal_form(total)
-    cross = total * fraction.den - fraction.num
-    if not split.variety.ideal.contains(cross):
+    if not residue(split.variety, (total, Polynomial.one(split.arity)), fraction.fraction_pair()).is_zero():
         raise NonPolynomialResidue("reassembled polynomial does not equal the fraction")
     dec.samples = points
     dec.matrix = matrix

@@ -91,6 +91,17 @@ def test_non_decimal_digit_exits_two_without_a_traceback(tmp_path):
     assert result.stderr == "weilreg: unexpected character '²' at line 3, column 21\n"
 
 
+def test_a_deeply_nested_point_exits_two_without_a_traceback(tmp_path):
+    session = tmp_path / "deep.wr"
+    point = "(" * 200 + "1" + ")" * 200
+    session.write_text((SESSIONS / "blowup_atlas.wr").read_text(encoding="utf-8")
+                       + f"cmd atlas rho S=(0, {point})\n", encoding="utf-8")
+    result = run_cli("run", str(session))
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert result.stderr == "weilreg: expression nested deeper than 100 levels at line 8, column 122\n"
+
+
 def test_non_utf8_session_exits_two_without_a_traceback(tmp_path):
     session = tmp_path / "latin1.wr"
     session.write_bytes("var x\n# caf\u00e9\n".encode("latin-1"))

@@ -1,8 +1,9 @@
+import sys
 from fractions import Fraction
 
 import pytest
 
-from weilreg import GREVLEX, Ideal, Polynomial
+from weilreg import GREVLEX, Ideal, Polynomial, parse_polynomial
 from weilreg.errors import (
     AxiomFailure,
     EmptyLocus,
@@ -66,6 +67,17 @@ def test_axiom_failure_detected():
     bad_mult = [Polynomial.variable(2, 0) + Polynomial.variable(2, 1) + Polynomial.one(2)]
     with pytest.raises(AxiomFailure):
         make_group(line, bad_mult, [-Polynomial.variable(1, 0)], (0,))
+
+
+@pytest.mark.parametrize("mult, inv, law", [
+    ("a+2*b", "-s", "left identity"),
+    ("2*a+b", "-s", "right identity"),
+    ("a+b", "s", "inverse"),
+])
+def test_each_group_identity_law_names_itself(mult, inv, law):
+    line, pair = affine_space(["s"]), ["a", "b"]
+    with pytest.raises(AxiomFailure, match=f"^{law} law fails in coordinate s$"):
+        make_group(line, [parse_polynomial(mult, pair)], [parse_polynomial(inv, ["s"])], (0,))
 
 
 def test_associativity_failure_detected():
@@ -184,24 +196,60 @@ def test_prose_failure_carries_no_residue():
 ])
 def test_a_finite_action_composes_only_the_unsettled_pairs(images, pairs, monkeypatch):
     # the golden Z/4 rotation and the Cremona Z/2: e in {g, h, gh} is settled by
-    # the identity map and by the inverse pairing, so only the other pairs compose
+    # the identity law and by the inverse pairing, so only the other pairs are
+    # proved, by pulling rho_g's coordinates back along rho_h; no map is
+    # composed, and no pairing is proved twice: the identity map came paired,
+    # and each other element costs one round trip (a and c share two)
     X = affine_space(["x", "y"])
     elements = ("e", "a", "b", "c")[:len(images) + 1]
     n = len(elements)
     G = finite_group(elements, {(g, h): elements[(i + j) % n]
                                 for i, g in enumerate(elements) for j, h in enumerate(elements)})
     maps = {"e": identity_map(X)} | {g: rational_map(X, X, rep) for g, rep in zip(elements[1:], images)}
-    name = {id(m): g for g, m in maps.items()}
-    composed = []
-    real = weilreg.actions.compose
+    owner = {id(f.num): g for g, m in maps.items() for f in m.reps[0]}
+    along = {id(m.images()): h for h, m in maps.items()}
+    substituted, composed, proved = [], [], []
+    real_pullback, real_compose = weilreg.actions.pullback, weilreg.maps.compose
+    real_roundtrip = weilreg.maps._roundtrip_is_identity
 
-    def spy(phi, psi):
-        composed.append((name[id(psi)], name[id(phi)]))
-        return real(phi, psi)
+    def spy(host, num, den, images):
+        substituted.append((owner[id(num)], along[id(images)]))
+        return real_pullback(host, num, den, images)
 
-    monkeypatch.setattr(weilreg.actions, "compose", spy)
+    def roundtrip(phi, psi):
+        proved.append((phi, psi))
+        return real_roundtrip(phi, psi)
+
+    monkeypatch.setattr(weilreg.actions, "pullback", spy)
+    monkeypatch.setattr(weilreg.maps, "_roundtrip_is_identity", roundtrip)
+    for module in [m for name, m in sys.modules.items() if name.startswith("weilreg")]:
+        if getattr(module, "compose", None) is real_compose:
+            monkeypatch.setattr(module, "compose", lambda phi, psi: composed.append((phi, psi)))
     make_rational_action(G, X, maps)
-    assert composed == pairs
+    assert list(dict.fromkeys(substituted)) == pairs
+    assert not composed and len(proved) == len(images)
+
+
+@pytest.mark.parametrize("space", [affine_space(["u", "v"]), variety(["x", "y"], "x*y-1")])
+def test_a_finite_action_refuses_an_element_map_of_another_space(space):
+    # another plane, or the torus under the plane's own names: an element map
+    # must go from the acted-on space to itself
+    X = affine_space(["x", "y"])
+    u, v = space.names
+    sig = rational_map(space, space, (f"1/{u}", f"1/{v}"))
+    with pytest.raises(NotAnAction) as err:
+        make_rational_action(cyclic_group_2(("e", "sig")), X, {"e": identity_map(X), "sig": sig})
+    assert err.value.law == "shape"
+
+
+def test_a_finite_identity_element_that_moves_a_point_fails_with_its_residue():
+    # only the Python API reaches this: a session's identity map is implied
+    X = affine_space(["x", "y"])
+    G = cyclic_group_2(("e", "sig"))
+    flip = rational_map(X, X, ("y", "x"))
+    with pytest.raises(NotAnAction) as err:
+        make_rational_action(G, X, {"e": rational_map(X, X, ("x", "2*y")), "sig": flip})
+    assert err.value.law == "identity" and err.value.residue == "y"
 
 
 def test_non_homomorphism_finite_rejected():

@@ -247,6 +247,20 @@ def test_compose_associativity(chart, rho1):
     assert maps_equal(left, right)
 
 
+def test_only_the_compose_command_and_the_cocycle_check_call_compose():
+    src = Path(weilreg.maps.__file__).resolve().parent
+    callers = set()
+    for path in src.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                func = node.func
+                if (func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)) == "compose":
+                    callers.add(path.name)
+    # every identity of rational maps is a residue in k(X) on pulled-back
+    # coordinates; only a caller that wants the composite map builds one
+    assert callers == {"sessions.py", "atlas.py"}
+
+
 # -- maps_equal -------------------------------------------------------------------------
 
 
@@ -309,6 +323,7 @@ def test_an_involution_pairs_with_itself_after_one_round_trip(monkeypatch):
     monkeypatch.setattr(weilreg.maps, "_roundtrip_is_identity", lambda a, b: trips.append(1) or real(a, b))
     flip = rational_map(line, line, ("1/x",))
     _pair_inverses(flip, flip, RoundTripFailure("not an involution"))
+    _pair_inverses(flip, flip, RoundTripFailure("not an involution"))  # recorded: not proved again
     assert inverse(flip) is flip and len(trips) == 1
     doubling = rational_map(line, line, ("2*x",))
     with pytest.raises(RoundTripFailure):
@@ -467,10 +482,12 @@ def test_only_the_memo_writers_read_a_memo_entry_by_key():
     sites = {(path.name,) + site for path in src.glob("*.py")
              for site in _memo_reads(ast.parse(path.read_text()))}
     # the memo helper returns a stored entry, and _pair_inverses reads the
-    # dominance it may rely on; every other module asks the memoized function
-    # (copying a memo whole, as a restriction does, reads no entry by key)
+    # pairing it may already have recorded and the dominance it may rely on;
+    # every other module asks the memoized function (copying a memo whole, as
+    # a restriction does, reads no entry by key)
     assert sites == {
         ("ideals.py", "cached", "entry"),
+        ("maps.py", "_pair_inverses", "('inverse', ())"),
         ("maps.py", "_pair_inverses", "('is_dominant', ())"),
     }
 

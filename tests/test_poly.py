@@ -8,7 +8,7 @@ from weilreg.errors import ArityMismatch
 from weilreg.orders import block_order
 from weilreg.poly import format_polynomial
 from weilreg.ideals import reduce_full
-from weilreg.polygcd import divide_exact, poly_gcd, simplify_fraction, squarefree_part_degree
+from weilreg.polygcd import divide_exact, poly_gcd, simplify_fraction, squarefree_part
 from weilreg.ratfunc import FractionImages, compose_poly
 
 from oracles import random_polynomial
@@ -204,6 +204,7 @@ def test_simplify_fraction_cancels_and_normalises():
 
 def test_squarefree_part_degree():
     f = parse_polynomial("(x-1)^2*(x-2)", ["x"])
-    assert squarefree_part_degree(f, 0) == 2
-    assert squarefree_part_degree(parse_polynomial("x^3", ["x"]), 0) == 1
-    assert squarefree_part_degree(parse_polynomial("5", ["x"]), 0) == 0
+    # the number of distinct roots of a polynomial in one variable
+    assert squarefree_part(f).degree_in(0) == 2
+    assert squarefree_part(parse_polynomial("x^3", ["x"])).degree_in(0) == 1
+    assert squarefree_part(parse_polynomial("5", ["x"])).degree_in(0) == 0

@@ -23,7 +23,6 @@ from weilreg.polygcd import (
     poly_gcd,
     simplify_fraction,
     squarefree_part,
-    squarefree_part_degree,
 )
 
 from oracles import divide_exact as oracle_divide_exact, random_polynomial
@@ -228,4 +227,4 @@ def test_squarefree_part_degree_counts_distinct_roots():
         f = random_polynomial(rng, 1, 4, coeff_bound=9)
         f = f * f * random_polynomial(rng, 1, 2, coeff_bound=9)
         if f.total_degree() > 0:
-            assert squarefree_part_degree(f, 0) == sympy.Poly(to_sympy(f, [x]), x).sqf_part().degree()
+            assert squarefree_part(f).degree_in(0) == sympy.Poly(to_sympy(f, [x]), x).sqf_part().degree()

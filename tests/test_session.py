@@ -196,6 +196,21 @@ def test_any_decimal_digit_is_an_int():
     assert record["payload"]["coordinates"] == ["x^3"]
 
 
+@pytest.mark.parametrize("expr, status", [
+    ("(" * 100 + "x" + ")" * 100, "ok"),
+    ("(" * 200 + "x" + ")" * 200, "error"),
+    ("-" * 1000 + "x", "error"),
+])
+def test_nesting_past_the_bound_is_a_positioned_error_record(expr, status):
+    # each level is a few interpreter frames: past the bound the parser stops
+    # at the opening token, before the interpreter's recursion limit does
+    record = run_session(parse_session(f"var x\nvariety X = affine(x)\nmap f : X -> X = ({expr})\n"))[-1]
+    assert record["status"] == status
+    if status == "error":
+        assert record["payload"] == {"reason": "SessionSyntaxError",
+                                     "message": "expression nested deeper than 100 levels at line 3, column 119"}
+
+
 def _tokens(scan, text):
     return [(t.kind, t.text, t.line, t.column) for t in scan(text)]
 
