@@ -93,7 +93,7 @@ def make_rational_action(group: AlgebraicGroup, space: AffineVariety, rho) -> Ra
         _validate_finite_action(action)
         return action
     action = RationalAction(group, space, rho=rho)
-    if rho.source.names != action.ambient.names or rho.target.names != space.names:
+    if not (varieties_equal(rho.source, action.ambient.variety) and varieties_equal(rho.target, space)):
         raise NotAnAction("shape", "the map must go from the group-space product to the space")
     try:
         rho_e = _specialize_raw(action, group.identity_point())
@@ -129,8 +129,8 @@ def _validate_associativity_law(action: RationalAction):
 
 def _validate_finite_action(action: RationalAction):
     """rho_g o rho_h = rho_gh, proved only where e is not among g, h, gh:
-    rho_e = id settles g = e and h = e, and pairing rho_g with rho_g^-1
-    proves both round trips, which settles gh = e.  The rest pull rho_g back
+    rho_e = id settles g = e and h = e, and pairing rho_g with rho_g^-1 (one
+    round trip on X proves both) settles gh = e.  The rest pull rho_g back
     along rho_h, paired and so dominant, and take residues against rho_gh."""
     G, X, maps = action.group, action.space, action.maps
     if set(maps) != set(G.elements):

@@ -16,28 +16,27 @@ a chart triple's element pair), decides each once, and reports per chart
 pair or triple.  With a = g_j^-1 g_i and b = g_k^-1 g_j, tau_ik is the map of
 ba, so symmetry is the inverse law and the cocycle tau_jk o tau_ij = tau_ik
 is the action law rho_b o rho_a = rho_ba at (a, b).  The action certified
-both.  `specialize` paired the maps of g and g^-1 by exact round trips, so
-symmetry reads that pairing: `inverse` returns the partner, which must be
-the reverse transition.  The declared identity law rho_e = id settles the
+both.  `specialize` paired the maps of g and g^-1 by an exact round trip,
+so symmetry reads that pairing: `inverse` returns the partner, which must
+be the reverse transition.  The declared identity law rho_e = id settles the
 cocycle at a = e and b = e, and the pairing settles it at ba = e; a finite
 action proved its law on every pair at declaration.  Every other pair, which
 is exactly the pair of a triple of three distinct charts, is composed once.
 
 Separatedness is one question about rho: G x X -> X, asked once per atlas,
-since every transition is rho at a group point.  Let J be the graph
-closure of rho on (G x X) x X (memoized on rho, which a restriction shares
-with its action) and w the squarefree denominator product of rho's first
-representative.  If (ws(x) wt(y))^N lies in J + (w) for every pair of host
-witnesses, then at a group point g where no denominator of that
+since every transition is rho at a group point.  Let J + (w) be the
+boundary of rho's graph closure on (G x X) x X (memoized on rho, which a
+restriction shares with its action), w from rho's first representative
+alone: tau_g comes from that representative and need not share the bad
+loci of the others.  If (ws(x) wt(y))^N lies in J + (w) for every pair of
+host witnesses, then at a group point g where no denominator of that
 representative vanishes identically, specialising gives it in J_g + (w(g));
-tau_g comes from that representative, so its reduced denominators divide
-those of w(g), and J_g lies in tau_g's closure ideal: every zero of tau_g's
-bad-locus ideal is a zero of J_g + (w(g)), and tau_g passes the exact test.
-Only the first representative may be used: the definable locus of all of
-rho's representatives intersects their bad loci, which the one
-representative of tau_g need not share.  Every other transition (the family
-test failed, the denominator vanishes at g, or the action is finite and has
-no rho) gets the exact `is_graph_closed`, which supplies every witness.
+tau_g's reduced denominators divide those of w(g), and J_g lies in tau_g's
+closure ideal: every zero of tau_g's bad-locus ideal is a zero of
+J_g + (w(g)), and tau_g passes the exact test.  Every other transition (the
+family test failed, the denominator vanishes at g, or the action is finite
+and has no rho) gets the exact `is_graph_closed`, which supplies every
+witness.
 """
 
 from dataclasses import dataclass, field
@@ -51,11 +50,9 @@ from .actions import (
 )
 from .errors import PointNotOnGroup, ZeroDenominator
 from .ideals import Ideal, saturate
-from .maps import (_denominator_product, closed_over_host, compose, graph_closure, inverse, is_graph_closed,
-                   maps_equal)
+from .maps import closed_over_host, compose, graph_closure, inverse, is_graph_closed, maps_equal
 from .poly import Polynomial
 from .ratfunc import FractionImages, compose_poly
-from .varieties import OpenSubset
 
 
 @dataclass
@@ -146,10 +143,8 @@ def _check_separated(atlas: Atlas) -> dict:
     at g (module docstring), else `is_graph_closed`'s verdict and witness."""
     action = atlas.action
     rho = action.rho
-    family = False
-    if not action.is_finite and len(atlas.points) > 1:
-        w = OpenSubset(rho.source, [_denominator_product(rho.reps[0], rho.source.arity)]).witnesses
-        family = closed_over_host(graph_closure(rho), w, action.domain, action.ambient.embed_right)[0]
+    family = not action.is_finite and len(atlas.points) > 1 and closed_over_host(
+        graph_closure(rho), (), action.domain, action.ambient.embed_right)[0]
     failures = {}
     verdicts = {}
     for (i, j), g in atlas.elements.items():

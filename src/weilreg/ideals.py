@@ -232,18 +232,21 @@ class Ideal:
         return len(basis) == 1 and basis[0].is_constant()
 
     def plus(self, other) -> "Ideal":
+        """The sum; self, with its memoized bases, if it adds no generator."""
         extra = other.gens if isinstance(other, Ideal) else tuple(other)
-        return Ideal(self.arity, self.gens + tuple(g for g in extra if not g.is_zero()))
+        extra = tuple(g for g in extra if not g.is_zero() and g not in self.gens)
+        return Ideal(self.arity, self.gens + extra) if extra else self
 
     def __eq__(self, other):
+        """Equal generators, or equal reduced grevlex bases, which are unique."""
         if not isinstance(other, Ideal):
             return NotImplemented
         if self.arity != other.arity:
             return False
-        return all(other.contains(g) for g in self.gens) and all(self.contains(g) for g in other.gens)
+        return self.gens == other.gens or self.groebner_basis() == other.groebner_basis()
 
     def __hash__(self):
-        raise TypeError("ideals are compared by membership; not hashable")
+        raise TypeError("ideals are compared by their reduced bases; not hashable")
 
     def __repr__(self):
         return f"Ideal(arity={self.arity}, gens={list(self.gens)})"

@@ -6,10 +6,10 @@ All loci are representative-generated: they are sound under-approximations
 that are exact on every fixture shipped with the test suite, and callers may
 add representatives to enlarge them.
 
-A graph closure J : d^inf skips its saturation when a dimension count proves
-J saturated: if dim X = N - |I(X).gens| and dim(J + (d)) < dim X, J is a
-complete intersection whose associated primes all have dimension dim X, so
-none holds d and J : d^inf = J (the proof is `graph_closure`'s).
+Each birational fact is proved once: one round trip b o a = id pairs a with
+its inverse b between varieties of one dimension (`_pair_inverses`), and one
+boundary J + (w) serves a graph closure's dimension certificate and its
+closed-graph test (`graph_closure`).
 """
 
 from dataclasses import dataclass
@@ -24,7 +24,7 @@ from .errors import (
     ZeroDenominator,
 )
 from .ideals import Ideal, dimension, eliminate, memoized, saturate
-from .orders import GREVLEX, block_order
+from .orders import block_order
 from .poly import Polynomial
 from .polygcd import squarefree_part
 from .ratfunc import FractionImages, RationalFunction, compose_poly, pullback, reduced_fraction, residue
@@ -38,6 +38,7 @@ class GraphClosure:
 
     ambient: ProductAmbient
     ideal: Ideal
+    boundary: Ideal  # ideal + (w), w the first representative's denominator witness
 
     @property
     def names(self) -> tuple:
@@ -92,7 +93,7 @@ def make_rational_map(source: AffineVariety, target: AffineVariety, reps) -> Rat
         if len(rep) != target.arity:
             raise ValueError(f"representative has {len(rep)} coordinates, target needs {target.arity}")
         for f in rep:
-            if f.host.names != source.names:
+            if not varieties_equal(f.host, source):
                 raise ValueError("representative coordinates must live on the source")
         packed.append(rep)
     phi = RationalMap(source, target, packed)
@@ -132,36 +133,39 @@ def identity_map(X: AffineVariety) -> RationalMap:
 
 @memoized
 def graph_closure(phi: RationalMap) -> GraphClosure:
-    """The closure of phi's graph: J : d^inf for J = I(X) + (den_j*y_j - num_j)
-    over the source's relations alone and d the product of the distinct
-    denominators.  The target's relations lie in J : d^inf, as
-    `make_rational_map` proved that they pull back into I(X).
+    """The closure of phi's graph, J : w^inf for J = I(X) + (den_j*y_j - num_j)
+    over the source's relations alone and w the witness `definable_locus`
+    makes of the first representative's denominator product (its radical
+    modulo I(X) is the product's, so both saturate J alike), with its
+    boundary, the closure plus (w).  The target's relations lie in J : w^inf,
+    as `make_rational_map` proved that they pull back into I(X); where w lies
+    in I(X), as a host that is not prime allows, J : w^inf = (1).
 
     J is returned unsaturated when dim X = N - |I(X).gens| (N the source
-    arity) and dim(J + (d)) < dim X, for then J : d^inf = J.  V(J) is the
-    graph over X meet D(d) together with V(J + (d)), so dim J <= dim X and
-    the height of J is at least its |I(X).gens| + m generators: J is a
-    complete intersection, unmixed by Macaulay's theorem (Eisenbud, GTM 150,
-    ch. 18).  An associated prime holding d would have its zero set inside
-    V(J + (d)), of dimension below dim X, so d is a nonzerodivisor modulo J.
-    (y/x, y/x) on A^2 fails the test: J + (x) = (x, y) has dimension 2, and
-    J : x^inf also holds u - v."""
+    arity) and dim(J + (w)) < dim X.  V(J) is the graph over X meet D(w)
+    together with V(J + (w)), so dim J <= dim X and the height of J is at
+    least its |I(X).gens| + m generators: J is a complete intersection,
+    unmixed by Macaulay's theorem (Eisenbud, GTM 150, ch. 18), and an
+    associated prime holding w would have its zero set in V(J + (w)), so
+    J : w^inf = J.  (y/x, y/x) on A^2 fails the test: J + (x) = (x, y) has
+    dimension 2, and J : x^inf also holds u - v."""
     X = phi.source
     amb = ProductAmbient(X, phi.target)
-    gens = [amb.embed_left(g) for g in X.ideal.gens]
-    for j, f in zip(amb.right_indices, phi.reps[0]):
-        gens.append(amb.embed_left(f.den) * Polynomial.variable(amb.arity, j) - amb.embed_left(f.num))
-    ideal = Ideal(amb.arity, gens)
-    product = Polynomial.one(X.arity)
-    for d in {f.den.primitive(GREVLEX) for f in phi.reps[0]}:
-        if not d.is_constant():
-            product = product * d
-    if product.is_constant():
-        return GraphClosure(amb, ideal)
-    d, dim_x = amb.embed_left(product), dimension(X.ideal)
-    if dim_x != X.arity - len(X.ideal.gens) or dimension(ideal.plus([d])) >= dim_x:
-        ideal = saturate(ideal, d)
-    return GraphClosure(amb, ideal)
+    ideal = Ideal(amb.arity, [amb.embed_left(g) for g in X.ideal.gens] + [
+        amb.embed_left(f.den) * Polynomial.variable(amb.arity, j) - amb.embed_left(f.num)
+        for j, f in zip(amb.right_indices, phi.reps[0])])
+    witness = OpenSubset(X, [_denominator_product(phi.reps[0], X.arity)]).witnesses
+    if not witness:
+        ideal = Ideal(amb.arity, [Polynomial.one(amb.arity)])
+        return GraphClosure(amb, ideal, ideal)
+    w = amb.embed_left(witness[0])
+    boundary = ideal.plus([w])
+    if not w.is_constant():
+        dim_x = dimension(X.ideal)
+        if dim_x != X.arity - len(X.ideal.gens) or dimension(boundary) >= dim_x:
+            ideal = saturate(ideal, w)
+            boundary = ideal.plus([w])
+    return GraphClosure(amb, ideal, boundary)
 
 
 @memoized
@@ -230,23 +234,22 @@ def _roundtrip_is_identity(phi: RationalMap, psi: RationalMap) -> bool:
 
 
 def _pair_inverses(a: RationalMap, b: RationalMap, error: Exception) -> None:
-    """Record a and b as mutually inverse birational maps once both round
-    trips are proved by exact substitution; raise error, recording nothing,
-    if either fails.  The only place a map is paired with its inverse: it
-    writes both maps' `inverse` and `is_dominant` memo entries, and a pair
-    it has already recorded is not proved again.
+    """Record a and b as mutually inverse birational maps once the round trip
+    b o a = id is proved by exact substitution; raise error, recording
+    nothing, if it fails.  The only writer of a map's `inverse` memo entry
+    (and of `is_dominant`, for both maps); a recorded pair is not proved again.
 
-    b o a = id is always proved.  a o b = id follows from it, and is not
-    substituted, when b is a or when a is already proved dominant: then
-    a o b o a = a, and pulling back along a dominant a is injective on k(Y),
-    so a o b = id.  The same argument shows that a's denominators stay
-    nonzero after substituting b: D(b) pulls back along a to D, which is
-    nonzero on the source.  (A dominant map from an irreducible source has
-    an irreducible target, so k(Y) is a field.)"""
+    b o a = id makes a injective on a dense open set, so a's image closure
+    has dimension dim X; where that is dim Y, it is all of the irreducible Y
+    on which b's coordinates live: a is dominant.  Then a o b o a = a, and
+    pulling back along a dominant a is injective on k(Y), so a o b = id, and
+    D(b) pulls back along a to D, nonzero on the source, so a's denominators
+    stay nonzero after substituting b.  Where the dimensions differ,
+    a o b = id is substituted too, and fails."""
     if a.memo.get(("inverse", ())) is b:
         return
-    dominant = a.memo.get(("is_dominant", ()))
-    if not (_roundtrip_is_identity(a, b) and (b is a or dominant or _roundtrip_is_identity(b, a))):
+    if not (_roundtrip_is_identity(a, b) and (dimension(a.source.ideal) == dimension(a.target.ideal)
+                                              or _roundtrip_is_identity(b, a))):
         raise error
     a.memo["inverse", ()], b.memo["inverse", ()] = b, a
     a.memo["is_dominant", ()] = b.memo["is_dominant", ()] = True
@@ -350,13 +353,12 @@ def is_graph_closed(phi: RationalMap, host: OpenSubset = None):
 
 def closed_over_host(graph: GraphClosure, witnesses, host: OpenSubset, embed=lambda p: p):
     """The bad-locus test of `is_graph_closed`: (True, None) when no zero of
-    the closure ideal at which every witness (a polynomial on the graph's
-    source) vanishes has its source point over host and its target point in
+    the graph's boundary plus the further witnesses (polynomials on the
+    graph's source) has its source point over host and its target point in
     host, else (False, the first surviving saturation).  `embed` takes host
-    polynomials to the source's ring: the identity when the source is the
-    host, the right embedding when it is a product G x host."""
+    polynomials to the source's ring (the right embedding for G x host)."""
     amb = graph.ambient
-    bad = graph.ideal.plus([amb.embed_left(w) for w in witnesses])
+    bad = graph.boundary.plus([amb.embed_left(w) for w in witnesses])
     for ws in host.witnesses:
         for wt in host.witnesses:
             sat = saturate(bad, amb.embed_left(embed(ws)) * amb.embed_right(wt))

@@ -12,10 +12,10 @@ f_l o rho_g = mu_g,l o psi^-1 in k(X).  It implies the rest:
 - J = I(Y) is the kernel of u_l |-> f_l, the ideal of the closed image of
   the irreducible X; for r in J, r o mu_g o psi^-1 = r o psi^-1 o rho_g = 0,
   so mu_g pulls J into J;
-- psi^-1 o psi = id_Y and psi o psi^-1 = id_X (`present_subalgebra` proves
-  both), so mu_g = psi^-1 o rho_g o psi on Y, hence psi o mu_g = rho_g o psi
-  and mu_g o mu_h = psi^-1 o rho_g o rho_h o psi = mu_gh by rho's
-  homomorphism law, proved when the action was declared.
+- psi^-1 o psi = id_Y and psi o psi^-1 = id_X (`present_subalgebra` pairs
+  psi with psi^-1 by one round trip), so mu_g = psi^-1 o rho_g o psi on Y,
+  hence psi o mu_g = rho_g o psi and mu_g o mu_h = psi^-1 o rho_g o rho_h o
+  psi = mu_gh by rho's homomorphism law, proved when the action was declared.
 """
 
 from dataclasses import dataclass
@@ -71,7 +71,7 @@ def present_subalgebra(space: AffineVariety, gens):
 
     The model Y is the closed image of the generator map X --> A^count, whose
     coordinate ring is the subalgebra.  Returns (Y, psi: Y -> X polynomial,
-    psi_inverse: X --> Y) with both round trips verified.
+    psi_inverse: X --> Y) paired as mutual inverses by `_pair_inverses`.
     """
     names = product_names(space.names, [f"u{j + 1}" for j in range(len(gens))])[space.arity:]
     model = closed_image(make_rational_map(space, affine_space(names), [tuple(gens)]))

@@ -187,6 +187,22 @@ def test_saturate_by_zero_raises():
         saturate(ideal(["x"], "x^2"), Polynomial.zero(1))
 
 
+# -- equality --------------------------------------------------------------------
+
+
+def test_ideals_are_equal_when_their_reduced_bases_are():
+    names = ["x", "y"]
+    assert ideal(names, "x", "y") == ideal(names, "x+y", "y")
+    assert ideal(names, "x") != ideal(names, "x", "y")
+
+
+def test_ideals_with_identical_generators_are_equal_without_a_basis(monkeypatch):
+    bases = []
+    monkeypatch.setattr(ideals, "buchberger", lambda gens, order=GREVLEX: bases.append(gens))
+    a, b = ideal(["x", "y"], "x*y-1", "x^2-y"), ideal(["x", "y"], "x*y-1", "x^2-y")
+    assert a == b and not bases
+
+
 # -- emptiness -------------------------------------------------------------------
 
 

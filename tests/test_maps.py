@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from weilreg import Ideal, Polynomial, parse_polynomial
+from weilreg import GREVLEX, Ideal, Polynomial, parse_polynomial
 from weilreg.errors import (
     NotBirational,
     NotDominant,
@@ -92,6 +92,14 @@ def test_into_target_accepted(plane):
         st = point_status(m, p)
         assert st.kind == "DEFINED"
         assert all(g.evaluate(st.value) == 0 for g in torus.ideal.gens)
+
+
+def test_coordinates_must_live_on_the_source_itself(plane):
+    # on the torus x*y simplifies to 1, which is another function on the plane
+    torus = variety(["x", "y"], "x*y-1")
+    coords = (RationalFunction.parse(torus, "x*y"), RationalFunction.parse(torus, "y"))
+    with pytest.raises(ValueError, match="must live on the source"):
+        make_rational_map(plane, plane, [coords])
 
 
 def test_representative_mismatch(plane):
@@ -316,6 +324,17 @@ def test_inverse_of_a_paired_map_is_its_partner(chart, rho1, monkeypatch):
     assert not closures
 
 
+def test_a_section_is_not_paired_with_its_retraction():
+    # b o a = id, but a line is not birational to a plane: a o b = id is
+    # substituted too, and fails
+    line, plane = affine_space(["x"]), affine_space(["u", "v"])
+    a, b = rational_map(line, plane, ("x", "0")), rational_map(plane, line, ("u",))
+    assert _roundtrip_is_identity(a, b)
+    with pytest.raises(RoundTripFailure):
+        _pair_inverses(a, b, RoundTripFailure("not mutually inverse"))
+    assert all(("inverse", ()) not in m.memo for m in (a, b))
+
+
 def test_an_involution_pairs_with_itself_after_one_round_trip(monkeypatch):
     line = affine_space(["x"])
     trips = []
@@ -389,22 +408,25 @@ def test_inverse_proves_one_round_trip_and_both_hold(shape, monkeypatch):
 
 
 def test_every_golden_inverse_pair_round_trips_both_ways(monkeypatch):
+    # the oracle of the pairing rule: every pairing the golden sessions make,
+    # through any module's binding (20 calls: `specialize`, `lift_action`,
+    # finite actions, `identity_map`, `inverse` and `present_subalgebra`),
+    # proves one round trip and leaves a pair whose other round trip holds too
     pairs = []
     real = weilreg.maps._pair_inverses
 
     def recording(a, b, error):
-        dominant = a.memo.get(("is_dominant", ()))
         real(a, b, error)
-        if b is not a:
-            pairs.append((a, b, dominant))
+        pairs.append((a, b))
 
-    monkeypatch.setattr(weilreg.maps, "_pair_inverses", recording)
+    for module in [m for name, m in sys.modules.items() if name.startswith("weilreg")]:
+        if getattr(module, "_pair_inverses", None) is real:
+            monkeypatch.setattr(module, "_pair_inverses", recording)
     for path in sorted((Path(__file__).resolve().parents[1] / "sessions").glob("*.wr")):
         run_session(parse_session(path.read_text(encoding="utf-8")), path.stem)
     monkeypatch.undo()
-    assert pairs
-    for a, b, dominant in pairs:
-        assert dominant  # so only b o a was substituted
+    assert len(pairs) == 20 and sum(b is not a for a, b in pairs) == 11
+    for a, b in pairs:
         assert _roundtrip_is_identity(a, b) and _roundtrip_is_identity(b, a)
 
 
@@ -482,13 +504,12 @@ def test_only_the_memo_writers_read_a_memo_entry_by_key():
     sites = {(path.name,) + site for path in src.glob("*.py")
              for site in _memo_reads(ast.parse(path.read_text()))}
     # the memo helper returns a stored entry, and _pair_inverses reads the
-    # pairing it may already have recorded and the dominance it may rely on;
-    # every other module asks the memoized function (copying a memo whole, as
-    # a restriction does, reads no entry by key)
+    # pairing it may already have recorded; every other module asks the
+    # memoized function (copying a memo whole, as a restriction does, reads
+    # no entry by key)
     assert sites == {
         ("ideals.py", "cached", "entry"),
         ("maps.py", "_pair_inverses", "('inverse', ())"),
-        ("maps.py", "_pair_inverses", "('is_dominant', ())"),
     }
 
 
@@ -561,6 +582,27 @@ def test_rho1_graph_closed_on_punctured_chart(chart, rho1):
     host = OpenSubset(chart, [chart.poly("u")])
     closed, witness = is_graph_closed(rho1, host)
     assert closed and witness is None
+
+
+def test_a_mapcalc_closed_graph_test_saturates_the_certificates_boundary(monkeypatch):
+    # one map of each of the benchmark's fifteen mapcalc shapes, seed 1: the
+    # dimension count computed the boundary's basis, and the closed-graph test
+    # of a one-representative map saturates that very ideal
+    root = Path(__file__).resolve().parents[1]
+    sys.path.insert(0, str(root / "bench"))
+    import workloads
+
+    saturations = _spy_saturate(monkeypatch)
+    for session in [s for s in workloads.generate("mapcalc", 1, root)
+                    if int(s.name.split("_")[1]) < len(workloads.MAPCALC_SHAPES)]:
+        texts = session.expect["f"]
+        X = affine_space(workloads.VARS[:len(texts)])
+        phi = rational_map(X, X, texts)
+        graph = graph_closure(phi)
+        assert ("groebner_basis", (GREVLEX,)) in graph.boundary.memo, texts
+        saturations.clear()
+        is_graph_closed(phi)
+        assert saturations and all(args[0] is graph.boundary for args in saturations), texts
 
 
 # -- point status -------------------------------------------------------------------------------

@@ -339,6 +339,23 @@ def test_domain_failures_do_not_abort_session():
     assert records[3]["payload"]["reason"] == "NotAnAction"
 
 
+def test_denominators_vanishing_on_a_host_that_is_not_prime_close_to_the_unit_ideal():
+    # x*y lies in I(Y), so no denominator witness is left: J : (x*y)^inf = (1)
+    text = (
+        "var x y u v\n"
+        "variety Y = affine(x, y)/(x*y)\n"
+        "variety A = affine(u, v)\n"
+        "map f : Y -> A = (1/x, 1/y)\n"
+        "cmd graph f\n"
+        "cmd image f\n"
+        "cmd breg f\n"
+    )
+    graph, image, breg = run_session(parse_session(text))[-3:]
+    assert graph["status"] == "ok" and graph["payload"]["ideal"] == ["1"]
+    assert image["status"] == "ok" and image["payload"] == {"ideal": ["1"], "dominant": False}
+    assert breg["status"] == "error" and breg["payload"]["reason"] == "NotDominant"
+
+
 def _error_classes(cls=errors.WeilregError):
     for sub in cls.__subclasses__():
         yield sub
