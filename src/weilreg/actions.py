@@ -263,13 +263,15 @@ def restrict_to_open(action: RationalAction, subset: OpenSubset) -> RationalActi
 
     The maps are unchanged; all loci computations pick up witnesses for
     membership of the point and of its image.  The restriction starts with
-    a copy of the action's element maps, and shares nothing after.
+    a copy of the action's element maps and lifted product maps, which
+    depend on rho and G alone, and shares nothing after.
     """
     subset.require_nonempty()
     domain = action.domain.intersect(subset)
     domain.require_nonempty()
     restricted = RationalAction(action.group, action.space, action.rho, action.maps, domain)
-    restricted.memo.update(item for item in action.memo.items() if item[0][0] == "specialize")
+    restricted.memo.update((entry, result) for entry, result in action.memo.items()
+                           if entry[0] in ("specialize", "lift_action"))
     return restricted
 
 

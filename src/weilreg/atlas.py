@@ -18,10 +18,24 @@ ba, so symmetry is the inverse law and the cocycle tau_jk o tau_ij = tau_ik
 is the action law rho_b o rho_a = rho_ba at (a, b).  The action certified
 both.  `specialize` paired the maps of g and g^-1 by an exact round trip,
 so symmetry reads that pairing: `inverse` returns the partner, which must
-be the reverse transition.  The declared identity law rho_e = id settles the
-cocycle at a = e and b = e, and the pairing settles it at ba = e; a finite
-action proved its law on every pair at declaration.  Every other pair, which
-is exactly the pair of a triple of three distinct charts, is composed once.
+be the reverse transition.  Each element's pairing is read once and serves
+symmetry and the cocycle alike.  The declared identity law rho_e = id
+settles the cocycle at a = e and b = e, and the pairing settles it at
+ba = e; a finite action proved its law on every pair at declaration.  Every
+other pair is the pair of a triple of three distinct charts.
+
+The six orderings of such a triple (i, j, k) give the element pairs (a, b),
+(a^-1, ba), (ba, b^-1), (b, (ba)^-1), ((ba)^-1, a) and (b^-1, a^-1), and
+one cocycle verdict serves all six when each of the chart pairs (i, j),
+(j, k) and (i, k) carries a recorded pairing, inverse(tau_xy) is tau_yx.
+The pairing is a round trip proved exactly, so each tau is an element of
+the group Bir(X) of birational self-maps (X irreducible, so k(X) is a
+field) with tau_yx its inverse there.  Composing tau_jk o tau_ij = tau_ik
+on either side with tau_ji, tau_kj or tau_ki turns it into each of the other
+five identities, and back: tau_ik o tau_ji = tau_jk, for one, is the first
+identity composed on the right with tau_ji.  So one composition per orbit
+decides it; an orbit missing a pairing (a hand-built or corrupted atlas), or
+whose composition meets a zero denominator, is composed key by key.
 
 Separatedness is one question about rho: G x X -> X, asked once per atlas,
 since every transition is rho at a group point.  Let J + (w) be the
@@ -40,7 +54,7 @@ witness.
 """
 
 from dataclasses import dataclass, field
-from itertools import product
+from itertools import permutations, product
 
 from .actions import (
     RationalAction,
@@ -93,32 +107,36 @@ def build_atlas(action: RationalAction, points=None) -> Atlas:
     return Atlas(action, (e, *(p for p in map(group.require_point, points) if p != e)))
 
 
-def _check_symmetry(atlas: Atlas) -> dict:
-    """tau_ji = tau_ij^-1, once per element g_j^-1 * g_i: tau_ji must be the
-    partner that `specialize` paired with tau_ij by exact round trips."""
-    failures = []
-    verdicts = {}
+def _pairings(atlas: Atlas) -> dict:
+    """Whether tau_ji is the recorded inverse of tau_ij, the partner that
+    `specialize` paired with it by an exact round trip, read once per element
+    g_j^-1 * g_i off the diagonal."""
+    paired = {}
     for (i, j), g in atlas.elements.items():
-        if i == j:
-            continue
-        if g not in verdicts:
-            verdicts[g] = inverse(atlas.transitions[(i, j)]) is atlas.transitions[(j, i)]
-        if not verdicts[g]:
-            failures.append([i, j])
+        if i != j and g not in paired:
+            paired[g] = inverse(atlas.transitions[(i, j)]) is atlas.transitions[(j, i)]
+    return paired
+
+
+def _check_symmetry(atlas: Atlas, paired: dict) -> dict:
+    """tau_ji = tau_ij^-1, the pairing verdict of the element g_j^-1 * g_i."""
+    failures = [[i, j] for (i, j), g in atlas.elements.items() if i != j and not paired[g]]
     return {"passed": not failures, "failures": failures}
 
 
-def _check_cocycle(atlas: Atlas) -> dict:
+def _check_cocycle(atlas: Atlas, paired: dict) -> dict:
     """tau_jk o tau_ij = tau_ik, decided once per element pair (a, b) =
     (g_j^-1 g_i, g_k^-1 g_j): settled by the action's certificates where the
-    action is finite or e is among a, b and ba = g_k^-1 g_i (module
-    docstring), composed elsewhere; None records a ZeroDenominator skip."""
+    action is finite or e is among a, b and ba = g_k^-1 g_i, composed
+    elsewhere, once per orbit of the six orderings of the chart triple where
+    its three chart pairs are paired (module docstring); None records a
+    ZeroDenominator skip, which is never shared."""
     failures = []
     skipped = []
     verdicts = {}
-    transitions = atlas.transitions
+    transitions, elements = atlas.transitions, atlas.elements
     index = {}  # group element -> small int, so the k^3 triples hash no group points
-    ids = {pair: index.setdefault(g, len(index)) for pair, g in atlas.elements.items()}
+    ids = {pair: index.setdefault(g, len(index)) for pair, g in elements.items()}
     e = ids[0, 0]  # every diagonal element is the identity
     for i, j, k in product(range(len(atlas.points)), repeat=3):
         key = ids[i, j], ids[j, k]
@@ -127,9 +145,13 @@ def _check_cocycle(atlas: Atlas) -> dict:
                 verdicts[key] = True
                 continue
             try:
-                verdicts[key] = maps_equal(compose(transitions[(i, j)], transitions[(j, k)]), transitions[(i, k)])
+                verdict = maps_equal(compose(transitions[(i, j)], transitions[(j, k)]), transitions[(i, k)])
             except ZeroDenominator:
-                verdicts[key] = None
+                verdict = None
+            verdicts[key] = verdict
+            if verdict is not None and all(paired[elements[pair]] for pair in ((i, j), (j, k), (i, k))):
+                for p, q, r in permutations((i, j, k)):
+                    verdicts.setdefault((ids[p, q], ids[q, r]), verdict)
         if verdicts[key] is None:
             skipped.append([i, j, k])
         elif not verdicts[key]:
@@ -194,9 +216,10 @@ def _check_covering(atlas: Atlas) -> dict:
 
 
 def check_atlas(atlas: Atlas) -> AtlasReport:
+    paired = _pairings(atlas)
     return AtlasReport(
-        symmetry=_check_symmetry(atlas),
-        cocycle=_check_cocycle(atlas),
+        symmetry=_check_symmetry(atlas, paired),
+        cocycle=_check_cocycle(atlas, paired),
         separated=_check_separated(atlas),
         covering=_check_covering(atlas),
     )

@@ -267,12 +267,43 @@ def dimension(ideal: Ideal) -> int:
 
 
 def _fewest_meeting(supports) -> int:
-    """Size of the smallest variable set meeting every support: it holds a
-    variable of the shortest support, so branch over those."""
+    """Size of the smallest variable set meeting every support.  Only the
+    minimal supports matter; supports that share no variable, directly or
+    through others, are met apart and the sizes added (Bayer and Stillman,
+    *Computation of Hilbert functions*, JSC 1992, split monomial ideals so);
+    and a connected set holds a variable of its shortest support, so branch
+    over those.  Each set of supports left is solved once per call."""
     if not supports:
         return 0
-    shortest = min(supports, key=len)
-    return 1 + min(_fewest_meeting([s for s in supports if v not in s]) for v in shortest)
+    supports = set(supports)
+    solved = {}
+
+    def fewest(sets: frozenset) -> int:
+        if not sets:
+            return 0
+        if sets not in solved:
+            parts = _components(sets)
+            if len(parts) > 1:
+                solved[sets] = sum(map(fewest, parts))
+            else:
+                solved[sets] = 1 + min(fewest(frozenset(s for s in sets if v not in s))
+                                       for v in min(sets, key=len))
+        return solved[sets]
+
+    return fewest(frozenset(s for s in supports if not any(t < s for t in supports)))
+
+
+def _components(sets) -> list:
+    """The supports grouped so that no two groups share a variable."""
+    parts = []  # (variables, supports) per group
+    for s in sets:
+        variables, members = set(s), [s]
+        for part in [part for part in parts if part[0] & s]:
+            parts.remove(part)
+            variables |= part[0]
+            members += part[1]
+        parts.append((variables, members))
+    return [frozenset(members) for _, members in parts]
 
 
 def eliminate(ideal: Ideal, variables) -> Ideal:

@@ -13,6 +13,7 @@ closed-graph test (`graph_closure`).
 """
 
 from dataclasses import dataclass
+from functools import reduce
 
 from .errors import (
     NotBirational,
@@ -135,7 +136,7 @@ def identity_map(X: AffineVariety) -> RationalMap:
 def graph_closure(phi: RationalMap) -> GraphClosure:
     """The closure of phi's graph, J : w^inf for J = I(X) + (den_j*y_j - num_j)
     over the source's relations alone and w the witness `definable_locus`
-    makes of the first representative's denominator product (its radical
+    reads for the first representative's denominator product (its radical
     modulo I(X) is the product's, so both saturate J alike), with its
     boundary, the closure plus (w).  The target's relations lie in J : w^inf,
     as `make_rational_map` proved that they pull back into I(X); where w lies
@@ -154,7 +155,7 @@ def graph_closure(phi: RationalMap) -> GraphClosure:
     ideal = Ideal(amb.arity, [amb.embed_left(g) for g in X.ideal.gens] + [
         amb.embed_left(f.den) * Polynomial.variable(amb.arity, j) - amb.embed_left(f.num)
         for j, f in zip(amb.right_indices, phi.reps[0])])
-    witness = OpenSubset(X, [_denominator_product(phi.reps[0], X.arity)]).witnesses
+    witness = _denominator_locus(phi, 0).witnesses
     if not witness:
         ideal = Ideal(amb.arity, [Polynomial.one(amb.arity)])
         return GraphClosure(amb, ideal, ideal)
@@ -312,12 +313,18 @@ def _denominator_product(rep, arity: int) -> Polynomial:
     return q
 
 
+@memoized(key=lambda phi, r: (r,))
+def _denominator_locus(phi: RationalMap, r: int) -> OpenSubset:
+    """D(q) for q the denominator product of representative r, normalised
+    once: `graph_closure` reads representative 0's witness from it."""
+    return OpenSubset(phi.source, [_denominator_product(phi.reps[r], phi.source.arity)])
+
+
 @memoized
 def definable_locus(phi: RationalMap) -> OpenSubset:
     """Union over representatives of the opens where all denominators are
     nonzero (the computed domain of definition)."""
-    witnesses = [_denominator_product(rep, phi.source.arity) for rep in phi.reps]
-    return OpenSubset(phi.source, witnesses)
+    return reduce(OpenSubset.union, (_denominator_locus(phi, r) for r in range(len(phi.reps))))
 
 
 def biregular_locus(phi: RationalMap) -> OpenSubset:

@@ -131,25 +131,27 @@ class ProductAmbient:
 
 
 def _normalise_witnesses(host: AffineVariety, polys):
+    """Each polynomial reduced modulo I(host), made squarefree and primitive;
+    zeros dropped, and (1,) as soon as one is a nonzero constant."""
     out = []
-    seen = set()
     for w in polys:
         w = host.ideal.normal_form(w)
+        if not w.is_constant():
+            w = host.ideal.normal_form(squarefree_part(w)).primitive(GREVLEX)
         if w.is_zero():
             continue
         if w.is_constant():
             return (Polynomial.one(host.arity),)
-        w = squarefree_part(w)
-        w = host.ideal.normal_form(w).primitive(GREVLEX)
-        if w.is_zero():
-            continue
-        if w.is_constant():
-            return (Polynomial.one(host.arity),)
-        if w not in seen:
-            seen.add(w)
-            out.append(w)
-    out.sort(key=lambda p: (p.total_degree(), p.sort_key(GREVLEX)))
-    return tuple(out)
+        out.append(w)
+    return _sorted_witnesses(out)
+
+
+def _sorted_witnesses(witnesses):
+    """Normalised witnesses, each once, by degree and then grevlex; (1,) if
+    one is the constant 1."""
+    if any(w.is_constant() for w in witnesses):
+        return (Polynomial.one(witnesses[0].arity),)
+    return tuple(sorted(dict.fromkeys(witnesses), key=lambda p: (p.total_degree(), p.sort_key(GREVLEX))))
 
 
 class OpenSubset:
@@ -190,6 +192,13 @@ class OpenSubset:
     def contains_point(self, point) -> bool:
         point = self.host.require_point(point)
         return any(w.evaluate(point) != 0 for w in self.witnesses)
+
+    def union(self, other: "OpenSubset") -> "OpenSubset":
+        """D(self) u D(other): both sets of witnesses, already normalised."""
+        merged = OpenSubset.__new__(OpenSubset)
+        merged.host = self.host
+        merged.witnesses = _sorted_witnesses(self.witnesses + other.witnesses)
+        return merged
 
     def intersect(self, other: "OpenSubset") -> "OpenSubset":
         if self.host is not other.host and self.host.names != other.host.names:

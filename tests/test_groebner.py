@@ -234,6 +234,23 @@ def test_dimension_by_hand(names, gens, dim):
     assert ideals.dimension(ideal(names, *gens)) == dim
 
 
+def test_dimension_splits_a_torus_and_memoizes_a_path(monkeypatch):
+    # the torus V(x0*x1 - 1, x2*x3 - 1, ...) has leading monomials sharing no
+    # variable, met one component at a time; the path V(x0*x1, x1*x2, ...) is
+    # one component whose branches leave sub-paths, each solved once.  A
+    # search over the shortest support alone doubled with each variable pair
+    splits = []
+    real = ideals._components
+    monkeypatch.setattr(ideals, "_components", lambda sets: splits.append(1) or real(sets))
+    names = [f"x{i}" for i in range(60)]
+    assert ideals.dimension(ideal(names, *[f"x{i}*x{i + 1}-1" for i in range(0, 60, 2)])) == 30
+    assert len(splits) == 31
+    del splits[:]
+    names = [f"x{i}" for i in range(40)]
+    assert ideals.dimension(ideal(names, *[f"x{i}*x{i + 1}" for i in range(39)])) == 20
+    assert len(splits) < 40 ** 2
+
+
 # -- other utilities -------------------------------------------------------------
 
 

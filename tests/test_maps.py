@@ -2,6 +2,7 @@ import ast
 import itertools
 import random
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -288,6 +289,20 @@ def test_inverse_of_identity(plane):
     assert maps_equal(inverse(ident), ident)
 
 
+def test_the_identity_of_a_60_variable_torus_inverts_in_seconds():
+    # the pairing's two `dimension` calls on V(x0*x1 - 1, x2*x3 - 1, ...)
+    # searched for a hitting set in time doubling with each variable pair
+    # (3.5 s at 40 variables, hours at 60); split into components, the search
+    # is linear, and Buchberger's elimination takes what time is left
+    names = [f"x{i}" for i in range(60)]
+    X = variety(names, *[f"x{i}*x{i + 1}-1" for i in range(0, 60, 2)])
+    f = make_rational_map(X, X, [tuple(RationalFunction.coordinate(X, i) for i in range(60))])
+    started = time.process_time()
+    psi = inverse(f)
+    assert time.process_time() - started < 10
+    assert maps_equal(psi, f)
+
+
 def test_inverse_of_blowup_translation(chart, rho1):
     inv = inverse(rho1)
     expected = rational_map(chart, chart, ("u-1", "u*t/(u-1)"))
@@ -409,9 +424,11 @@ def test_inverse_proves_one_round_trip_and_both_hold(shape, monkeypatch):
 
 def test_every_golden_inverse_pair_round_trips_both_ways(monkeypatch):
     # the oracle of the pairing rule: every pairing the golden sessions make,
-    # through any module's binding (20 calls: `specialize`, `lift_action`,
-    # finite actions, `identity_map`, `inverse` and `present_subalgebra`),
-    # proves one round trip and leaves a pair whose other round trip holds too
+    # through any module's binding (19 calls: `specialize`, `lift_action`,
+    # finite actions, `identity_map`, `inverse` and `present_subalgebra`; a
+    # restriction shares its action's lifted maps, so no restricted lift is
+    # paired again), proves one round trip and leaves a pair whose other round
+    # trip holds too
     pairs = []
     real = weilreg.maps._pair_inverses
 
@@ -425,7 +442,7 @@ def test_every_golden_inverse_pair_round_trips_both_ways(monkeypatch):
     for path in sorted((Path(__file__).resolve().parents[1] / "sessions").glob("*.wr")):
         run_session(parse_session(path.read_text(encoding="utf-8")), path.stem)
     monkeypatch.undo()
-    assert len(pairs) == 20 and sum(b is not a for a, b in pairs) == 11
+    assert len(pairs) == 19 and sum(b is not a for a, b in pairs) == 10
     for a, b in pairs:
         assert _roundtrip_is_identity(a, b) and _roundtrip_is_identity(b, a)
 

@@ -1,3 +1,5 @@
+import collections
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -542,6 +544,18 @@ def _cone_two_reps_action():
     return restrict_to_open(make_rational_action(G, X, rho), OpenSubset(X, [X.poly("x")]))
 
 
+def _cocycle_orbits(atlas: Atlas) -> dict:
+    """(tau_ij, tau_jk) -> the map triples (tau_pq, tau_qr, tau_pr) of the
+    six orderings (p, q, r) of the distinct charts i, j, k."""
+    t = atlas.transitions
+    orbits = {}
+    for triple in itertools.permutations(range(len(atlas.points)), 3):
+        orbit = frozenset((t[(p, q)], t[(q, r)], t[(p, r)]) for p, q, r in itertools.permutations(triple))
+        i, j, k = triple
+        orbits[t[(i, j)], t[(j, k)]] = orbit
+    return orbits
+
+
 def _spy(monkeypatch, name, module=weilreg.atlas):
     calls = []
     real = getattr(module, name)
@@ -587,8 +601,9 @@ def test_element_keyed_checks_match_per_pair_checks(case, blowup_action, cremona
     inversions = _spy(monkeypatch, "inverse")
     compositions = _spy(monkeypatch, "compose")
     closed_graph_tests = _spy(monkeypatch, "is_graph_closed")
-    symmetry = weilreg.atlas._check_symmetry(atlas)
-    cocycle = weilreg.atlas._check_cocycle(atlas)
+    paired = weilreg.atlas._pairings(atlas)
+    symmetry = weilreg.atlas._check_symmetry(atlas, paired)
+    cocycle = weilreg.atlas._check_cocycle(atlas, paired)
     separated = weilreg.atlas._check_separated(atlas)
 
     assert symmetry == expected_symmetry
@@ -606,13 +621,13 @@ def test_element_keyed_checks_match_per_pair_checks(case, blowup_action, cremona
     fallbacks = len(elements) if case in ("blowup_full", "cone_two_reps", "cremona") else 0
     assert len(closed_graph_tests) == fallbacks
     # a built atlas's tau_ii is the paired identity element map, so the
-    # certificates settle every triple with a repeated index: one compose per
-    # map triple of distinct chart indices
-    t = atlas.transitions
-    distinct = {(t[(i, j)], t[(j, k)], t[(i, k)]) for i in range(m) for j in range(m) for k in range(m)
-                if len({i, j, k}) == 3}
-    assert len(compositions) == len(distinct)
-    assert {c[:2] for c in compositions} == {key[:2] for key in distinct}
+    # certificates settle every triple with a repeated index, and every
+    # transition is paired with its reverse, so one compose decides each
+    # orbit of the six orderings of three distinct charts
+    assert all(paired.values())
+    orbits = _cocycle_orbits(atlas)
+    assert len(compositions) == len(set(orbits.values()))
+    assert {orbits[c[:2]] for c in compositions} == set(orbits.values())
 
 
 @pytest.mark.parametrize("restricted", [False, True])
@@ -625,7 +640,7 @@ def test_a_finite_atlas_composes_nothing(restricted, z4_action, monkeypatch):
     assert atlas.points == ("e", "a", "b", "c")
     expected = _reference_check_cocycle(atlas)
     compositions = _spy(monkeypatch, "compose")
-    assert weilreg.atlas._check_cocycle(atlas) == expected
+    assert weilreg.atlas._check_cocycle(atlas, weilreg.atlas._pairings(atlas)) == expected
     assert expected["passed"] and not expected["skipped"]
     assert not compositions
 
@@ -633,9 +648,11 @@ def test_a_finite_atlas_composes_nothing(restricted, z4_action, monkeypatch):
 def test_element_keyed_checks_catch_a_wrong_element_map(blowup_action):
     # every transition of the element g = 1 replaced by the map of 5, which no
     # chart pair has: the e-rule settles the triples with a repeated chart from
-    # the action's certificates, so the cocycle check reports the reference's
-    # failures on three distinct charts, and symmetry fails at the chart pairs
-    # of 1 and of its inverse -1
+    # the action's certificates, and the replaced map is not paired with the
+    # reverse transition, so every orbit of three distinct charts, each of
+    # which has a chart pair of 1 or -1, is composed key by key: the cocycle
+    # check reports the reference's failures on three distinct charts, and
+    # symmetry fails at the chart pairs of 1 and of its inverse -1
     atlas = build_atlas(blowup_action, [(0,), (1,), (2,)])
     g = (1,)
     assert (5,) not in atlas.elements.values()
@@ -645,10 +662,37 @@ def test_element_keyed_checks_catch_a_wrong_element_map(blowup_action):
     expected = _reference_check_cocycle(atlas)["failures"]
     distinct = [t for t in expected if len(set(t)) == 3]
     assert len(distinct) == 5
-    assert weilreg.atlas._check_cocycle(atlas)["failures"] == distinct
-    symmetry = weilreg.atlas._check_symmetry(atlas)
+    paired = weilreg.atlas._pairings(atlas)
+    assert weilreg.atlas._check_cocycle(atlas, paired)["failures"] == distinct
+    symmetry = weilreg.atlas._check_symmetry(atlas, paired)
     assert symmetry == {"passed": False, "failures": [[0, 1], [1, 0], [1, 2], [2, 1]]}
     assert {atlas.elements[tuple(p)] for p in symmetry["failures"]} == {g, (-1,)}
+
+
+def test_an_orbit_with_an_unpaired_transition_is_composed_key_by_key(blowup_action, monkeypatch):
+    # every transition of the element 1 replaced by a fresh copy of its map,
+    # which no pairing records: the copies are the right maps, so the cocycle
+    # still passes as the reference says, but an orbit with a chart pair of 1
+    # or -1 is composed once per ordering, and every other orbit once
+    atlas = build_atlas(blowup_action, [(0,), (1,), (3,), (5,)])
+    for pair, element in atlas.elements.items():
+        if element == (1,):
+            t = atlas.transitions[pair]
+            atlas.transitions[pair] = RationalMap(t.source, t.target, t.reps)
+    expected = _reference_check_cocycle(atlas)
+    assert expected["passed"] and not expected["skipped"]
+    orbits = _cocycle_orbits(atlas)
+    touching = {orbits[atlas.transitions[(i, j)], atlas.transitions[(j, k)]]
+                for i, j, k in itertools.permutations(range(4), 3)
+                if {atlas.elements[(i, j)], atlas.elements[(j, k)], atlas.elements[(i, k)]} & {(1,), (-1,)}}
+    assert 0 < len(touching) < len(set(orbits.values()))
+    compositions = _spy(monkeypatch, "compose")
+    paired = weilreg.atlas._pairings(atlas)
+    assert not paired[(1,)] and not paired[(-1,)]
+    assert weilreg.atlas._check_cocycle(atlas, paired) == expected
+    composed = collections.Counter(orbits[c[:2]] for c in compositions)
+    assert set(composed) == set(orbits.values())
+    assert all(composed[orbit] == (len(orbit) if orbit in touching else 1) for orbit in composed)
 
 
 def test_separatedness_from_the_family_ideal_costs_less_than_one_closure_per_map(blowup_action):
@@ -687,16 +731,16 @@ def test_symmetry_check_reads_the_certified_pairing(case, blowup_action, cremona
         atlas = build_atlas(restrict_to_regular_locus(cremona_action))
     closures = _spy(monkeypatch, "graph_closure", module=weilreg.maps)
     with weilreg.ideals.WorkLedger() as ledger:
-        assert weilreg.atlas._check_symmetry(atlas)["passed"]
+        assert weilreg.atlas._check_symmetry(atlas, weilreg.atlas._pairings(atlas))["passed"]
     assert ledger.steps == 0
     assert not closures
 
 
 def test_symmetry_check_catches_a_wrong_transition(blowup_action):
     atlas = build_atlas(blowup_action, [(0,), (1,)])
-    assert weilreg.atlas._check_symmetry(atlas)["passed"]
+    assert weilreg.atlas._check_symmetry(atlas, weilreg.atlas._pairings(atlas))["passed"]
     atlas.transitions[(1, 0)] = specialize(blowup_action, (2,))
-    symmetry = weilreg.atlas._check_symmetry(atlas)
+    symmetry = weilreg.atlas._check_symmetry(atlas, weilreg.atlas._pairings(atlas))
     assert symmetry == {"passed": False, "failures": [[0, 1], [1, 0]]}
 
 

@@ -54,11 +54,26 @@ def test_reduced_bases_equal_sympy(order, name):
         assert ours == {from_sympy(g, xs).monic(order) for g in theirs.exprs}, (gens, name)
 
 
+def _torus_gens(arity):
+    """x0*x1 - 1, x2*x3 - 1, ...: leading monomials that share no variable."""
+    xs = [Polynomial.variable(arity, i) for i in range(arity)]
+    return [xs[i] * xs[i + 1] - 1 for i in range(0, arity - 1, 2)]
+
+
+def _path_gens(arity):
+    """x0*x1, x1*x2, ...: one connected chain of leading monomials."""
+    xs = [Polynomial.variable(arity, i) for i in range(arity)]
+    return [xs[i] * xs[i + 1] for i in range(arity - 1)]
+
+
 def test_dimension_agrees_with_sympy_leading_monomials():
     """`dimension` against sympy's grevlex basis of the same ideal: the
     arity minus the fewest variables meeting every leading monomial, found
-    by trying every variable subset, smallest first; -1 for the unit ideal."""
+    by trying every variable subset, smallest first; -1 for the unit ideal.
+    Random ideals, and the torus and path families whose search `dimension`
+    splits into components and memoizes."""
     rng = random.Random(20261020)
+    cases = []
     for _ in range(150):
         arity = rng.randrange(2, 5)
         gens = []
@@ -66,6 +81,9 @@ def test_dimension_agrees_with_sympy_leading_monomials():
             g = random_polynomial(rng, arity, 2, max_terms=3, coeff_bound=3)
             if not g.is_zero():
                 gens.append(g)
+        cases.append((arity, gens))
+    cases += [(arity, family(arity)) for family in (_torus_gens, _path_gens) for arity in range(2, 11)]
+    for arity, gens in cases:
         xs = _symbols(arity)
         basis = sympy.groebner([to_sympy(g, xs) for g in gens], *xs, order="grevlex", domain="QQ")
         leads = [sympy.Poly(g, *xs).monoms(order="grevlex")[0] for g in basis.exprs]
