@@ -327,6 +327,7 @@ def definable_locus(phi: RationalMap) -> OpenSubset:
     return reduce(OpenSubset.union, (_denominator_locus(phi, r) for r in range(len(phi.reps))))
 
 
+@memoized
 def biregular_locus(phi: RationalMap) -> OpenSubset:
     """Union over representative pairs (of the map and its inverse) of opens
     on which the map restricts to an open immersion."""

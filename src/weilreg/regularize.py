@@ -1,7 +1,7 @@
 """Regularization of a finite-group rational action on an irreducible affine
-variety: the model is the closed image of the space under the orbit of the
-coordinate functions (it presents the subalgebra they generate), and the
-action transported to the model becomes regular.
+variety: the model presents the subalgebra the orbit of the coordinates
+generates.  It is the graph closure of X --> A^(m-n) under the orbit's other
+generators, X's coordinates renamed u1..un; the action on it is regular.
 
 G permutes the orbit generators: the pullback of x_i o rho_h along rho_g is
 x_i o rho_hg, so the model action mu is read off the group table.  One
@@ -9,8 +9,8 @@ identity certifies it, the theorem's own: psi^-1 o rho_g = mu_g o psi^-1 for
 every element g, tested on every generator f_l = u_l o psi^-1 as
 f_l o rho_g = mu_g,l o psi^-1 in k(X).  It implies the rest:
 
-- J = I(Y) is the kernel of u_l |-> f_l, the ideal of the closed image of
-  the irreducible X; for r in J, r o mu_g o psi^-1 = r o psi^-1 o rho_g = 0,
+- J = I(Y) is the kernel of u_l |-> f_l (f_i = x_i for i <= n), the ideal of
+  that graph closure; for r in J, r o mu_g o psi^-1 = r o psi^-1 o rho_g = 0,
   so mu_g pulls J into J;
 - psi^-1 o psi = id_Y and psi o psi^-1 = id_X (`present_subalgebra` pairs
   psi with psi^-1 by one round trip), so mu_g = psi^-1 o rho_g o psi on Y,
@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 from .actions import specialize
 from .errors import NotAnAction, NotApplicable, RoundTripFailure
-from .maps import RationalMap, _pair_inverses, closed_image, make_rational_map
+from .maps import RationalMap, _pair_inverses, graph_closure, make_rational_map
 from .poly import Polynomial
 from .ratfunc import RationalFunction, compose_poly, pullback, residue
 from .varieties import AffineVariety, affine_space, product_names
@@ -45,20 +45,20 @@ def stable_generators(action):
 
     Returns (gens, orbit) where orbit[(g, i)] = l means gens[l] equals
     x_i o rho_g.  Order is element-major: all pullbacks along the identity
-    first (the coordinates themselves), then per group element in table
-    order.
+    first, so gens[i] is x_i for i < n, kept even where I(X) equates two
+    coordinates; then per group element in table order.
     """
     if not action.is_finite:
         raise NotApplicable("stable generators exist for finite groups only")
     X = action.space
     if not X.irreducible:
         raise NotApplicable("the space must be irreducible")
-    gens = []
-    orbit = {}
+    e = action.group.identity_point()
+    gens, orbit = [], {}
     for g in action.group.elements:
         for i, f in enumerate(specialize(action, g).reps[0]):
             candidate = f.simplified()
-            l = next((k for k, seen in enumerate(gens) if candidate.equals(seen)), None)
+            l = None if g == e else next((k for k, seen in enumerate(gens) if candidate.equals(seen)), None)
             if l is None:
                 l = len(gens)
                 gens.append(candidate)
@@ -67,22 +67,19 @@ def stable_generators(action):
 
 
 def present_subalgebra(space: AffineVariety, gens):
-    """Present the subalgebra generated by the given fractions.
-
-    The model Y is the closed image of the generator map X --> A^count, whose
-    coordinate ring is the subalgebra.  Returns (Y, psi: Y -> X polynomial,
-    psi_inverse: X --> Y) paired as mutual inverses by `_pair_inverses`.
+    """Present the subalgebra the fractions gens generate, gens[:n] the
+    space's coordinates, by the graph closure Y of X' --> A^(count - n) under
+    gens[n:], X' the space with coordinates renamed to the first n model
+    names.  Returns (Y, psi: Y -> X the projection to those names,
+    psi_inverse: X --> Y by gens) paired by `_pair_inverses`.
     """
-    names = product_names(space.names, [f"u{j + 1}" for j in range(len(gens))])[space.arity:]
-    model = closed_image(make_rational_map(space, affine_space(names), [tuple(gens)]))
-    psi_coords = []
-    for i in range(space.arity):
-        coord = RationalFunction.coordinate(space, i)
-        j = next((k for k, f in enumerate(gens) if f.equals(coord)), None)
-        if j is None:
-            raise ValueError(f"generators must include the coordinate {space.names[i]}")
-        psi_coords.append(RationalFunction.coordinate(model, j))
-    psi = make_rational_map(model, space, [tuple(psi_coords)])
+    n = space.arity
+    names = product_names(space.names, [f"u{j + 1}" for j in range(len(gens))])[n:]
+    renamed = AffineVariety(names[:n], space.ideal, space.irreducible, check=False)
+    others = tuple(RationalFunction._of(renamed, f.num, f.den) for f in gens[n:])
+    graph = graph_closure(RationalMap(renamed, affine_space(names[n:]), [others]))
+    model = AffineVariety(names, graph.ideal, space.irreducible, check=False)
+    psi = make_rational_map(model, space, [tuple(RationalFunction.coordinate(model, i) for i in range(n))])
     psi_inv = make_rational_map(space, model, [tuple(gens)])
     _pair_inverses(psi_inv, psi, RoundTripFailure("presentation morphism and its inverse do not round-trip"))
     return model, psi, psi_inv

@@ -270,6 +270,27 @@ def test_only_the_compose_command_and_the_cocycle_check_call_compose():
     assert callers == {"sessions.py", "atlas.py"}
 
 
+def test_only_the_dominance_test_and_the_image_command_call_closed_image():
+    src = Path(weilreg.maps.__file__).resolve().parent
+    callers = set()
+
+    def visit(node, scope):
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef)):
+            scope = scope + (node.name,)
+        if isinstance(node, ast.Call):
+            func = node.func
+            if (func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)) == "closed_image":
+                callers.add(".".join(scope))
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    for path in src.glob("*.py"):
+        visit(ast.parse(path.read_text()), (path.stem,))
+    # the regular model is a graph closure, so no other path eliminates a
+    # source's coordinates to reach an image
+    assert callers == {"maps.is_dominant", "sessions._Session.run_image"}
+
+
 # -- maps_equal -------------------------------------------------------------------------
 
 

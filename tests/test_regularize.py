@@ -39,6 +39,7 @@ from weilreg.regularize import (
     regularize_finite,
     stable_generators,
 )
+from weilreg.sessions import parse_session, run_session
 from weilreg.varieties import OpenSubset, ProductAmbient, affine_space, variety
 
 
@@ -168,13 +169,47 @@ def reference_presentation_ideal(space, gens):
     return Ideal(count, [g.restrict(range(n, arity)) for g in projected.gens])
 
 
-@pytest.mark.parametrize("name", ["cremona_action", "swap_action", "half_cremona_action", "z4_action"])
-def test_closed_image_model_matches_the_relation_ideal_presentation(name, plane, request):
-    gens, _ = stable_generators(request.getfixturevalue(name))
-    model, _, _ = present_subalgebra(plane, gens)
-    reference = reference_presentation_ideal(plane, gens)
-    assert all(reference.contains(g) for g in model.ideal.gens)
-    assert all(model.ideal.contains(g) for g in reference.gens)
+def _cyclic_action(images, n, names=("x", "y")):
+    """Z/n = (e, g1, ..., g(n-1)) acting on affine space by the powers of one map."""
+    space = affine_space(names)
+    elements = ("e",) + tuple(f"g{k}" for k in range(1, n))
+    G = finite_group(elements, {(g, h): elements[(i + j) % n]
+                                for i, g in enumerate(elements) for j, h in enumerate(elements)})
+    maps = {"e": identity_map(space), "g1": rational_map(space, space, images)}
+    for k in range(2, n):
+        maps[elements[k]] = compose(maps[elements[k - 1]], maps["g1"])
+    return make_rational_action(G, space, maps)
+
+
+# the group-order ladder: Z/3, the Lyness map's Z/5, the monomial Z/6, and Z/10 = Lyness x (z -> 1/z) on A^3
+RUNGS = {"z3": (("y", "1/(x*y)"), 3), "lyness_z5": (("y", "(y+1)/x"), 5), "monomial_z6": (("y", "y/x"), 6),
+         "lyness_z10": (("y", "(y+1)/x", "1/z"), 10, ("x", "y", "z"))}
+
+
+def _action(name, request):
+    return _cyclic_action(*RUNGS[name]) if name in RUNGS else request.getfixturevalue(name)
+
+
+@pytest.mark.parametrize("name", ["cremona_action", "swap_action", "half_cremona_action", "z4_action", *RUNGS])
+def test_graph_closure_model_matches_the_relation_ideal_presentation(name, request):
+    action = _action(name, request)
+    gens, _ = stable_generators(action)
+    model, _, _ = present_subalgebra(action.space, gens)
+    assert model.ideal == reference_presentation_ideal(action.space, gens)
+
+
+@pytest.mark.parametrize("name", ["cremona_action", "lyness_z5", "lyness_z10"])
+def test_regularize_eliminates_only_a_saturation_variable(name, request, monkeypatch):
+    # the model is one graph closure: no closed image, and the only elimination
+    # left is a saturation's one auxiliary variable (Lyness saturates, Cremona does not)
+    action = _action(name, request)
+    images = _spy(monkeypatch, "closed_image", module=weilreg.maps)
+    eliminations = [_spy(monkeypatch, "eliminate", module=module) for module in (weilreg.ideals, weilreg.maps)]
+    regularize_finite(action)
+    removed = [len(variables) for calls in eliminations for _, variables in calls]
+    assert images == []
+    assert set(removed) <= {1}
+    assert bool(removed) == (name != "cremona_action")
 
 
 # -- induced action ---------------------------------------------------------------------
@@ -290,24 +325,10 @@ def _reference_model_checks(action, model, endos, psi):
     return {"presentation": presentation, "table": table, "coordinates": coordinates}
 
 
-def _cyclic_action(images, n):
-    """Z/n = (e, g1, ..., g(n-1)) acting on the plane by the powers of one map."""
-    plane = affine_space(["x", "y"])
-    elements = ("e",) + tuple(f"g{k}" for k in range(1, n))
-    G = finite_group(elements, {(g, h): elements[(i + j) % n]
-                                for i, g in enumerate(elements) for j, h in enumerate(elements)})
-    maps = {"e": identity_map(plane), "g1": rational_map(plane, plane, images)}
-    for k in range(2, n):
-        maps[elements[k]] = compose(maps[elements[k - 1]], maps["g1"])
-    return make_rational_action(G, plane, maps)
-
-
-@pytest.mark.parametrize("name", ["cremona_action", "swap_action", "half_cremona_action", "z4_action",
-                                  "z3", "lyness_z5", "monomial_z6"])
+@pytest.mark.parametrize("name", ["cremona_action", "swap_action", "half_cremona_action", "z4_action", *RUNGS])
 def test_the_one_check_implies_the_three_it_replaced(name, request):
-    # besides the fixtures and the golden Z/4 rotation, a ladder of group orders: Z/3, Lyness Z/5, Z/6
-    rungs = {"z3": (("y", "1/(x*y)"), 3), "lyness_z5": (("y", "(y+1)/x"), 5), "monomial_z6": (("y", "y/x"), 6)}
-    action = _cyclic_action(*rungs[name]) if name in rungs else request.getfixturevalue(name)
+    # besides the fixtures and the golden Z/4 rotation, the ladder of group orders
+    action = _action(name, request)
     result = regularize_finite(action)
     verdicts = _reference_model_checks(action, result.model, result.action_on_model, result.to_space)
     assert verdicts == {"presentation": True, "table": True, "coordinates": True}
@@ -315,6 +336,23 @@ def test_the_one_check_implies_the_three_it_replaced(name, request):
         # the five exchange relations u_(i-1) u_(i+1) = u_i + 1 of the A2 cluster algebra
         assert [result.model.format(p) for p in result.model.ideal.gens] == [
             "u1*u3-u2-1", "u1*u4-u5-1", "u2*u4-u3-1", "u2*u5-u1-1", "u3*u5-u4-1"]
+
+
+def test_a_host_equating_two_coordinates_keeps_both_as_generators():
+    # on V(x - y) the identity's two coordinates are one function of k(X); both
+    # stay generators, so the model holds u1 - u2 and psi is the projection (u1, u2)
+    session = parse_session("var x y\nvariety X = affine(x, y)/(x - y)\ngroup Z2 = finite(e, sig | sig*sig = e)\n"
+                            "action inv2 : Z2 x X -> X = {sig: (1/x, 1/y)}\ncmd regularize inv2\n")
+    record = run_session(session)[-1]
+    assert record["status"] == "ok"
+    assert {key: record["payload"][key] for key in ("presentation", "psi", "psi_inverse")} == {
+        "presentation": ["u2*u3-1", "u1-u2"], "psi": ["u1", "u2"], "psi_inverse": ["y", "y", "1/y"]}
+    X = variety(["x", "y"], "x-y")
+    sigma = rational_map(X, X, ("1/x", "1/y"))
+    action = make_rational_action(cyclic_group_2(("e", "sig")), X, {"e": identity_map(X), "sig": sigma})
+    result = regularize_finite(action)
+    verdicts = _reference_model_checks(action, result.model, result.action_on_model, result.to_space)
+    assert verdicts == {"presentation": True, "table": True, "coordinates": True}
 
 
 @pytest.mark.parametrize("i, j, missed_by_coordinates", [(2, 3, True), (0, 1, False)],

@@ -431,15 +431,29 @@ def _zeroed(records, name):
     return strip_timing(parse_report(emit_report(records, session=name)))
 
 
-def test_step_budget_bounds_a_whole_statement():
-    # `cmd regularize inv2` runs 61 S-pairs over several bases, the largest 45 of them
+def test_step_budget_bounds_a_whole_statement(monkeypatch):
+    # `cmd breg s` and `cmd regularize inv2` each run 11 S-pairs over two
+    # bases of 10 and 1: a budget of 10 admits every basis alone, not the statements
     session = parse_session(_session_file("cremona"))
-    records = run_session(session, max_steps=60)
+    per_basis = []
+    real = ideals.buchberger
+
+    def spy(generators, order=ideals.GREVLEX):
+        ledger = ideals._LEDGER.get()
+        before = ledger.steps
+        try:
+            return real(generators, order)
+        finally:
+            per_basis.append(ledger.steps - before)
+
+    monkeypatch.setattr(ideals, "buchberger", spy)
+    assert all(r["status"] == "ok" for r in run_session(session, max_steps=11))
+    assert max(per_basis) == 10
+    records = run_session(session, max_steps=10)
     exceeded = [r for r in records if r["status"] != "ok"]
     assert [(r["command"], r["status"], r["payload"]["reason"]) for r in exceeded] == [
-        ("cmd regularize inv2", "error", "BudgetExceeded")]
-    assert exceeded[0]["payload"]["message"] == "groebner step budget exceeded: 61 > 60"
-    assert all(r["status"] == "ok" for r in run_session(session, max_steps=61))
+        ("cmd breg s", "error", "BudgetExceeded"), ("cmd regularize inv2", "error", "BudgetExceeded")]
+    assert [r["payload"]["message"] for r in exceeded] == ["groebner step budget exceeded: 11 > 10"] * 2
 
 
 @pytest.mark.parametrize("name", GOLDEN_SESSIONS)
