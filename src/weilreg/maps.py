@@ -270,14 +270,17 @@ def inverse(phi: RationalMap) -> RationalMap:
     graph = graph_closure(phi)
     amb = graph.ambient
     src_vars = set(amb.left_indices)
-    basis = graph.ideal.groebner_basis(block_order(src_vars))
+    order = block_order(src_vars)
+    basis = graph.ideal.groebner_basis(order)
+    # a*x_k + c has block-order lead x_k once restricted to the source variables
+    leads = [tuple(e if i in src_vars else 0 for i, e in enumerate(g.leading_term(order)[0])) for g in basis]
     tgt = phi.target
     coords = []
     zero_head = (0,) * amb.arity
     for k in amb.left_indices:
         unit = tuple(1 if i == k else 0 for i in range(amb.arity))
         candidate = None
-        for g in basis:
+        for g in (g for g, lead in zip(basis, leads) if lead == unit):
             buckets = g.coefficients_wrt(src_vars)
             heads = [h for h, _ in buckets]
             if set(heads) == {unit, zero_head} or heads == [unit]:
@@ -305,11 +308,12 @@ def inverse(phi: RationalMap) -> RationalMap:
 
 
 def _denominator_product(rep, arity: int) -> Polynomial:
-    """Product of the non-constant denominators of one representative."""
+    """Product of the integer-primitive parts of the non-constant denominators
+    of one representative: a witness up to the constant `OpenSubset` drops."""
     q = Polynomial.one(arity)
     for f in rep:
         if not f.den.is_constant():
-            q = q * f.den
+            q = q * Polynomial._of(arity, f.den.integer_primitive()[1])
     return q
 
 

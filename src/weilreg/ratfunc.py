@@ -15,9 +15,15 @@ reuse the products.  A table lives as long as its owner:
 `maps.RationalMap.images` keeps one per representative of a map, and a law
 check keeps one per image list for the length of the check.  Nothing is
 cached beyond them.
+
+`compose_fraction` homogenises num and den with one degree vector, so the
+gcd layer finds no redundant factor to cancel, and clears their coefficient
+denominators, where the pair is read as a fraction: the table then sums
+products of ints for integral images.  `compose_poly`'s pair is exact.
 """
 
 from fractions import Fraction
+from math import lcm
 from operator import sub
 
 from .errors import ArityMismatch, ZeroDenominator
@@ -77,22 +83,32 @@ def compose_poly(p: Polynomial, images: FractionImages):
     monomial images scaled by p's coefficients; the denominator is a table
     entry.
     """
+    degs = tuple(max(p.degree_in(i), 0) for i in range(p.arity))
+    return _homogenised_image(p, images, degs), images.monomial((0,) * p.arity + degs)
+
+
+def _homogenised_image(p: Polynomial, images: FractionImages, degs) -> Polynomial:
+    """The numerator of p's image, p homogenised to the degrees degs."""
     if len(images) != p.arity:
         raise ArityMismatch("one image per variable required")
-    degs = tuple(max(p.degree_in(i), 0) for i in range(p.arity))
     num = {}
     for exps, coeff in p.terms.items():
         for e, c in images.monomial(exps + tuple(map(sub, degs, exps))).terms.items():
             num[e] = num.get(e, 0) + coeff * c
-    return (Polynomial._of(images.arity, {e: _coefficient(c) for e, c in num.items() if c}),
-            images.monomial((0,) * p.arity + degs))
+    return Polynomial._of(images.arity, {e: _coefficient(c) for e, c in num.items() if c})
 
 
 def compose_fraction(num: Polynomial, den: Polynomial, images: FractionImages):
-    """(num/den) after substituting fraction images for the variables."""
-    n_num, d_num = compose_poly(num, images)
-    n_den, d_den = compose_poly(den, images)
-    return n_num * d_den, d_num * n_den
+    """(num/den) after substituting fraction images for the variables: the
+    pair (s*num(phi)*W, s*den(phi)*W), W = prod den_i^D_i with D_i the larger
+    degree of num and den in x_i, and s > 0 the lcm of their coefficient
+    denominators.  Cross-multiplying the sides' own composites would carry
+    prod den_i^min(...) on top; W itself is never built."""
+    scale = lcm(*(c.denominator for q in (num, den) for c in q.terms.values()))
+    if scale != 1:
+        num, den = num.scale(scale), den.scale(scale)
+    degs = tuple(max(num.degree_in(i), den.degree_in(i), 0) for i in range(num.arity))
+    return _homogenised_image(num, images, degs), _homogenised_image(den, images, degs)
 
 
 def pullback(host: AffineVariety, num: Polynomial, den: Polynomial, images: FractionImages):

@@ -9,6 +9,8 @@ the very same numerator and denominator.  An image given as a polynomial
 is the fraction over 1.
 """
 
+from fractions import Fraction
+
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -16,7 +18,7 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from weilreg import Polynomial  # noqa: E402
 from weilreg.maps import make_rational_map  # noqa: E402
-from weilreg.ratfunc import FractionImages, RationalFunction, compose_poly  # noqa: E402
+from weilreg.ratfunc import FractionImages, RationalFunction, compose_fraction, compose_poly  # noqa: E402
 from weilreg.varieties import affine_space  # noqa: E402
 
 from oracles import substitute  # noqa: E402
@@ -42,8 +44,8 @@ def reference_compose_poly(p: Polynomial, images):
 COEFFS = st.fractions(min_value=-9, max_value=9, max_denominator=4)
 
 
-def polynomials(arity, max_degree=3, max_size=4, nonzero=False):
-    terms = st.dictionaries(st.tuples(*[st.integers(0, max_degree)] * arity), COEFFS,
+def polynomials(arity, max_degree=3, max_size=4, nonzero=False, coeffs=COEFFS):
+    terms = st.dictionaries(st.tuples(*[st.integers(0, max_degree)] * arity), coeffs,
                             min_size=1 if nonzero else 0, max_size=max_size)
     return terms.map(lambda t: Polynomial(arity, t)).filter(lambda p: not nonzero or not p.is_zero())
 
@@ -126,3 +128,45 @@ def test_each_representative_keeps_its_own_table(case):
         want = reference_compose_poly(ps[i], [f.fraction_pair() for f in phi.reps[r]])
         assert compose_poly(ps[i], phi.images(r)) == want
     assert phi.images(0) is phi.images(0) and phi.images(0) is not phi.images(1)
+
+
+def reference_compose_fraction(num: Polynomial, den: Polynomial, images):
+    """(num/den) composed with fraction images the way `compose_fraction`
+    did before one degree vector: each side composed with its own degrees,
+    then cross-multiplied."""
+    n_num, d_num = reference_compose_poly(num, images)
+    n_den, d_den = reference_compose_poly(den, images)
+    return n_num * d_den, d_num * n_den
+
+
+@st.composite
+def fractions_and_images(draw):
+    """A fraction in 1-3 variables and its fraction images in a ring of arity
+    1-3, the images integral or not."""
+    n, m = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    integral = draw(st.booleans())
+    coeffs = st.integers(-9, 9) if integral else COEFFS
+    pairs = [(draw(polynomials(m, 2, 3, coeffs=coeffs)), draw(polynomials(m, 2, 3, nonzero=True, coeffs=coeffs)))
+             for _ in range(n)]
+    return draw(polynomials(n, 2)), draw(polynomials(n, 2, nonzero=True)), pairs, integral
+
+
+@settings(max_examples=100)
+@given(fractions_and_images())
+def test_one_degree_vector_drops_the_common_factor(case):
+    num, den, pairs, integral = case
+    got = compose_fraction(num, den, FractionImages(pairs))
+    ref_num, ref_den = reference_compose_fraction(num, den, pairs)
+    # the same fraction, by exact cross-multiplication
+    assert got[0] * ref_den == ref_num * got[1]
+    # the reference is the pair times prod den_i^min(deg_i num, deg_i den) times c > 0
+    common = Polynomial.one(pairs[0][0].arity)
+    for i, (_, d) in enumerate(pairs):
+        common = common * d ** min(max(num.degree_in(i), 0), max(den.degree_in(i), 0))
+    scaled = [q * common for q in got]
+    ratios = {Fraction(r.terms.get(e, 0)) / c for q, r in zip(scaled, (ref_num, ref_den)) for e, c in q.terms.items()}
+    assert len(ratios) <= 1 and all(c > 0 for c in ratios)
+    c = ratios.pop() if ratios else 1
+    assert (ref_num, ref_den) == tuple(q.scale(c) for q in scaled)
+    if integral:
+        assert all(type(c) is int for q in got for c in q.terms.values())
