@@ -64,7 +64,7 @@ def specialize(action: RationalAction, g) -> RationalMap:
     g_inv = action.group.invert_point(g)
     candidate = result if g_inv == g else _specialize_raw(action, g_inv)
     _pair_inverses(result, candidate, RoundTripFailure(
-        f"specialisations at {g} and {g_inv} are not mutually inverse"))
+        f"specialisations at {format_point(g)} and {format_point(g_inv)} are not mutually inverse"))
     action.memo["specialize", (g_inv,)] = candidate
     return result
 

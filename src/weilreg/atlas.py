@@ -90,8 +90,9 @@ class Atlas:
 
     def __post_init__(self):
         group = self.action.group
-        self.elements = {(i, j): group.multiply_points(group.invert_point(gj), gi)
-                         for (i, gi), (j, gj) in product(enumerate(self.points), repeat=2)}
+        inverses = [group.invert_point(g) for g in self.points]
+        self.elements = {(i, j): group.multiply_points(gj_inv, gi)
+                         for (i, gi), (j, gj_inv) in product(enumerate(self.points), enumerate(inverses))}
         self.transitions = {pair: specialize(self.action, g) for pair, g in self.elements.items()}
 
 

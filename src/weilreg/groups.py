@@ -6,10 +6,8 @@ products of those, and finite groups by table.  Any variety with polynomial
 multiplication and inversion passing the axiom checks is accepted.
 """
 
-from fractions import Fraction
-
 from .errors import AxiomFailure, PointNotOnGroup
-from .poly import Polynomial
+from .poly import Polynomial, rational
 from .ratfunc import FractionImages, compose_poly, pullback, residue
 from .varieties import ProductAmbient, affine_space, format_point, variety
 
@@ -24,7 +22,7 @@ class AlgebraicGroup:
         self.variety = variety
         self.mult = tuple(mult) if mult is not None else None
         self.inv = tuple(inv) if inv is not None else None
-        self.identity = tuple(Fraction(x) for x in identity) if identity is not None else None
+        self.identity = tuple(map(rational, identity)) if identity is not None else None
         self.elements = tuple(elements) if elements is not None else None
         self.table = dict(table) if table is not None else None
         self._inverse_names = None
@@ -140,13 +138,13 @@ class AlgebraicGroup:
             return self.table[(self.require_point(g), self.require_point(h))]
         g = self.require_point(g)
         h = self.require_point(h)
-        return tuple(mi.evaluate(g + h) for mi in self.mult)
+        return tuple(rational(mi.evaluate(g + h)) for mi in self.mult)
 
     def invert_point(self, g):
         if self.is_finite:
             return self._inverse_names[self.require_point(g)]
         g = self.require_point(g)
-        return tuple(p.evaluate(g) for p in self.inv)
+        return tuple(rational(p.evaluate(g)) for p in self.inv)
 
     def identity_point(self):
         return self.elements[0] if self.is_finite else self.identity

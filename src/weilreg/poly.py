@@ -1,13 +1,15 @@
 """Exact multivariate polynomials over arbitrary-precision rationals.
 
 A polynomial is immutable: an arity plus a mapping from exponent tuples to
-nonzero rational coefficients, each an int when integral and otherwise a
-Fraction with denominator > 1 (`_coefficient`).  Integral arithmetic is thus
-int arithmetic; a division of coefficients needs a Fraction operand, since
-int / int is a float.  Term order is a view concern; sorted term lists are
-produced on demand for a given MonomialOrder.  Points and constants are
-put in with `evaluate` and `specialize`; substituting polynomials for the
-variables is `ratfunc.compose_poly`, on one image table per image list.
+nonzero rational coefficients.  Coefficients and point coordinates have one
+rational form (`rational`): an int when integral and otherwise a Fraction
+with denominator > 1.  Integral arithmetic is thus int arithmetic, for
+`specialize` at an integral point too; a division needs a Fraction operand,
+since int / int is a float, so `evaluate` returns a Fraction whatever the
+point.  Term order is a view concern; sorted term lists are produced on
+demand for a given MonomialOrder.  Points and constants are put in with
+`evaluate` and `specialize`; substituting polynomials for the variables is
+`ratfunc.compose_poly`, on one image table per image list.
 
 Multivariate division has one kernel, `_reduce_terms`, which is
 fraction-free and works on integer term dicts.  `divide`, and so every
@@ -43,14 +45,14 @@ class Polynomial:
                 if not isinstance(coeff, (int, Fraction)):
                     coeff = Fraction(coeff)
                 sums[exps] = sums[exps] + coeff if exps in sums else coeff
-        self.terms = {e: _coefficient(c) for e, c in sums.items() if c}
+        self.terms = {e: rational(c) for e, c in sums.items() if c}
         self._hash = None
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
     def _of(cls, arity: int, terms: dict) -> "Polynomial":
-        """Wrap a clean term dict (right-length tuple keys, `_coefficient`s) without copying."""
+        """Wrap a clean term dict (right-length tuple keys, `rational` coefficients) without copying."""
         out = cls.__new__(cls)
         out.arity, out.terms, out._hash = arity, terms, None
         return out
@@ -134,7 +136,7 @@ class Polynomial:
             if acc is None:
                 res[exps] = coeff
             elif acc := acc + coeff:
-                res[exps] = _coefficient(acc)
+                res[exps] = rational(acc)
             else:
                 del res[exps]
         return Polynomial._of(self.arity, res)
@@ -180,7 +182,7 @@ class Polynomial:
         return Polynomial._of(self.arity, _scaled(self.terms, factor))
 
     def mul_term(self, exps, coeff) -> "Polynomial":
-        shifted = {tuple(map(add, e, exps)): _coefficient(c * coeff) for e, c in self.terms.items()}
+        shifted = {tuple(map(add, e, exps)): rational(c * coeff) for e, c in self.terms.items()}
         return Polynomial._of(self.arity, shifted)
 
     def __pow__(self, n: int):
@@ -251,14 +253,14 @@ class Polynomial:
     def evaluate(self, point) -> Fraction:
         if len(point) != self.arity:
             raise ArityMismatch(f"point of length {len(point)} for arity {self.arity}")
-        total = Fraction(0)
+        point = tuple(map(rational, point))
+        total = 0
         for exps, coeff in self.terms.items():
-            val = coeff
             for x, e in zip(point, exps):
                 if e:
-                    val *= Fraction(x) ** e
-            total += val
-        return total
+                    coeff *= x ** e
+            total += coeff
+        return Fraction(total)
 
     def specialize(self, values) -> "Polynomial":
         """Set the leading len(values) variables to the given constants; the
@@ -345,15 +347,20 @@ class Polynomial:
 # -- coefficients and the fraction-free division kernel ---------------------------
 
 
-def _coefficient(c):
-    """A nonzero rational as a coefficient is stored: an int when it is
-    integral, else a Fraction (whose denominator is then > 1)."""
-    return c if type(c) is int or c.denominator != 1 else c.numerator
+def rational(c):
+    """A rational as coefficients and point coordinates are stored: an int
+    when it is integral, else a Fraction (whose denominator is then > 1).
+    Any other input (a float, a string) goes through Fraction first."""
+    if type(c) is int:
+        return c
+    if type(c) is not Fraction:
+        c = Fraction(c)
+    return c if c.denominator != 1 else c.numerator
 
 
 def _scaled(terms: dict, factor) -> dict:
     """The term dict times a nonzero rational factor."""
-    return {e: _coefficient(c * factor) for e, c in terms.items()}
+    return {e: rational(c * factor) for e, c in terms.items()}
 
 
 def _record(terms: dict, lead) -> tuple:

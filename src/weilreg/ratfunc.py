@@ -28,9 +28,9 @@ from operator import sub
 
 from .errors import ArityMismatch, ZeroDenominator
 from .exprparse import parse_fraction
-from .poly import Polynomial, _coefficient, format_polynomial
+from .poly import Polynomial, format_polynomial, rational
 from .polygcd import simplify_fraction
-from .varieties import AffineVariety
+from .varieties import AffineVariety, format_point
 
 
 class FractionImages:
@@ -95,7 +95,7 @@ def _homogenised_image(p: Polynomial, images: FractionImages, degs) -> Polynomia
     for exps, coeff in p.terms.items():
         for e, c in images.monomial(exps + tuple(map(sub, degs, exps))).terms.items():
             num[e] = num.get(e, 0) + coeff * c
-    return Polynomial._of(images.arity, {e: _coefficient(c) for e, c in num.items() if c})
+    return Polynomial._of(images.arity, {e: rational(c) for e, c in num.items() if c})
 
 
 def compose_fraction(num: Polynomial, den: Polynomial, images: FractionImages):
@@ -191,7 +191,7 @@ class RationalFunction:
         point = self.host.require_point(point)
         d = self.den.evaluate(point)
         if d == 0:
-            raise ZeroDenominator(f"denominator vanishes at {point}")
+            raise ZeroDenominator(f"denominator vanishes at {format_point(point)}")
         return self.num.evaluate(point) / d
 
     def substitute(self, images: FractionImages, new_host: AffineVariety) -> "RationalFunction":

@@ -31,7 +31,7 @@ from .ideals import _rabinowitsch, saturate
 from .linalg import mat_inverse
 from .maps import RationalMap
 from .orders import block_order
-from .poly import Polynomial
+from .poly import Polynomial, rational
 from .ratfunc import RationalFunction, residue
 from .varieties import AffineVariety, ProductAmbient, format_point
 
@@ -85,7 +85,7 @@ def find_unimodular_samples(h, candidates, host: AffineVariety = None):
     for candidate in candidates:
         if len(points) == n:
             break
-        point = tuple(Fraction(c) for c in candidate)
+        point = tuple(map(rational, candidate))
         if host is not None and not host.point_on(point):
             continue
         vector = [hi.evaluate(point) for hi in h]

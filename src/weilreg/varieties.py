@@ -5,13 +5,11 @@ list gives polynomials q with the subset equal to the union of the D(q); the
 closed complement is then generated by exactly those witnesses.
 """
 
-from fractions import Fraction
-
 from .errors import EmptyOpen, ImproperIdeal, PointNotOnVariety
 from .exprparse import parse_polynomial
 from .ideals import Ideal
 from .orders import GREVLEX
-from .poly import Polynomial, format_polynomial
+from .poly import Polynomial, format_polynomial, rational
 from .polygcd import squarefree_part
 
 
@@ -44,15 +42,14 @@ class AffineVariety:
         return parse_polynomial(text, self.names)
 
     def point_on(self, point) -> bool:
-        point = tuple(Fraction(x) for x in point)
-        if len(point) != self.arity:
-            return False
-        return all(g.evaluate(point) == 0 for g in self.ideal.gens)
+        point = tuple(map(rational, point))
+        return len(point) == self.arity and all(g.evaluate(point) == 0 for g in self.ideal.gens)
 
     def require_point(self, point, error=PointNotOnVariety, name="variety"):
-        """The point as a tuple of Fractions; error, naming the variety as
-        name, if it has the wrong length or misses the defining ideal."""
-        point = tuple(Fraction(x) for x in point)
+        """The point as a tuple of coordinates in `rational` form (ints
+        where integral); error, naming the variety as name, if it has the
+        wrong length or misses the defining ideal."""
+        point = tuple(map(rational, point))
         if len(point) != self.arity:
             raise error(f"{format_point(point)} has {len(point)} coordinates; the {name} has {self.arity}")
         if not self.point_on(point):
@@ -69,7 +66,7 @@ class AffineVariety:
 
 def format_point(point) -> str:
     """A point as a parenthesised tuple of rationals, e.g. ``(1, -1/2)``."""
-    return "(" + ", ".join(str(Fraction(c)) for c in point) + ")"
+    return "(" + ", ".join(str(rational(c)) for c in point) + ")"
 
 
 def affine_space(names) -> AffineVariety:
