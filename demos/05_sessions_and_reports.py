@@ -17,11 +17,11 @@ cmd closedgraph rho at (1) xreg
 cmd atlas rho S=(0, 1) xreg
 """
 
-ast = parse_session(SOURCE)
+statements = parse_session(SOURCE)
 print("== canonical form of the session")
-print(format_session(ast))
+print(format_session(statements))
 
-records = run_session(ast, session_name="demo")
+records = run_session(statements, session_name="demo")
 print("== text report")
 print(emit_report(records, fmt="text"))
 

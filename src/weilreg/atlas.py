@@ -71,14 +71,13 @@ from .ratfunc import FractionImages, compose_poly
 
 @dataclass
 class AtlasReport:
-    symmetry: dict = None
-    cocycle: dict = None
-    separated: dict = None
-    covering: dict = None
+    symmetry: dict
+    cocycle: dict
+    separated: dict
+    covering: dict
 
     def all_passed(self) -> bool:
-        return all(part and part.get("passed") for part in
-                   (self.symmetry, self.cocycle, self.separated, self.covering))
+        return all(part["passed"] for part in (self.symmetry, self.cocycle, self.separated, self.covering))
 
 
 @dataclass

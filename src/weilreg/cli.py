@@ -54,12 +54,12 @@ def main(argv=None) -> int:
         print(f"weilreg: the step budget must not be negative, got {max_steps}", file=sys.stderr)
         return 2
     try:
-        ast = parse_session(text)
+        statements = parse_session(text)
     except (SessionSyntaxError, UseBeforeDeclare) as err:
         print(f"weilreg: {err}", file=sys.stderr)
         return 2
     records = []
-    for record in iter_session(ast, max_steps):
+    for record in iter_session(statements, max_steps):
         records.append(record)
         if args.verbose:
             print(f"[{record['status']}] {record['command']}", file=sys.stderr, flush=True)

@@ -139,12 +139,8 @@ def buchberger(generators, order: MonomialOrder = GREVLEX):
     # each distinct generator, primitive with a positive lead, as its terms
     # (key, coefficient, exponents) in descending order; sorting these is
     # sorting by `Polynomial.sort_key`
-    distinct = set()
-    for g in generators:
-        if g.terms:
-            terms = sorted(((key(e), c, e) for e, c in g.integer_primitive()[1].items()), reverse=True)
-            sign = -1 if terms[0][1] < 0 else 1
-            distinct.add(tuple((k, sign * c, e) for k, c, e in terms))
+    distinct = {tuple(sorted(((key(e), c, e) for e, c in g.primitive(order).terms.items()), reverse=True))
+                for g in generators if g.terms}
     if not distinct:
         return ()
     basis = [(terms[0][2], terms[0][1], [(e, c) for _, c, e in terms[1:]]) for terms in sorted(distinct)]

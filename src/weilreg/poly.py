@@ -5,9 +5,10 @@ nonzero rational coefficients.  Coefficients and point coordinates have one
 rational form (`rational`): an int when integral and otherwise a Fraction
 with denominator > 1.  Integral arithmetic is thus int arithmetic, for
 `specialize` at an integral point too; a division needs a Fraction operand,
-since int / int is a float, so `evaluate` returns a Fraction whatever the
-point.  Term order is a view concern; sorted term lists are produced on
-demand for a given MonomialOrder.  Points and constants are put in with
+since int / int is a float, so `evaluate` (`specialize` at every variable)
+returns a Fraction whatever the point.  `integer_primitive`'s content takes
+the same form.  Term order is a view concern; sorted term lists are produced
+on demand for a given MonomialOrder.  Points and constants are put in with
 `evaluate` and `specialize`; substituting polynomials for the variables is
 `ratfunc.compose_poly`, on one image table per image list.
 
@@ -216,7 +217,7 @@ class Polynomial:
         content, terms = self.integer_primitive()
         quotients = [{} for _ in active]
         remainder, scale = _reduce_terms(terms, [record for _, _, record in active], order, quotients)
-        factor = content / scale
+        factor = content / scale  # scale is a Fraction, so this is never int / int
         out = [{} for _ in divisors]
         for (i, divisor_content, _), q in zip(active, quotients):
             out[i] = _scaled(q, factor / divisor_content)
@@ -226,22 +227,22 @@ class Polynomial:
     # -- normalisation -----------------------------------------------------
 
     def integer_primitive(self):
-        """(c, F) with self = c*F, c a positive rational and F an integer term
-        dict of content 1; (0, {}) for the zero polynomial."""
+        """(c, F) with self = c*F, c a positive rational in `rational` form
+        and F an integer term dict of content 1; (0, {}) for the zero
+        polynomial."""
         if not self.terms:
-            return Fraction(0), {}
+            return 0, {}
         num = gcd(*(c.numerator for c in self.terms.values()))
         den = lcm(*(c.denominator for c in self.terms.values()))
-        return Fraction(num, den), {e: c.numerator // num * (den // c.denominator)
-                                    for e, c in self.terms.items()}
+        terms = {e: c.numerator // num * (den // c.denominator) for e, c in self.terms.items()}
+        return (num if den == 1 else Fraction(num, den)), terms
 
     def primitive(self, order: MonomialOrder = GREVLEX) -> "Polynomial":
         """Divide out the content and make the leading coefficient positive."""
         if not self.terms:
             return self
-        sign = -1 if self.leading_term(order)[1] < 0 else 1
         terms = self.integer_primitive()[1]
-        return Polynomial._of(self.arity, terms if sign > 0 else {e: -c for e, c in terms.items()})
+        return Polynomial._of(self.arity, _primitive_terms(terms, max(terms, key=order.key)))
 
     def monic(self, order: MonomialOrder = GREVLEX) -> "Polynomial":
         if not self.terms:
@@ -253,14 +254,7 @@ class Polynomial:
     def evaluate(self, point) -> Fraction:
         if len(point) != self.arity:
             raise ArityMismatch(f"point of length {len(point)} for arity {self.arity}")
-        point = tuple(map(rational, point))
-        total = 0
-        for exps, coeff in self.terms.items():
-            for x, e in zip(point, exps):
-                if e:
-                    coeff *= x ** e
-            total += coeff
-        return Fraction(total)
+        return self.specialize(tuple(map(rational, point))).constant_value()
 
     def specialize(self, values) -> "Polynomial":
         """Set the leading len(values) variables to the given constants; the

@@ -178,9 +178,6 @@ class RationalFunction:
     def fraction_pair(self):
         return self.num, self.den
 
-    def is_polynomial(self) -> bool:
-        return self.den.is_constant()
-
     def simplified(self) -> "RationalFunction":
         return reduced_fraction(self.host, self.num, self.den)
 

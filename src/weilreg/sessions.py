@@ -202,11 +202,6 @@ class Command(Statement):
 STATEMENTS = tuple(cls.KEYWORD for cls in (VarDecl, VarietyDecl, MapDecl, GroupDecl, ActionDecl, Command))
 
 
-@dataclass
-class SessionAST:
-    statements: tuple
-
-
 # -- parsing -----------------------------------------------------------------------
 
 
@@ -348,13 +343,13 @@ class _SessionParser(TokenStream):
 
     # statements -------------------------------------------------------------------
 
-    def parse(self) -> SessionAST:
+    def parse(self) -> tuple:
         statements = []
         while True:
             while self.at("NEWLINE"):
                 self.next()
             if self.at("EOF"):
-                return SessionAST(tuple(statements))
+                return tuple(statements)
             statements.append(self.statement())
 
     def statement(self) -> Statement:
@@ -503,13 +498,13 @@ class _SessionParser(TokenStream):
         cmd.samples = self.paren_list(self.point)
 
 
-def parse_session(text: str) -> SessionAST:
-    """AST of the session, or a positioned diagnostic."""
+def parse_session(text: str) -> tuple:
+    """The session's statements, or a positioned diagnostic."""
     return _SessionParser(text).parse()
 
 
-def format_session(ast: SessionAST) -> str:
-    return "\n".join(map(str, ast.statements)) + "\n"
+def format_session(statements) -> str:
+    return "\n".join(map(str, statements)) + "\n"
 
 
 # -- execution --------------------------------------------------------------------------
@@ -836,17 +831,17 @@ def _on_host(action, stmt):
     return (restrict_to_regular_locus(action), "xreg") if stmt.on_xreg else (action, "full")
 
 
-def iter_session(ast: SessionAST, max_steps=None):
+def iter_session(statements, max_steps=None):
     """The records of the statements, each yielded as its statement ends;
     failures are recorded and never abort the session.  `max_steps` caps the
     S-pairs of each statement."""
     session = _Session(ideals.DEFAULT_MAX_STEPS if max_steps is None else int(max_steps))
-    return map(session.execute, ast.statements)
+    return map(session.execute, statements)
 
 
-def run_session(ast: SessionAST, session_name: str = "", max_steps=None):
+def run_session(statements, session_name: str = "", max_steps=None):
     """Execute every statement, producing the list of records."""
-    return list(iter_session(ast, max_steps))
+    return list(iter_session(statements, max_steps))
 
 
 # -- reports ------------------------------------------------------------------------------
@@ -867,10 +862,6 @@ def emit_report(records, fmt: str = "json", session: str = "") -> str:
             lines.append(f"{r['command'].ljust(width)}  {r['status']:<6}  {r['groebner_steps']}")
         return "\n".join(lines) + "\n"
     raise ValueError(f"unknown report format {fmt!r}")
-
-
-def parse_report(text: str) -> dict:
-    return json.loads(text)
 
 
 def strip_timing(report: dict) -> dict:

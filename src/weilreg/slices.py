@@ -171,12 +171,7 @@ def certify_regular(split: ProductAmbient, fraction: RationalFunction,
     total = split.variety.ideal.normal_form(total)
     if not residue(split.variety, (total, Polynomial.one(split.arity)), fraction.fraction_pair()).is_zero():
         raise NonPolynomialResidue("reassembled polynomial does not equal the fraction")
-    dec.samples = points
-    dec.matrix = matrix
-    dec.solve_coefficients = coeffs
-    dec.slice_polynomials = slices
-    dec.regular_form = total
-    return dec
+    return SliceDecomposition(dec.power, dec.terms, points, matrix, coeffs, slices, total)
 
 
 @dataclass

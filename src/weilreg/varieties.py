@@ -167,8 +167,6 @@ class OpenSubset:
     @property
     def complement_ideal(self) -> Ideal:
         """Ideal of the closed complement inside the host."""
-        if not self.witnesses:
-            return Ideal.zero(self.host.arity)
         return Ideal(self.host.arity, self.witnesses)
 
     def is_empty(self) -> bool:
@@ -176,10 +174,6 @@ class OpenSubset:
 
     def is_all(self) -> bool:
         return any(w.is_constant() for w in self.witnesses)
-
-    def is_dense(self) -> bool:
-        """Nonempty open subsets of an irreducible host are dense."""
-        return self.host.irreducible and not self.is_empty()
 
     def require_nonempty(self):
         if self.is_empty():
@@ -198,7 +192,7 @@ class OpenSubset:
         return merged
 
     def intersect(self, other: "OpenSubset") -> "OpenSubset":
-        if self.host is not other.host and self.host.names != other.host.names:
+        if self.host is not other.host and not varieties_equal(self.host, other.host):
             raise ValueError("open subsets live on different hosts")
         products = [a * b for a in self.witnesses for b in other.witnesses]
         return OpenSubset(self.host, products)

@@ -103,7 +103,7 @@ def divide_exact(f: Polynomial, g: Polynomial):
     cf, F = f.integer_primitive()
     cg, G = g.integer_primitive()
     q = quotient(F, G)
-    return None if q is None else Polynomial(f.arity, q).scale(cf / cg)
+    return None if q is None else Polynomial(f.arity, q).scale(Fraction(cf) / cg)
 
 
 def coefficients_in(f: Polynomial, var: int):

@@ -101,3 +101,45 @@ def test_operations_keep_the_coefficient_form(name, fg, c):
     result = operation(f, g, c)
     assert all(map(in_form, coefficients(result)))
     assert term_dicts(result) == term_dicts(operation(as_fractions(f), as_fractions(g), Fraction(c)))
+
+
+@given(polynomials(1))
+def test_integer_primitive_content_is_an_int_exactly_when_the_polynomial_is_integral(f):
+    (f,) = f
+    content, terms = f.integer_primitive()
+    assert in_form(content) and content >= 0 and (content == 0) == f.is_zero()
+    assert (type(content) is int) == all(type(c) is int for c in f.terms.values())
+    assert Polynomial(f.arity, terms).scale(content) == f
+
+
+@given(fgh=polynomials(3))
+def test_divide_on_integral_inputs_is_exact_and_never_a_float(fgh):
+    # the kernel's scale is a Fraction: int content / int scale would be a float
+    f, g, h = (p.scale(12) for p in fgh)
+    x = Polynomial.variable(f.arity, 0)
+    dividend = f * (x ** 5 + g) + h
+    for divisors, integral in (([x ** 5 + g, x ** 6 + h], True), ([nonzero(g), 2 * x ** 5 + h], False)):
+        quotients, remainder = dividend.divide(divisors, GREVLEX)
+        out = coefficients([*quotients, remainder])
+        assert all(map(in_form, out))
+        if integral:  # every lead coefficient is 1
+            assert all(type(c) is int for c in out)
+        assert sum(map(Polynomial.__mul__, quotients, divisors), remainder) == dividend
+    [q], r = Polynomial(1, {(1,): 3}).divide([Polynomial(1, {(1,): 2})])
+    assert q.terms == {(0,): Fraction(3, 2)} and type(q.terms[(0,)]) is Fraction and r.is_zero()
+
+
+def test_primitive_takes_its_sign_from_the_lead_of_the_order_it_is_given():
+    # 2*x - 4*y^2: the lex lead is 2*x, the grevlex lead -4*y^2
+    p = Polynomial(2, {(1, 0): 2, (0, 2): -4})
+    assert p.primitive(LEX) == Polynomial(2, {(1, 0): 1, (0, 2): -2})
+    assert p.primitive(GREVLEX) == Polynomial(2, {(1, 0): -1, (0, 2): 2})
+
+
+@pytest.mark.parametrize("order", [LEX, GREVLEX], ids=["lex", "grevlex"])
+@given(polynomials(1))
+def test_primitive_is_the_integer_part_with_a_positive_lead(order, f):
+    (f,) = f
+    p, integral = f.primitive(order), Polynomial(f.arity, f.integer_primitive()[1])
+    assert p in (integral, -integral)
+    assert f.is_zero() or p.leading_term(order)[1] > 0

@@ -583,7 +583,18 @@ def test_definable_locus_normalises_its_witnesses_once(sigma):
 def test_biregular_locus_cremona(plane, sigma):
     breg = biregular_locus(sigma)
     assert breg.complement_ideal == Ideal(2, [plane.poly("x*y")])
-    assert breg.is_dense()
+    assert not breg.is_empty()
+
+
+def test_open_subsets_of_hosts_with_one_name_but_different_ideals_do_not_intersect(plane):
+    # the same coordinate names with different defining ideals are two hosts
+    parabola = variety(["x", "y"], "y-x^2")
+    on_plane, on_parabola = OpenSubset(plane, [plane.poly("x")]), OpenSubset(parabola, [parabola.poly("y")])
+    for left, right in ((on_plane, on_parabola), (on_parabola, on_plane)):
+        with pytest.raises(ValueError, match="different hosts"):
+            left.intersect(right)
+    twin = affine_space(["x", "y"])
+    assert on_plane.intersect(OpenSubset(twin, [twin.poly("y")])).witnesses == (plane.poly("x*y"),)
 
 
 def test_biregular_locus_on_torus_is_everything():

@@ -44,6 +44,18 @@ def old_evaluate(p, point):
     return total
 
 
+def term_loop_evaluate(p, point):
+    """`Polynomial.evaluate` as its own term loop, before it was `specialize` at every variable."""
+    point = tuple(map(rational, point))
+    total = 0
+    for exps, coeff in p.terms.items():
+        for x, e in zip(point, exps):
+            if e:
+                coeff *= x ** e
+        total += coeff
+    return Fraction(total)
+
+
 def old_point(point):
     return tuple(Fraction(x) for x in point)
 
@@ -144,6 +156,16 @@ def test_atlas_elements_hold_the_stored_form(name, data):
     assert all(same(p, q) for p, q in zip(atlas.points, stored))
     for (i, j), g in atlas.elements.items():
         assert same(g, old_multiply(group, old_invert(group, stored[j]), stored[i]))
+
+
+@given(data=st.data())
+def test_evaluate_is_the_term_loop_in_every_point_form(data):
+    arity = data.draw(st.integers(1, 3))
+    terms = data.draw(st.dictionaries(st.tuples(*[st.integers(0, 3)] * arity), VALUES, max_size=5))
+    p = Polynomial(arity, terms)
+    point = tuple(data.draw(written(data.draw(VALUES))) for _ in range(arity))
+    value = p.evaluate(point)
+    assert type(value) is Fraction and value == term_loop_evaluate(p, point)
 
 
 def test_evaluate_returns_a_fraction_at_an_integral_point():
